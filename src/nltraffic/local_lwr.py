@@ -9,14 +9,25 @@ reference in convergence sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from scipy.integrate import fixed_quad
 from scipy.optimize import minimize_scalar
+from scipy.special import roots_legendre
 
 from .core import (BlowupError, DensityField, DomainError, SolverConfig,
                    TimeStepCollapse, VelocityModel)
 from .trajectory import DtSummary, Snapshot, Trajectory
+
+
+@cache
+def _gauss_legendre_32() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 32-point rule on [-1, 1].
+
+    Built on first use, not at import: the LAPACK call behind it adds
+    ~0.6 MB of resident memory to runs that never need a quadrature.
+    """
+    return roots_legendre(32)
 
 
 @dataclass(frozen=True)
@@ -26,7 +37,8 @@ class FluxEntropyModel:
 
     For affine v = a - b rho the entropy flux is closed form:
     psi(rho) = a rho^2/2 - 2 b rho^3/3.  Otherwise psi is evaluated by
-    Gauss quadrature of rho f'(rho) from zero.
+    32-point Gauss-Legendre quadrature of rho f'(rho) from zero, all cells
+    at once on a (cells x 32) node array.
     """
 
     model: VelocityModel
@@ -49,9 +61,12 @@ class FluxEntropyModel:
             return (self.model.a * rho ** 2 / 2.0
                     - 2.0 * self.model.b * rho ** 3 / 3.0)
         flat = np.atleast_1d(rho).ravel()
-        out = np.array([
-            fixed_quad(lambda r: r * self.df(r), 0.0, float(val), n=32)[0]
-            for val in flat])
+        nodes, weights = _gauss_legendre_32()
+        # same operation order as scipy's fixed_quad on [0, rho], per cell;
+        # df sees a 1-D array, so laws written for 1-D input keep working
+        y = flat[:, None] * (nodes + 1.0) / 2.0
+        integrand = y * self.df(y.ravel()).reshape(y.shape)
+        out = flat / 2.0 * np.sum(weights * integrand, axis=-1)
         return out.reshape(np.shape(rho)) if np.ndim(rho) else float(out[0])
 
     def max_wave_speed(self, n_samples: int = 257) -> float:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .core import (BlowupError, CheckResult, DensityField, DomainError,
                    Grid, KernelScale, NumericsError, PositivityError,
-                   SolverConfig, VelocityModel)
+                   ShapeError, SolverConfig, TimeStepCollapse, VelocityModel)
 from .kernel import AveragedField, edge_to_center
 from .trajectory import DtSummary, Trajectory
 
@@ -84,7 +84,6 @@ class UZFields:
         u = np.asarray(self.u, dtype=float)
         z = np.asarray(self.z, dtype=float)
         if u.shape != (self.grid.n_cells,) or z.shape != (self.grid.n_cells,):
-            from .core import ShapeError
             raise ShapeError("u, z must have one value per grid cell")
         u, z = u.copy(), z.copy()
         u.setflags(write=False)
@@ -268,7 +267,6 @@ def to_uz(rho: DensityField, q: AveragedField,
     exp(u) recovers rho and K - exp(z) recovers v(q) exactly.
     """
     if rho.grid != q.grid:
-        from .core import ShapeError
         raise ShapeError("density and averaged field live on different grids")
     if float(np.min(rho.values)) <= 0.0:
         raise PositivityError(
@@ -514,7 +512,6 @@ def solve_relaxation(initial: UZFields, frame: RelaxationFrame,
             top_speed = max(K, float(np.max(speed_u)))
             dtau = min(config.cfl * grid.dx / top_speed, target - tau)
             if dtau < 1e-14:
-                from .core import TimeStepCollapse
                 raise TimeStepCollapse(
                     f"dtau = {dtau:.3e} at tau = {tau:.6g}")
 

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import fixed_quad
 
 from nltraffic import (DensityField, DomainError, FluxEntropyModel, Grid,
                        Riemann, SolverConfig, VelocityModel, entropy_pair,
                        godunov_flux, godunov_state, make_initial, solve_local,
                        total_variation)
 from nltraffic.local_lwr import _interface_flux_affine
+
+from conftest import quadratic_model
 
 
 class TestFluxEntropyModel:
@@ -23,6 +27,41 @@ class TestFluxEntropyModel:
         fe_quad = FluxEntropyModel(clone)
         rho = np.linspace(0.0, 1.0, 21)
         assert np.max(np.abs(fe_quad.psi(rho) - fe_affine.psi(rho))) < 1e-12
+
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64))
+    @settings(max_examples=60, deadline=None)
+    def test_vectorised_psi_equals_fixed_quad(self, densities):
+        fe = FluxEntropyModel(quadratic_model())
+        rho = np.array(densities)
+        per_cell = np.array([
+            fixed_quad(lambda r: r * fe.df(r), 0.0, float(val), n=32)[0]
+            for val in rho])
+        assert np.array_equal(fe.psi(rho), per_cell)
+
+    def test_psi_keeps_input_shape(self):
+        fe = FluxEntropyModel(quadratic_model())
+        scalar = fe.psi(0.3)
+        assert type(scalar) is float
+        assert scalar == fe.psi(np.array([0.3]))[0]
+        grid = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+        assert fe.psi(grid).shape == (3, 4)
+        assert np.array_equal(fe.psi(grid).ravel(), fe.psi(grid.ravel()))
+
+    def test_psi_calls_law_with_1d_input(self):
+        base = quadratic_model()
+
+        def one_d(fn):
+            def wrapped(r):
+                assert np.ndim(r) <= 1
+                return fn(r)
+            return wrapped
+
+        law = VelocityModel.custom(
+            v=one_d(base.v), dv=one_d(base.dv), d2v=base.d2v,
+            v_inverse=base.v_inverse, rho_jam=base.rho_jam)
+        rho = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+        assert np.array_equal(FluxEntropyModel(law).psi(rho),
+                              FluxEntropyModel(base).psi(rho))
 
     def test_psi_derivative_identity(self, fe):
         # psi' = rho f' checked by central differences at sampled densities
