@@ -5,7 +5,8 @@ LWR limit and the relaxation-system reformulation."""
 from .core import (Bump, CheckResult, DensityField, DomainError, Grid,
                    KernelScale, ModelValidationReport, MonotoneRamp,
                    PositivityError, Riemann, Samples, ShapeError, Sine,
-                   SolverConfig, VelocityModel, make_initial, validate_model)
+                   SolverConfig, VelocityModel, flux_curvature_sup,
+                   make_initial, validate_model)
 from .kernel import AveragedField, average, edge_to_center, ode_residual
 from .trajectory import Snapshot, Trajectory
 from .nonlocal_fv import PicardResult, picard_oracle, solve_nonlocal

@@ -201,6 +201,23 @@ class VelocityModel:
         return self.kind == "affine"
 
 
+def flux_curvature_sup(model: VelocityModel, n_samples: int) -> float:
+    """Sampled sup of f'' = 2 v' + rho v'' over [0, rho_jam], f = rho v.
+
+    The flux is concave on the samples when this is <= 0.  A law that is
+    non-concave only between samples reads as concave; the result is nan
+    when an evaluator returns a non-finite value.
+    """
+    if n_samples < 2:
+        raise DomainError(f"need n_samples >= 2, got {n_samples}")
+    rho = np.linspace(0.0, model.rho_jam, n_samples)
+    curvature = (2.0 * np.asarray(model.dv(rho), dtype=float)
+                 + rho * np.asarray(model.d2v(rho), dtype=float))
+    if not np.all(np.isfinite(curvature)):
+        return float("nan")
+    return float(np.max(curvature))
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -219,6 +236,7 @@ class ModelValidationReport:
     delta_star: float
     d2v_sup: float
     inverse_roundtrip_error: float
+    flux_curvature_sup: float
     checks: tuple[CheckResult, ...]
 
     @property
@@ -239,9 +257,12 @@ def validate_model(model: VelocityModel, n_samples: int) -> ModelValidationRepor
     * v_inverse(v(rho)) = rho within 1e-10 at every sample.
 
     The sup norm of v'' over the samples is reported for use by the
-    relaxation-side condition checks.  Admissibility is verified, not
-    enforced: a failing model is returned with failing entries rather
-    than rejected.
+    relaxation-side condition checks, and the sup of the flux curvature
+    2 v' + rho v'' (``flux_curvature_sup``) tells whether the flux is
+    concave on the samples.  Concavity is reported, not checked: the
+    paper does not assume it, only the local Godunov solver's fast path
+    does.  Admissibility is verified, not enforced: a failing model is
+    returned with failing entries rather than rejected.
     """
     if n_samples < 2:
         raise DomainError(f"need n_samples >= 2, got {n_samples}")
@@ -282,6 +303,7 @@ def validate_model(model: VelocityModel, n_samples: int) -> ModelValidationRepor
         delta_star=delta_star,
         d2v_sup=d2v_sup,
         inverse_roundtrip_error=inv_err,
+        flux_curvature_sup=flux_curvature_sup(model, n_samples),
         checks=checks,
     )
 

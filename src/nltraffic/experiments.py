@@ -490,19 +490,25 @@ def _json_metadata(config: ExperimentConfig, seed: int | None) -> dict:
     }
 
 
+def _sweep_payload(report: SweepReport) -> dict:
+    """Rows and slopes of a sweep, shared by sweep.json and emit_report."""
+    return {
+        "rows": [
+            {"epsilon": r.epsilon, "l1_to_reference": r.l1_to_reference,
+             "tv_final": r.tv_final, "tv_bound": r.tv_bound,
+             "maxp_margin": r.maxp_margin, "kdev_margin": r.kdev_margin,
+             "entropy_pos_part": r.entropy_pos_part,
+             "entropy_pos_per_phi": list(r.entropy_pos_per_phi),
+             "runtime_seconds": r.runtime_seconds, "error": r.error}
+            for r in report.rows],
+        "slopes": {"l1_vs_epsilon": report.slope_l1,
+                   "entropy_pos_vs_epsilon": report.slope_entropy}}
+
+
 def sweep_json(report: SweepReport, config: ExperimentConfig,
                seed: int | None = None) -> str:
     payload = _json_metadata(config, seed)
-    payload["rows"] = [
-        {"epsilon": r.epsilon, "l1_to_reference": r.l1_to_reference,
-         "tv_final": r.tv_final, "tv_bound": r.tv_bound,
-         "maxp_margin": r.maxp_margin, "kdev_margin": r.kdev_margin,
-         "entropy_pos_part": r.entropy_pos_part,
-         "entropy_pos_per_phi": list(r.entropy_pos_per_phi),
-         "runtime_seconds": r.runtime_seconds, "error": r.error}
-        for r in report.rows]
-    payload["slopes"] = {"l1_vs_epsilon": report.slope_l1,
-                         "entropy_pos_vs_epsilon": report.slope_entropy}
+    payload.update(_sweep_payload(report))
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n"
 
 
@@ -513,16 +519,8 @@ def emit_report(report, fmt: str) -> str:
     if isinstance(report, SweepReport):
         if fmt == "csv":
             return sweep_csv(report)
-        payload = {"rows": [
-            {"epsilon": r.epsilon, "l1_to_reference": r.l1_to_reference,
-             "tv_final": r.tv_final, "tv_bound": r.tv_bound,
-             "maxp_margin": r.maxp_margin, "kdev_margin": r.kdev_margin,
-             "entropy_pos_part": r.entropy_pos_part,
-             "runtime_seconds": r.runtime_seconds, "error": r.error}
-            for r in report.rows],
-            "slopes": {"l1_vs_epsilon": report.slope_l1,
-                       "entropy_pos_vs_epsilon": report.slope_entropy}}
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(_sweep_payload(report), indent=2,
+                          sort_keys=True) + "\n"
     if isinstance(report, DiagnosticsReport):
         if fmt == "json":
             return json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
@@ -580,7 +578,8 @@ def _sweep_kind(config: ExperimentConfig, out: Path, jobs: int,
     (out / "sweep.csv").write_text(sweep_csv(report))
     (out / "sweep.json").write_text(sweep_json(report, config, seed))
     return {"files": ["sweep.csv", "sweep.json"],
-            "rows": len(report.rows)}
+            "rows": len(report.rows),
+            "failed_rows": sum(r.error is not None for r in report.rows)}
 
 
 def _compare_kind(config: ExperimentConfig, out: Path, seed: int | None) -> dict:
@@ -629,6 +628,7 @@ def _check_kind(config: ExperimentConfig, out: Path, seed: int | None) -> dict:
         "delta_star": model_report.delta_star,
         "d2v_sup": model_report.d2v_sup,
         "inverse_roundtrip_error": model_report.inverse_roundtrip_error,
+        "flux_curvature_sup": model_report.flux_curvature_sup,
         "checks": [{"name": c.name, "passed": c.passed, "margin": c.margin,
                     "detail": c.detail} for c in model_report.checks]}
     payload["subcharacteristic"] = {

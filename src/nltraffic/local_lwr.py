@@ -12,11 +12,11 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 from scipy.special import roots_legendre
 
 from .core import (BlowupError, DensityField, DomainError, SolverConfig,
-                   TimeStepCollapse, VelocityModel)
+                   TimeStepCollapse, VelocityModel, flux_curvature_sup)
 from .trajectory import DtSummary, Snapshot, Trajectory
 
 
@@ -30,6 +30,11 @@ def _gauss_legendre_32() -> tuple[np.ndarray, np.ndarray]:
     return roots_legendre(32)
 
 
+# samples of [0, rho_jam] on which a custom law's flux must be concave for
+# solve_local's vectorized step; the same count as max_wave_speed's
+_CONCAVITY_SAMPLES = 257
+
+
 @dataclass(frozen=True)
 class FluxEntropyModel:
     """Flux f(rho) = rho v(rho) plus the entropy pair eta = rho^2/2,
@@ -39,6 +44,11 @@ class FluxEntropyModel:
     psi(rho) = a rho^2/2 - 2 b rho^3/3.  Otherwise psi is evaluated by
     32-point Gauss-Legendre quadrature of rho f'(rho) from zero, all cells
     at once on a (cells x 32) node array.
+
+    ``solve_local`` steps every interface at once when f is concave: always
+    for affine v, and for custom v when 2 v' + rho v'' <= 0 at every sample
+    (``core.flux_curvature_sup``).  A non-concave custom law runs the scalar
+    ``godunov_flux`` at each interface on every step.
     """
 
     model: VelocityModel
@@ -122,27 +132,49 @@ def godunov_flux(rho_left: float, rho_right: float,
     return float(fe.f(godunov_state(rho_left, rho_right, fe)))
 
 
-def _interface_flux_affine(fe: FluxEntropyModel, left: np.ndarray,
-                           right: np.ndarray) -> np.ndarray:
-    """Vectorized Godunov flux for affine v (concave f).
+def _interface_flux_concave(fe: FluxEntropyModel, left: np.ndarray,
+                            right: np.ndarray, crit: float) -> np.ndarray:
+    """Vectorized Godunov flux for a concave f whose maximiser on
+    [0, rho_jam] is crit.
 
     Equals godunov_flux pairwise: concavity puts minima at the endpoints
     and maxima at the critical point clamped into the interval.
     """
     f_left = fe.f(left)
     f_right = fe.f(right)
-    crit = fe.model.a / (2.0 * fe.model.b)
     shock = np.minimum(f_left, f_right)
     fan = fe.f(np.clip(crit, right, left))
     return np.where(left <= right, shock, fan)
 
 
+def _critical_density(fe: FluxEntropyModel) -> float | None:
+    """Maximiser of f on [0, rho_jam] when f is concave, else None.
+
+    Affine laws give the exact a / (2 b).  Custom laws count as concave
+    when 2 v' + rho v'' <= 0 at every sample of ``flux_curvature_sup``;
+    their crest is the bracketed root of f', or an end of the range when
+    f is monotone there.  A law that is non-concave only between samples
+    is taken as concave.
+    """
+    model = fe.model
+    if model.is_affine:
+        return model.a / (2.0 * model.b)
+    if not flux_curvature_sup(model, _CONCAVITY_SAMPLES) <= 0.0:
+        return None
+    rho_jam = model.rho_jam
+    if float(fe.df(0.0)) <= 0.0:
+        return 0.0
+    if float(fe.df(rho_jam)) >= 0.0:
+        return rho_jam
+    return brentq(lambda r: float(fe.df(r)), 0.0, rho_jam)
+
+
 def _interface_flux(fe: FluxEntropyModel, left: np.ndarray,
-                    right: np.ndarray) -> np.ndarray:
-    if fe.model.is_affine:
-        return _interface_flux_affine(fe, left, right)
-    return np.array([godunov_flux(float(a), float(b), fe)
-                     for a, b in zip(left, right)])
+                    right: np.ndarray, crit: float | None) -> np.ndarray:
+    if crit is None:
+        return np.array([godunov_flux(float(a), float(b), fe)
+                         for a, b in zip(left, right)])
+    return _interface_flux_concave(fe, left, right, crit)
 
 
 def _with_ghosts(values: np.ndarray, periodic: bool) -> np.ndarray:
@@ -159,6 +191,12 @@ def solve_local(initial: DensityField, fe: FluxEntropyModel,
     cfl * dx / max|f'| and lands exactly on every requested snapshot time.
     The scheme is total-variation diminishing and respects the range of the
     initial data.
+
+    When f is concave (every affine law, and custom laws with
+    2 v' + rho v'' <= 0 at every sample of [0, rho_jam]) the critical
+    density is found once and the flux is evaluated for all interfaces at
+    once.  Otherwise each interface runs the scalar ``godunov_flux``, whose
+    bounded optimiser can be misled where f is not unimodal.
     """
     grid = initial.grid
     model = fe.model
@@ -167,6 +205,7 @@ def solve_local(initial: DensityField, fe: FluxEntropyModel,
         raise DomainError(
             f"initial density range [{lo}, {hi}] outside [0, {model.rho_jam}]")
 
+    crit = _critical_density(fe)
     speed = fe.max_wave_speed()
     dt_cfl = config.cfl * grid.dx / speed if speed > 0 else config.t_final
     emit = config.emission_times()
@@ -185,7 +224,7 @@ def solve_local(initial: DensityField, fe: FluxEntropyModel,
                 raise TimeStepCollapse(
                     f"dt = {dt:.3e} at t = {t:.6g} (step {steps})")
             padded = _with_ghosts(rho, grid.periodic)
-            flux = _interface_flux(fe, padded[:-1], padded[1:])
+            flux = _interface_flux(fe, padded[:-1], padded[1:], crit)
             rho = rho - (dt / grid.dx) * (flux[1:] - flux[:-1])
             if not np.all(np.isfinite(rho)):
                 raise BlowupError(f"non-finite density at step {steps}")

@@ -38,3 +38,23 @@ def quadratic_model() -> VelocityModel:
         v_inverse=lambda s: np.sqrt(np.maximum(1.0 - np.asarray(s, dtype=float),
                                                0.0)),
         rho_jam=1.0)
+
+
+def cubic_model() -> VelocityModel:
+    """v(rho) = 1 - rho^3 on [0, 1]: f = rho - rho^4 is concave."""
+    return VelocityModel.custom(
+        v=lambda r: 1.0 - np.asarray(r, dtype=float) ** 3,
+        dv=lambda r: -3.0 * np.asarray(r, dtype=float) ** 2,
+        d2v=lambda r: -6.0 * np.asarray(r, dtype=float),
+        v_inverse=lambda s: np.cbrt(1.0 - np.asarray(s, dtype=float)),
+        rho_jam=1.0)
+
+
+def non_concave_model() -> VelocityModel:
+    """v(rho) = (1 - rho)^2 on [0, 1]: f'' = 6 rho - 4 > 0 for rho > 2/3."""
+    return VelocityModel.custom(
+        v=lambda r: (1.0 - np.asarray(r, dtype=float)) ** 2,
+        dv=lambda r: -2.0 * (1.0 - np.asarray(r, dtype=float)),
+        d2v=lambda r: np.full_like(np.asarray(r, dtype=float), 2.0),
+        v_inverse=lambda s: 1.0 - np.sqrt(np.asarray(s, dtype=float)),
+        rho_jam=1.0)

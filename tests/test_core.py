@@ -4,10 +4,11 @@ from hypothesis import given, strategies as st
 
 from nltraffic import (Bump, DensityField, DomainError, Grid, MonotoneRamp,
                        Riemann, Samples, ShapeError, Sine, SolverConfig,
-                       VelocityModel, make_initial, validate_model)
+                       VelocityModel, flux_curvature_sup, make_initial,
+                       validate_model)
 from nltraffic.core import ModelEvaluationError
 
-from conftest import quadratic_model
+from conftest import cubic_model, non_concave_model, quadratic_model
 
 
 class TestGrid:
@@ -65,6 +66,32 @@ class TestValidateModel:
     @given(a=st.floats(0.1, 10.0), b=st.floats(0.1, 10.0))
     def test_any_affine_passes(self, a, b):
         assert validate_model(VelocityModel.affine(a, b), 33).passed
+
+    @pytest.mark.parametrize("law, expected", [
+        (VelocityModel.affine(1.0, 1.0), -2.0),
+        (VelocityModel.affine(2.0, 0.5), -1.0),
+        (quadratic_model(), 0.0),     # f'' = -6 rho, zero at rho = 0
+        (cubic_model(), 0.0),         # f'' = -12 rho^2
+        (non_concave_model(), 2.0),   # f'' = 6 rho - 4, largest at rho = 1
+    ])
+    def test_flux_curvature_reported(self, law, expected):
+        report = validate_model(law, 101)
+        assert report.flux_curvature_sup == pytest.approx(expected, abs=1e-14)
+        assert report.flux_curvature_sup == flux_curvature_sup(law, 101)
+        # concavity is reported, never a verdict: the paper does not assume it
+        assert [c.name for c in report.checks] == [
+            "v_vanishes_at_jam", "v_strictly_decreasing", "inverse_roundtrip"]
+
+    def test_flux_curvature_nan_on_non_finite_law(self):
+        law = VelocityModel.custom(
+            v=lambda r: 1.0 - np.asarray(r, dtype=float),
+            dv=lambda r: np.full_like(np.asarray(r, dtype=float), -1.0),
+            d2v=lambda r: np.where(np.asarray(r) > 0.5, -np.inf, 0.0),
+            v_inverse=lambda s: 1.0 - np.asarray(s, dtype=float),
+            rho_jam=1.0)
+        assert np.isnan(flux_curvature_sup(law, 11))
+        with pytest.raises(DomainError):
+            flux_curvature_sup(law, 1)
 
     def test_quadratic_fails_decreasing(self):
         report = validate_model(quadratic_model(), 101)

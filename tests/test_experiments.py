@@ -10,7 +10,8 @@ from nltraffic.diagnostics import DiagnosticsReport
 from nltraffic.experiments import (ConfigError, SWEEP_CSV_COLUMNS, SweepReport,
                                    SweepRow, domain_coverage, emit_report,
                                    parse_config, relaxation_roundtrip,
-                                   run_experiment, run_sweep, sweep_csv)
+                                   run_experiment, run_sweep, sweep_csv,
+                                   sweep_json)
 import nltraffic.experiments as experiments
 
 MINIMAL = """
@@ -118,6 +119,21 @@ class TestEmitReport:
         report = SweepReport.from_rows([row])
         data = json.loads(emit_report(report, "json"))
         assert data["rows"][0]["l1_to_reference"] == 0.2
+
+    def test_json_rows_equal_sweep_json_rows(self):
+        good = SweepRow(0.2, 0.1, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8,
+                        entropy_pos_per_phi=(0.7, 0.0, 0.25))
+        nan = float("nan")
+        failed = SweepRow(0.1, nan, nan, nan, nan, nan, nan, 0.9,
+                          error="BlowupError: synthetic")
+        report = SweepReport.from_rows([good, failed])
+        emitted = json.loads(emit_report(report, "json"))
+        written = json.loads(sweep_json(report, parse_config(SWEEP)))
+        assert emitted["rows"][0]["entropy_pos_per_phi"] == [0.7, 0.0, 0.25]
+        # compared as text: nan != nan would fail a dict comparison
+        for key in ("rows", "slopes"):
+            assert (json.dumps(emitted[key], sort_keys=True)
+                    == json.dumps(written[key], sort_keys=True))
 
     def test_diagnostics_formats(self):
         report = DiagnosticsReport()
@@ -252,6 +268,8 @@ class TestRunExperiment:
         assert data["subcharacteristic"]["passed"]
         assert data["bv_conditions"]["passed"]
         assert data["bv_conditions"]["min_K_affine"] == 2.0
+        # f'' = -2 b for v = a - b rho; reported, not part of "passed"
+        assert data["model"]["flux_curvature_sup"] == -2.0
 
     def test_run_writes_files(self, tmp_path):
         config = parse_config(MINIMAL)
@@ -274,6 +292,24 @@ class TestRunExperiment:
         csv_a = (tmp_path / "a" / "sweep.csv").read_text()
         csv_b = (tmp_path / "b" / "sweep.csv").read_text()
         assert _strip_runtime(csv_a) == _strip_runtime(csv_b)
+
+
+class TestSweepSummary:
+    def test_failed_rows_counted(self, tmp_path, capsys, monkeypatch):
+        nan = float("nan")
+        rows = [SweepRow(0.2, 0.1, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8),
+                SweepRow(0.1, nan, nan, nan, nan, nan, nan, 0.9,
+                         error="BlowupError: synthetic")]
+        monkeypatch.setattr(experiments, "run_sweep",
+                            lambda config, jobs=1: SweepReport.from_rows(rows))
+        summary = run_experiment(parse_config(SWEEP), out_dir=tmp_path / "a")
+        assert (summary["rows"], summary["failed_rows"]) == (2, 1)
+        path = tmp_path / "sweep.cfg"
+        path.write_text(SWEEP)
+        # a failed row is reported, not an exit code
+        assert main(["sweep", "--config", str(path),
+                     "--out", str(tmp_path / "b")]) == 0
+        assert json.loads(capsys.readouterr().out)["failed_rows"] == 1
 
 
 class TestCli:

@@ -7,9 +7,46 @@ from nltraffic import (DensityField, DomainError, FluxEntropyModel, Grid,
                        Riemann, SolverConfig, VelocityModel, entropy_pair,
                        godunov_flux, godunov_state, make_initial, solve_local,
                        total_variation)
-from nltraffic.local_lwr import _interface_flux_affine
+import nltraffic.local_lwr as local_lwr
+from nltraffic.local_lwr import _critical_density, _interface_flux_concave
 
-from conftest import quadratic_model
+from conftest import cubic_model, non_concave_model, quadratic_model
+
+CONCAVE_LAWS = {"affine": VelocityModel.affine(1.0, 1.0),
+                "quadratic": quadratic_model(),
+                "cubic": cubic_model()}
+
+unit = st.floats(0.0, 1.0)
+# fans (L > R) with the crest inside, above and below [R, L], shocks, and
+# L = R, on top of whatever pairs hypothesis draws
+EDGE_PAIRS = [(0.0, 0.0), (1.0, 1.0), (0.4, 0.4), (0.9, 0.1), (1.0, 0.0),
+              (0.95, 0.8), (0.3, 0.1), (0.1, 0.9), (0.0, 1.0)]
+
+# Largest gap between the vectorized flux and scalar godunov_flux, in units
+# of np.spacing(|f|).  Measured: 0 on affine laws (same arithmetic), at most
+# 2 on the quadratic and 1 on the cubic law, all at fans across the crest,
+# where the bounded optimiser and brentq stop ~1e-12 apart and f is flat.
+FLUX_ULP_TOL = 4.0
+
+
+def _affine_formula(fe, left, right):
+    # the affine-only vectorized flux that predates the concave one
+    crit = fe.model.a / (2.0 * fe.model.b)
+    shock = np.minimum(fe.f(left), fe.f(right))
+    fan = fe.f(np.clip(crit, right, left))
+    return np.where(left <= right, shock, fan)
+
+
+def _count_scalar_calls(monkeypatch) -> list:
+    calls = []
+    real = local_lwr.godunov_flux
+
+    def counted(a, b, fe):
+        calls.append((a, b))
+        return real(a, b, fe)
+
+    monkeypatch.setattr(local_lwr, "godunov_flux", counted)
+    return calls
 
 
 class TestFluxEntropyModel:
@@ -102,23 +139,95 @@ class TestGodunovFlux:
         rng = np.random.default_rng(5)
         left = rng.uniform(0.0, 1.0, 200)
         right = rng.uniform(0.0, 1.0, 200)
-        fast = _interface_flux_affine(fe, left, right)
+        fast = _interface_flux_concave(fe, left, right, _critical_density(fe))
         slow = np.array([godunov_flux(a, b, fe) for a, b in zip(left, right)])
         assert np.max(np.abs(fast - slow)) < 1e-15
 
-    def test_non_concave_custom_flux(self):
-        # v = 1 - rho^2 gives f = rho - rho^3 with the crest at 1/sqrt(3)
-        model = VelocityModel.custom(
-            v=lambda r: 1.0 - np.asarray(r, dtype=float) ** 2,
-            dv=lambda r: -2.0 * np.asarray(r, dtype=float),
-            d2v=lambda r: np.full_like(np.asarray(r, dtype=float), -2.0),
-            v_inverse=lambda s: np.sqrt(1.0 - np.asarray(s, dtype=float)),
-            rho_jam=1.0)
-        fe = FluxEntropyModel(model)
+    def test_quadratic_law_crest_at_inverse_sqrt3(self):
+        # v = 1 - rho^2 gives the concave f = rho - rho^3, crest at 1/sqrt(3)
+        fe = FluxEntropyModel(quadratic_model())
         crest = 1.0 / np.sqrt(3.0)
         assert godunov_flux(0.9, 0.1, fe) == pytest.approx(crest - crest ** 3,
                                                            abs=1e-10)
         assert godunov_state(0.9, 0.1, fe) == pytest.approx(crest, abs=1e-6)
+
+
+class TestConcaveFastPath:
+    @pytest.mark.parametrize("name", sorted(CONCAVE_LAWS))
+    @given(pairs=st.lists(st.one_of(st.tuples(unit, unit),
+                                    unit.map(lambda r: (r, r))),
+                          min_size=1, max_size=64))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scalar_godunov_flux(self, name, pairs):
+        fe = FluxEntropyModel(CONCAVE_LAWS[name])
+        left, right = np.array(pairs + EDGE_PAIRS).T
+        fast = _interface_flux_concave(fe, left, right, _critical_density(fe))
+        slow = np.array([godunov_flux(a, b, fe) for a, b in zip(left, right)])
+        assert np.all(np.abs(fast - slow)
+                      <= FLUX_ULP_TOL * np.spacing(np.abs(slow)))
+
+    @given(pairs=st.lists(st.tuples(unit, unit), min_size=1, max_size=64))
+    @settings(max_examples=60, deadline=None)
+    def test_affine_equals_affine_formula(self, pairs):
+        fe = FluxEntropyModel(VelocityModel.affine(1.0, 1.0))
+        left, right = np.array(pairs + EDGE_PAIRS).T
+        assert np.array_equal(
+            _interface_flux_concave(fe, left, right, _critical_density(fe)),
+            _affine_formula(fe, left, right))
+
+    @pytest.mark.parametrize("name", sorted(CONCAVE_LAWS))
+    def test_critical_density_is_the_crest(self, name):
+        fe = FluxEntropyModel(CONCAVE_LAWS[name])
+        crit = _critical_density(fe)
+        assert abs(float(fe.df(crit))) < 1e-12
+        assert crit == {"affine": 0.5, "quadratic": pytest.approx(3 ** -0.5),
+                        "cubic": pytest.approx(4 ** (-1.0 / 3.0))}[name]
+
+    @pytest.mark.parametrize("v0, crest", [(2.0, 1.0), (0.0, 0.0)])
+    def test_monotone_concave_law_crest_at_range_end(self, v0, crest):
+        # v = v0 - rho on [0, 1] (neither law is admissible): f' = v0 - 2 rho
+        # keeps one sign, so f peaks at an end of the range
+        law = VelocityModel.custom(
+            v=lambda r: v0 - np.asarray(r, dtype=float),
+            dv=lambda r: np.full_like(np.asarray(r, dtype=float), -1.0),
+            d2v=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
+            v_inverse=lambda s: v0 - np.asarray(s, dtype=float),
+            rho_jam=1.0)
+        fe = FluxEntropyModel(law)
+        assert _critical_density(fe) == crest
+        left, right = np.array(EDGE_PAIRS).T
+        slow = np.array([godunov_flux(a, b, fe) for a, b in zip(left, right)])
+        fast = _interface_flux_concave(fe, left, right, crest)
+        assert np.all(np.abs(fast - slow)
+                      <= FLUX_ULP_TOL * np.spacing(np.abs(slow)))
+
+    @pytest.mark.parametrize("name", sorted(CONCAVE_LAWS))
+    def test_solve_local_skips_scalar_path(self, name, monkeypatch):
+        calls = _count_scalar_calls(monkeypatch)
+        g = Grid(-1.0, 1.0, 64, "constant_extension")
+        traj = solve_local(make_initial(g, Riemann(0.8, 0.2, 0.0)),
+                           FluxEntropyModel(CONCAVE_LAWS[name]),
+                           SolverConfig(t_final=0.1))
+        assert traj.step_count > 0
+        assert calls == []
+
+    def test_non_concave_law_takes_scalar_path(self, monkeypatch):
+        # v = (1 - rho)^2: f = rho (1 - rho)^2 is convex above rho = 2/3
+        fe = FluxEntropyModel(non_concave_model())
+        assert _critical_density(fe) is None
+        g = Grid(-1.0, 1.0, 64, "periodic")
+        values = np.random.default_rng(11).uniform(0.0, 1.0, 64)
+        dt = 0.5 * g.dx / fe.max_wave_speed()
+        calls = _count_scalar_calls(monkeypatch)
+        traj = solve_local(DensityField(g, values), fe,
+                           SolverConfig(t_final=dt))
+        assert traj.step_count == 1
+        assert len(calls) == g.n_cells + 1
+        padded = np.concatenate([values[-1:], values, values[:1]])
+        flux = np.array([godunov_flux(a, b, fe)
+                         for a, b in zip(padded[:-1], padded[1:])])
+        expected = values - (dt / g.dx) * (flux[1:] - flux[:-1])
+        assert np.array_equal(traj.final.rho.values, expected)
 
 
 class TestSolveLocal:
