@@ -395,6 +395,10 @@ class RoundtripResult:
     x: np.ndarray
     rho_relaxation: np.ndarray
     rho_physical: np.ndarray
+    #: the relaxation solve's most Newton iterations in one step, and its
+    #: cells that fell back to bisection, summed over steps
+    newton_iterations_max: int
+    bisection_cells: int
 
 
 def relaxation_roundtrip(initial: DensityField, model: VelocityModel,
@@ -432,7 +436,8 @@ def relaxation_roundtrip(initial: DensityField, model: VelocityModel,
     rho_phys, _ = physical_slice(traj, K, tau0 + delta_tau)
     l1 = float(np.sum(np.abs(rho_relax - rho_phys))) * grid.dx
     return RoundtripResult(l1, tau0, delta_tau, grid.cell_centers(),
-                           rho_relax, rho_phys)
+                           rho_relax, rho_phys, relax.newton_iterations_max,
+                           relax.bisection_cells)
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +599,7 @@ def _compare_kind(config: ExperimentConfig, out: Path, seed: int | None) -> dict
                "rho_local": traj_loc.final.rho.values}
     distances = {"l1_nonlocal_local":
                  l1_distance(traj_nl.final.rho, traj_loc.final.rho)}
+    payload = _json_metadata(config, seed)
     if config.with_relaxation:
         rt = relaxation_roundtrip(initial, config.model, eps,
                                   config.relaxation_K,
@@ -603,12 +609,14 @@ def _compare_kind(config: ExperimentConfig, out: Path, seed: int | None) -> dict
         columns["rho_relaxation"] = rt.rho_relaxation
         columns["rho_nonlocal_slice"] = rt.rho_physical
         distances["l1_relaxation_roundtrip"] = rt.l1_distance
+        payload["relaxation"] = {
+            "newton_iterations_max": rt.newton_iterations_max,
+            "bisection_cells": rt.bisection_cells}
     header = ",".join(columns)
     body = "\n".join(
         ",".join(repr(float(col[i])) for col in columns.values())
         for i in range(x.size))
     (out / "fields.csv").write_text(header + "\n" + body + "\n")
-    payload = _json_metadata(config, seed)
     payload["distances"] = distances
     (out / "compare.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n")

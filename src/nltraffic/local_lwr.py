@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
-from scipy.special import roots_legendre
 
 from .core import (BlowupError, DensityField, DomainError, SolverConfig,
                    TimeStepCollapse, VelocityModel, flux_curvature_sup)
@@ -25,8 +23,10 @@ def _gauss_legendre_32() -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the 32-point rule on [-1, 1].
 
     Built on first use, not at import: the LAPACK call behind it adds
-    ~0.6 MB of resident memory to runs that never need a quadrature.
+    ~0.6 MB of resident memory to runs that never need a quadrature, and
+    scipy.special is imported here, so affine-only runs never load it.
     """
+    from scipy.special import roots_legendre
     return roots_legendre(32)
 
 
@@ -100,6 +100,7 @@ def _extremum_state(fe: FluxEntropyModel, lo: float, hi: float,
         if lo < crit < hi:
             candidates.append(crit)
     elif hi > lo:
+        from scipy.optimize import minimize_scalar
         sign = -1.0 if maximize else 1.0
         res = minimize_scalar(lambda r: sign * float(fe.f(r)),
                               bounds=(lo, hi), method="bounded",
@@ -166,6 +167,7 @@ def _critical_density(fe: FluxEntropyModel) -> float | None:
         return 0.0
     if float(fe.df(rho_jam)) >= 0.0:
         return rho_jam
+    from scipy.optimize import brentq
     return brentq(lambda r: float(fe.df(r)), 0.0, rho_jam)
 
 

@@ -412,6 +412,9 @@ class RelaxationTrajectory:
     step_count: int
     dt_summary: DtSummary
     newton_iterations_max: int
+    #: cells, summed over steps, whose source solve fell back from Newton
+    #: to bisection
+    bisection_cells: int
 
     @property
     def final(self) -> UZSnapshot:
@@ -420,14 +423,15 @@ class RelaxationTrajectory:
 
 def _implicit_source(u_star: np.ndarray, total: np.ndarray, c: float,
                      frame: RelaxationFrame, tol: float,
-                     max_iter: int) -> tuple[np.ndarray, int]:
+                     max_iter: int) -> tuple[np.ndarray, int, int]:
     """Solve U = u_star + c*Lambda(U, total - U) cellwise.
 
     The source moves (u, z) along lines of constant u + z, so the solve is
     scalar per cell.  Newton with iterates clamped to the band, then
     bisection for any stragglers; the residual derivative is
     1 - c (Lambda_u - Lambda_z) >= 1 whenever the sign conditions hold,
-    which keeps Newton safe even for c >> 1.
+    which keeps Newton safe even for c >> 1.  Returns U, the Newton
+    iterations run and the number of cells handed to bisection.
     """
     lo = total - math.log(frame.K)
     hi = total - math.log(frame.K - frame.model.v_max)
@@ -440,15 +444,15 @@ def _implicit_source(u_star: np.ndarray, total: np.ndarray, c: float,
         step = resid / slope
         U = np.clip(U - step, lo, hi)
         if float(np.max(np.abs(resid))) < tol:
-            return U, iterations
+            return U, iterations, 0
 
     lam, _, _ = _source_partials(U, total - U, frame)
     resid = U - u_star - c * lam
-    bad = np.abs(resid) >= tol
-    for i in np.nonzero(bad)[0]:
+    bad = np.nonzero(np.abs(resid) >= tol)[0]
+    for i in bad:
         U[i] = _bisect_cell(float(u_star[i]), float(total[i]), c, frame,
                             float(lo[i]), float(hi[i]), tol, i)
-    return U, max_iter
+    return U, max_iter, int(bad.size)
 
 
 def _bisect_cell(u_star: float, total: float, c: float,
@@ -487,7 +491,9 @@ def solve_relaxation(initial: UZFields, frame: RelaxationFrame,
     (fed from the right).  The stiff source is implicit Euler; u + z is
     invariant under the source, reducing it to a per-cell scalar solve.
     dtau obeys the CFL bound on max(K, transport speed) and lands exactly
-    on requested snapshot times.
+    on requested snapshot times.  The trajectory reports the most Newton
+    iterations any step needed and how many cells, summed over steps, fell
+    back to bisection.
     """
     grid = initial.grid
     lo, hi = frame.z_band
@@ -502,6 +508,7 @@ def solve_relaxation(initial: UZFields, frame: RelaxationFrame,
     tau = 0.0
     steps = 0
     newton_max_seen = 0
+    bisected = 0
     dt_min, dt_max, dt_sum = np.inf, 0.0, 0.0
     K = frame.K
     ratio_eps = K / frame.eps.epsilon
@@ -525,10 +532,12 @@ def solve_relaxation(initial: UZFields, frame: RelaxationFrame,
             z_star = z + (dtau / grid.dx) * K * (z_right - z)
 
             total = u_star + z_star
-            u, its = _implicit_source(u_star, total, dtau * ratio_eps,
-                                      frame, newton_tol, newton_max_iter)
+            u, its, n_bisected = _implicit_source(
+                u_star, total, dtau * ratio_eps, frame, newton_tol,
+                newton_max_iter)
             z = total - u
             newton_max_seen = max(newton_max_seen, its)
+            bisected += n_bisected
             if not (np.all(np.isfinite(u)) and np.all(np.isfinite(z))):
                 raise BlowupError(f"non-finite state at step {steps}")
 
@@ -542,7 +551,7 @@ def solve_relaxation(initial: UZFields, frame: RelaxationFrame,
     return RelaxationTrajectory(
         frame=frame, snapshots=tuple(snapshots), step_count=steps,
         dt_summary=DtSummary.collect(steps, dt_min, dt_max, dt_sum),
-        newton_iterations_max=newton_max_seen)
+        newton_iterations_max=newton_max_seen, bisection_cells=bisected)
 
 
 # ---------------------------------------------------------------------------

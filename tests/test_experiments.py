@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,6 +216,8 @@ class TestRelaxationRoundtrip:
         result = relaxation_roundtrip(ic, model, KernelScale(0.1), 2.0, 0.3)
         assert result.l1_distance < 2e-3
         assert result.rho_relaxation.shape == (512,)
+        assert result.newton_iterations_max >= 1
+        assert result.bisection_cells == 0
 
 
 COMPARE = """
@@ -259,6 +265,8 @@ class TestRunExperiment:
                           "rho_nonlocal_slice")
         data = json.loads((tmp_path / "compare.json").read_text())
         assert data["distances"]["l1_relaxation_roundtrip"] < 5e-3
+        assert data["relaxation"]["newton_iterations_max"] >= 1
+        assert data["relaxation"]["bisection_cells"] == 0
 
     def test_check_all_verdicts_pass(self, tmp_path):
         summary = run_experiment(parse_config(CHECK), out_dir=tmp_path)
@@ -323,6 +331,41 @@ class TestCli:
         code = main(["run", "--config", path, "--out", str(tmp_path / "o")])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["config_hash"]
+
+    def test_affine_run_imports_no_scipy_submodules(self, tmp_path):
+        # importing the package and an affine CLI run stay on numpy; the
+        # custom-law paths load scipy.optimize / scipy.special on demand
+        path = self._write(tmp_path, MINIMAL)
+        script = f"""
+import json, sys
+import numpy as np
+from nltraffic import FluxEntropyModel, SolverConfig, make_initial
+from nltraffic import Grid, Riemann, cli, solve_local
+HEAVY = ("scipy.signal", "scipy.optimize", "scipy.special")
+code = cli.main(["run", "--config", {path!r}, "--out", {str(tmp_path / "o")!r}])
+after_run = [m for m in HEAVY if m in sys.modules]
+from conftest import quadratic_model
+fe = FluxEntropyModel(quadratic_model())
+g = Grid(-1.0, 1.0, 64, "constant_extension")
+traj = solve_local(make_initial(g, Riemann(0.8, 0.2, 0.0)), fe,
+                   SolverConfig(t_final=0.1))
+psi = fe.psi(traj.final.rho.values)
+print(json.dumps({{"code": code, "after_run": after_run,
+                  "after_local": [m for m in HEAVY if m in sys.modules],
+                  "steps": traj.step_count,
+                  "finite": bool(np.all(np.isfinite(psi)))}}))
+"""
+        package_root = Path(experiments.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(package_root), str(Path(__file__).resolve().parent)]))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout.strip().splitlines()[-1])
+        assert report["code"] == 0
+        assert report["after_run"] == []
+        assert report["after_local"] == ["scipy.optimize", "scipy.special"]
+        assert report["steps"] > 0 and report["finite"]
 
     def test_missing_config_is_io_error(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.cfg")])

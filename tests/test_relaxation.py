@@ -230,6 +230,23 @@ class TestSolveRelaxation:
                             - equilibrium_z(out.final.fields.u, frame)))
         assert gap < 1e-10
         assert out.newton_iterations_max <= 50
+        assert out.bisection_cells == 0
+
+    def test_bisection_fallback_counted(self, model):
+        # one Newton iteration cannot close the stiff solve: the stragglers
+        # go to bisection and are counted (64 cells over the first steps)
+        g = Grid(-1.0, 1.0, 32, "periodic")
+        frame = RelaxationFrame(2.0, KernelScale(2e-4 * g.dx), model)
+        uz = UZFields(g, np.full(32, np.log(0.5)), np.full(32, np.log(1.9)))
+        config = SolverConfig(t_final=0.05)
+        capped = solve_relaxation(uz, frame, config, newton_max_iter=1)
+        full = solve_relaxation(uz, frame, config)
+        assert 0 < capped.bisection_cells <= 32 * capped.step_count
+        assert capped.newton_iterations_max == 1
+        assert full.bisection_cells == 0
+        gap = np.max(np.abs(capped.final.fields.z
+                            - equilibrium_z(capped.final.fields.u, frame)))
+        assert gap < 1e-10
 
     def test_band_validated(self, frame):
         g = Grid(-1.0, 1.0, 8)
