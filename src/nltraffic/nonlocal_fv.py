@@ -135,11 +135,49 @@ class _ContractionTracker:
         self.last = delta
 
 
-def _interp(x: np.ndarray, xp: np.ndarray, fp: np.ndarray,
-            grid) -> np.ndarray:
-    if grid.periodic:
-        return np.interp(x, xp, fp, period=grid.length)
-    return np.interp(x, xp, fp)  # np.interp clamps outside the table
+def _table(values: np.ndarray, grid, ghosts: int) -> tuple[np.ndarray,
+                                                         np.ndarray]:
+    """Node values padded with ghost cells along the last axis, and their
+    forward differences.
+
+    Periodic grids get wrapped copies; constant-extension grids get copies
+    of the end values, whose zero differences make the interpolant clamp
+    past the table ends exactly as ``np.interp`` does.
+    """
+    k = np.arange(-ghosts, grid.n_cells + ghosts)
+    pad = (k % grid.n_cells if grid.periodic
+           else np.clip(k, 0, grid.n_cells - 1))
+    ext = values[..., pad]
+    return ext, np.diff(ext, axis=-1)
+
+
+def _coordinate(x: np.ndarray, grid, ghosts: int) -> np.ndarray:
+    """Padded-table coordinate of x: node x_min + k dx sits at k + ghosts.
+
+    Center tables use the coordinate minus one half.
+    """
+    return (x - grid.x_min) / grid.dx + ghosts
+
+
+def _lerp(ext: np.ndarray, diff: np.ndarray, s: np.ndarray, ghosts: int,
+          grid) -> np.ndarray:
+    """Linear interpolation of a padded table at coordinates s.
+
+    Node j = floor(s) and weight w = s - j give ext[j] + w diff[j].  An
+    index outside the padded band wraps (periodic) or clips onto the ghost
+    cells, whose zero differences hold the end value (constant extension).
+    """
+    j = np.floor(s)
+    w = s - j
+    j = j.astype(np.intp)
+    n = grid.n_cells
+    top = n + 2 * ghosts - 2
+    if j.min() < 0 or j.max() > top:
+        if grid.periodic:
+            j = (j - ghosts) % n + ghosts
+        else:
+            np.clip(j, 0, top, out=j)
+    return np.take(ext, j) + w * np.take(diff, j)
 
 
 def picard_oracle(initial: DensityField, model: VelocityModel,
@@ -158,12 +196,28 @@ def picard_oracle(initial: DensityField, model: VelocityModel,
     initial datum times that exponential.  Sweeps repeat until successive
     histories agree to ``iteration_tolerance`` in the max norm.
 
+    The interpolation in x reads node tables padded with
+    ``ceil(v(0) t0 / dx) + 2`` ghost cells on each side (wrapped copies
+    on periodic grids, end values under constant extension), so a point
+    costs one floor and two gathers; the edge (q) and center (rho) tables
+    share one coordinate, half a cell apart.  A sweep takes O(levels * N)
+    time and the tables O(N + ghosts) memory.
+
     The transform contracts only for short horizons on Lipschitz,
     uniformly positive data; that is the intended regime, and divergence
     raises ContractionFailure rather than being worked around.  Returns
     the density at t0 together with the sweep count and iterate distances.
+    ``iteration_tolerance`` must be positive and ``n_levels`` and
+    ``max_sweeps`` at least one, else DomainError.
     """
     grid = initial.grid
+    if not iteration_tolerance > 0.0:
+        raise DomainError(
+            f"iteration_tolerance must be > 0, got {iteration_tolerance}")
+    if n_levels is not None and n_levels < 1:
+        raise DomainError(f"n_levels must be >= 1, got {n_levels}")
+    if max_sweeps < 1:
+        raise DomainError(f"max_sweeps must be >= 1, got {max_sweeps}")
     if float(np.min(initial.values)) <= 0.0:
         raise PositivityError(
             "the characteristics oracle requires uniformly positive data")
@@ -177,13 +231,17 @@ def picard_oracle(initial: DensityField, model: VelocityModel,
         n_levels = max(3, int(np.ceil(t0 / (0.35 * grid.dx / max(v0, 1e-30)))))
     m = n_levels
     dt = t0 / m
+    # traces from the cell centers move left by at most v(0) t0; two more
+    # cells hold the center nodes' half-cell offset and the right neighbour
+    # of the last bracketing node
+    ghosts = int(np.ceil(v0 * t0 / grid.dx)) + 2
     centers = grid.cell_centers()
-    edges = grid.cell_edges()[:-1]
     n = grid.n_cells
     eps_val = eps.epsilon
 
     # history[l] holds the guess at time l*dt; level 0 is pinned to the data
     history = np.tile(initial.values, (m + 1, 1))
+    init_ext, init_diff = _table(initial.values, grid, ghosts)
     tracker = _ContractionTracker()
     deltas: list[float] = []
 
@@ -191,6 +249,12 @@ def picard_oracle(initial: DensityField, model: VelocityModel,
         q_levels = np.empty_like(history)
         for l in range(m + 1):
             q_levels[l] = average(DensityField(grid, history[l]), eps).values
+        q_ext, q_diff = _table(q_levels, grid, ghosts)
+        # row l - 1 averages levels l - 1 and l: the midpoint in time
+        qm_ext, qm_diff = _table(0.5 * (q_levels[1:] + q_levels[:-1]), grid,
+                                 ghosts)
+        rm_ext, rm_diff = _table(0.5 * (history[1:] + history[:-1]), grid,
+                                 ghosts)
 
         # ensemble backward trace: row l targets time l*dt
         pos = np.tile(centers, (m, 1))  # rows 1..m, index shifted by one
@@ -198,21 +262,22 @@ def picard_oracle(initial: DensityField, model: VelocityModel,
         for level in range(m, 0, -1):
             active = slice(level - 1, m)  # rows with target >= current level
             x = pos[active]
-            q_here = _interp(x, edges, q_levels[level], grid)
+            q_here = _lerp(q_ext[level], q_diff[level],
+                           _coordinate(x, grid, ghosts), ghosts, grid)
             k1 = model.v(q_here)
-            x_half = x - 0.5 * dt * k1
-            q_mid = _interp(x_half, edges,
-                            0.5 * (q_levels[level] + q_levels[level - 1]), grid)
-            rho_mid = _interp(x_half, centers,
-                              0.5 * (history[level] + history[level - 1]),
-                              grid)
+            s_half = _coordinate(x - 0.5 * dt * k1, grid, ghosts)
+            q_mid = _lerp(qm_ext[level - 1], qm_diff[level - 1], s_half,
+                          ghosts, grid)
+            rho_mid = _lerp(rm_ext[level - 1], rm_diff[level - 1],
+                            s_half - 0.5, ghosts, grid)
             qx_mid = (q_mid - rho_mid) / eps_val
             expo[active] += dt * (-model.dv(q_mid) * qx_mid)
             pos[active] = x - dt * model.v(q_mid)
 
         new_history = np.empty_like(history)
         new_history[0] = initial.values
-        foot = _interp(pos, centers, initial.values, grid)
+        foot = _lerp(init_ext, init_diff,
+                     _coordinate(pos, grid, ghosts) - 0.5, ghosts, grid)
         new_history[1:] = foot * np.exp(expo)
 
         delta = float(np.max(np.abs(new_history - history)))

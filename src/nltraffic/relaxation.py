@@ -566,6 +566,11 @@ def physical_slice(traj: Trajectory, K: float, tau: float
     slanted line in (t, x).  Returns per-cell (rho, q) with q evaluated at
     cell centers, linearly interpolated in time between snapshots; the
     trajectory must cover the whole line and carry averaged fields.
+
+    Slice times grow with x, so the bracketing snapshot pair is constant
+    on runs of adjacent cells.  Each run reads only its two snapshots, and
+    each snapshot's center average is computed once, when its run is
+    reached: O(N) extra memory however many snapshots there are.
     """
     snaps = traj.snapshots
     times = np.array([s.t for s in snaps])
@@ -580,14 +585,23 @@ def physical_slice(traj: Trajectory, K: float, tau: float
     if any(s.q is None for s in snaps):
         raise DomainError("trajectory snapshots carry no averaged field")
 
-    rho_levels = np.stack([s.rho.values for s in snaps])
-    qc_levels = np.stack([edge_to_center(s.rho, s.q) for s in snaps])
-
     idx = np.clip(np.searchsorted(times, t_slice, side="right") - 1,
                   0, len(times) - 2)
-    cols = np.arange(grid.n_cells)
     w = (t_slice - times[idx]) / (times[idx + 1] - times[idx])
     w = np.clip(w, 0.0, 1.0)
-    rho = (1.0 - w) * rho_levels[idx, cols] + w * rho_levels[idx + 1, cols]
-    qc = (1.0 - w) * qc_levels[idx, cols] + w * qc_levels[idx + 1, cols]
+    rho = np.empty(grid.n_cells)
+    qc = np.empty(grid.n_cells)
+    starts = np.flatnonzero(np.diff(idx, prepend=-1))
+    stops = np.append(starts[1:], grid.n_cells)
+    k_hi, qc_hi = -1, None  # the last run's upper snapshot
+    for start, stop in zip(starts, stops):
+        k = int(idx[start])
+        lo, hi = snaps[k], snaps[k + 1]
+        qc_lo = qc_hi if k == k_hi else edge_to_center(lo.rho, lo.q)
+        k_hi, qc_hi = k + 1, edge_to_center(hi.rho, hi.q)
+        cells = slice(start, stop)
+        wr = w[cells]
+        rho[cells] = (1.0 - wr) * lo.rho.values[cells] \
+            + wr * hi.rho.values[cells]
+        qc[cells] = (1.0 - wr) * qc_lo[cells] + wr * qc_hi[cells]
     return rho, qc

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nltraffic import (Bump, DensityField, DomainError, Grid, KernelScale,
                        MonotoneRamp, PositivityError, Riemann, SolverConfig,
@@ -7,7 +8,10 @@ from nltraffic import (Bump, DensityField, DomainError, Grid, KernelScale,
                        picard_oracle, solve_nonlocal, stability_gap,
                        total_variation)
 from nltraffic.core import BlowupError, TimeStepCollapse
-from nltraffic.nonlocal_fv import ContractionFailure, _ContractionTracker
+from nltraffic.kernel import average
+from nltraffic.nonlocal_fv import (ContractionFailure, PicardResult,
+                                   _ContractionTracker, _coordinate, _lerp,
+                                   _table)
 from nltraffic.trajectory import DtSummary, Snapshot
 
 from conftest import random_bv_field
@@ -145,6 +149,127 @@ class TestTrajectoryInvariants:
                        rho_min_seen=0.5, rho_max_seen=0.5)
 
 
+# ---------------------------------------------------------------------------
+# oracles for the Picard sweep's interpolation: np.interp, and the whole
+# sweep evaluated with it
+# ---------------------------------------------------------------------------
+
+def _interp(x: np.ndarray, xp: np.ndarray, fp: np.ndarray,
+            grid) -> np.ndarray:
+    if grid.periodic:
+        return np.interp(x, xp, fp, period=grid.length)
+    return np.interp(x, xp, fp)  # np.interp clamps outside the table
+
+
+def _picard_interp(initial, model, eps, t0, iteration_tolerance=1e-10,
+                   max_sweeps=60):
+    grid = initial.grid
+    v0 = model.v_max
+    m = max(3, int(np.ceil(t0 / (0.35 * grid.dx / max(v0, 1e-30)))))
+    dt = t0 / m
+    centers = grid.cell_centers()
+    edges = grid.cell_edges()[:-1]
+    n = grid.n_cells
+    eps_val = eps.epsilon
+
+    history = np.tile(initial.values, (m + 1, 1))
+    tracker = _ContractionTracker()
+    deltas = []
+
+    for sweep in range(1, max_sweeps + 1):
+        q_levels = np.empty_like(history)
+        for l in range(m + 1):
+            q_levels[l] = average(DensityField(grid, history[l]), eps).values
+
+        pos = np.tile(centers, (m, 1))
+        expo = np.zeros((m, n))
+        for level in range(m, 0, -1):
+            active = slice(level - 1, m)
+            x = pos[active]
+            q_here = _interp(x, edges, q_levels[level], grid)
+            k1 = model.v(q_here)
+            x_half = x - 0.5 * dt * k1
+            q_mid = _interp(x_half, edges,
+                            0.5 * (q_levels[level] + q_levels[level - 1]),
+                            grid)
+            rho_mid = _interp(x_half, centers,
+                              0.5 * (history[level] + history[level - 1]),
+                              grid)
+            qx_mid = (q_mid - rho_mid) / eps_val
+            expo[active] += dt * (-model.dv(q_mid) * qx_mid)
+            pos[active] = x - dt * model.v(q_mid)
+
+        new_history = np.empty_like(history)
+        new_history[0] = initial.values
+        foot = _interp(pos, centers, initial.values, grid)
+        new_history[1:] = foot * np.exp(expo)
+
+        delta = float(np.max(np.abs(new_history - history)))
+        deltas.append(delta)
+        tracker.update(delta)
+        history = new_history
+        if delta < iteration_tolerance:
+            return PicardResult(DensityField(grid, history[m]), sweep,
+                                delta, tuple(deltas))
+    raise ContractionFailure(f"no convergence in {max_sweeps} sweeps")
+
+
+#: deviation of the padded-table interpolant from np.interp, in units of u
+#: times the scale below; the measured worst case on 6000 random tables
+#: (n <= 2048, |x_min| <= 5, ghosts <= 40) was 0.94
+LERP_TOL = 4.0
+
+
+@given(boundary=st.sampled_from(["periodic", "constant_extension"]),
+       n=st.integers(4, 2048),
+       ghosts=st.integers(2, 40),
+       x_min=st.floats(-5.0, 5.0),
+       length=st.floats(0.1, 10.0),
+       centered=st.booleans(),
+       seed=st.integers(0, 2**16))
+@example(boundary="periodic", n=4, ghosts=2, x_min=-1.0, length=2.0,
+         centered=True, seed=0)
+@example(boundary="constant_extension", n=4, ghosts=2, x_min=-1.0,
+         length=2.0, centered=False, seed=1)
+@example(boundary="periodic", n=1024, ghosts=28, x_min=-1.0, length=2.0,
+         centered=False, seed=2)
+@settings(max_examples=80, deadline=None)
+def test_lerp_matches_np_interp(boundary, n, ghosts, x_min, length,
+                                centered, seed):
+    grid = Grid(x_min, x_min + length, n, boundary)
+    rng = np.random.default_rng(seed)
+    fp = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 1.0)
+    dx = grid.dx
+    xp = grid.cell_centers() if centered else grid.cell_edges()[:-1]
+    reach = (ghosts + 3 * n) * dx  # far past the ghost band on both sides
+    batches = [  # one call each, so each side's band check runs alone
+        rng.uniform(x_min - (ghosts - 1) * dx, grid.x_max, 512),
+        np.concatenate([grid.cell_edges(), grid.cell_centers()]),  # nodes
+        x_min - rng.uniform(0.0, reach, 64),
+        grid.x_max + rng.uniform(0.0, reach, 64),
+    ]
+    ext, diff = _table(fp, grid, ghosts)
+    shift = 0.5 if centered else 0.0
+    got = np.concatenate([
+        _lerp(ext, diff, _coordinate(b, grid, ghosts) - shift, ghosts, grid)
+        for b in batches])
+    x = np.concatenate(batches)
+    want = _interp(x, xp, fp, grid)
+
+    # this interpolant rounds within ~u (|x - x0|/dx + ghosts) max|dfp|;
+    # np.interp's node positions and periodic reduction add
+    # ~u (|x| + |x0| + period)/dx max|dfp|; each adds a rounding of fp
+    period = grid.length if grid.periodic else 0.0
+    cells = (np.abs(x - x_min) + np.abs(x) + abs(x_min) + period) / dx
+    scale = (cells + ghosts) * np.max(np.abs(diff)) + np.max(np.abs(fp))
+    u = np.finfo(float).eps
+    assert np.all(np.abs(got - want) <= LERP_TOL * u * scale)
+    if not grid.periodic:
+        # past the ends (by more than rounding) both clamp exactly
+        outside = (x < xp[0] - dx) | (x > xp[-1] + dx)
+        assert np.array_equal(got[outside], want[outside])
+
+
 class TestPicardOracle:
     def test_constant_data(self, model):
         g = Grid(-1.0, 1.0, 64, "periodic")
@@ -169,11 +294,49 @@ class TestPicardOracle:
         assert l1_distance(res.field, traj.final.rho) <= 0.1 * g.dx
         assert res.iterations <= 30
 
+    def test_matches_solver_on_constant_extension(self, model):
+        g = Grid(-1.0, 1.0, 512, "constant_extension")
+        ic = make_initial(g, Bump(0.4, 0.2, -0.2, 0.3))
+        t0 = 0.05
+        res = picard_oracle(ic, model, KernelScale(0.2), t0, 1e-10)
+        traj = _solve(ic, model, 0.2, t_final=t0)
+        # measured 0.043 dx and 7 sweeps
+        assert l1_distance(res.field, traj.final.rho) <= 0.1 * g.dx
+        assert res.iterations <= 30
+
+    @pytest.mark.parametrize("boundary", ["periodic", "constant_extension"])
+    def test_matches_np_interp_sweep(self, model, boundary):
+        g = Grid(-1.0, 1.0, 256, boundary)
+        ic = make_initial(g, Bump(0.4, 0.2, -0.2, 0.3))
+        res = picard_oracle(ic, model, KernelScale(0.2), 0.05, 1e-10)
+        ref = _picard_interp(ic, model, KernelScale(0.2), 0.05, 1e-10)
+        assert res.iterations == ref.iterations
+        assert np.max(np.abs(res.field.values - ref.field.values)) <= 1e-12
+
     def test_requires_positive_data(self, model):
         g = Grid(-1.0, 1.0, 64, "periodic")
         ic = DensityField(g, np.full(64, 0.0))
         with pytest.raises(PositivityError):
             picard_oracle(ic, model, KernelScale(0.2), 0.05)
+
+    def test_rejects_zero_sweeps(self, model):
+        g = Grid(-1.0, 1.0, 64, "periodic")
+        ic = DensityField(g, np.full(64, 0.5))
+        with pytest.raises(DomainError, match="max_sweeps"):
+            picard_oracle(ic, model, KernelScale(0.2), 0.05, max_sweeps=0)
+
+    def test_rejects_zero_levels(self, model):
+        g = Grid(-1.0, 1.0, 64, "periodic")
+        ic = DensityField(g, np.full(64, 0.5))
+        with pytest.raises(DomainError, match="n_levels"):
+            picard_oracle(ic, model, KernelScale(0.2), 0.05, n_levels=0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan")])
+    def test_rejects_nonpositive_tolerance(self, model, tol):
+        g = Grid(-1.0, 1.0, 64, "periodic")
+        ic = DensityField(g, np.full(64, 0.5))
+        with pytest.raises(DomainError, match="iteration_tolerance"):
+            picard_oracle(ic, model, KernelScale(0.2), 0.05, tol)
 
     def test_contraction_tracker_raises_after_three_growths(self):
         tracker = _ContractionTracker()

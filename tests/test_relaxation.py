@@ -10,6 +10,7 @@ from nltraffic import (DensityField, DomainError, Grid, KernelScale,
                        solve_nonlocal, solve_relaxation, speeds, to_uz,
                        transformed_tv)
 from nltraffic.diagnostics import InsufficientDataError
+from nltraffic.kernel import edge_to_center
 from nltraffic.relaxation import (FrameError, SourceBandError,
                                   _source_partials)
 
@@ -285,7 +286,50 @@ class TestTransformedTV:
         assert np.max(rises) <= 0.02 * series[0]
 
 
+def _physical_slice_stacked(traj, K, tau):
+    """physical_slice from a stack of every snapshot: the oracle."""
+    snaps = traj.snapshots
+    times = np.array([s.t for s in snaps])
+    grid = snaps[0].rho.grid
+    t_slice = tau + grid.cell_centers() / K
+    rho_levels = np.stack([s.rho.values for s in snaps])
+    qc_levels = np.stack([edge_to_center(s.rho, s.q) for s in snaps])
+    idx = np.clip(np.searchsorted(times, t_slice, side="right") - 1,
+                  0, len(times) - 2)
+    cols = np.arange(grid.n_cells)
+    w = (t_slice - times[idx]) / (times[idx + 1] - times[idx])
+    w = np.clip(w, 0.0, 1.0)
+    rho = (1.0 - w) * rho_levels[idx, cols] + w * rho_levels[idx + 1, cols]
+    qc = (1.0 - w) * qc_levels[idx, cols] + w * qc_levels[idx + 1, cols]
+    return rho, qc
+
+
 class TestPhysicalSlice:
+    @pytest.mark.parametrize("boundary", ["periodic", "constant_extension"])
+    @pytest.mark.parametrize("n_snap", [12, 400])  # runs of many / one cell
+    def test_matches_stacked_snapshots(self, model, frame, boundary, n_snap):
+        g = Grid(-1.0, 1.0, 128, boundary)
+        ic = make_initial(g, Riemann(0.8, 0.2, -0.3))
+        x = g.cell_centers()
+        t_final = 1.2
+        tau_lo = -(x[0] / frame.K)           # slice starts at t = 0
+        tau_hi = t_final - x[-1] / frame.K   # slice ends at t_final
+        tau_on = 0.6
+        # some slice times that are snapshot times, bit for bit
+        landed = tuple(float(t) for t in (tau_on + x / frame.K)[::9])
+        snaps = tuple(sorted(set(np.linspace(0.0, t_final, n_snap)[1:-1])
+                             | set(landed)))
+        traj = solve_nonlocal(ic, model, frame.eps,
+                              SolverConfig(t_final=t_final,
+                                           snapshot_times=snaps))
+        assert set(landed) <= set(traj.times)
+        for tau in (tau_lo, tau_on, 0.5, tau_hi):
+            rho, q = physical_slice(traj, frame.K, tau)
+            rho_ref, q_ref = _physical_slice_stacked(traj, frame.K, tau)
+            assert np.array_equal(rho, rho_ref)
+            assert np.array_equal(q, q_ref)
+        assert np.ptp(rho) > 0.1  # the data is not constant along the slice
+
     def test_constant_state(self, model, frame):
         g = Grid(-1.0, 1.0, 64, "constant_extension")
         ic = DensityField(g, np.full(64, 0.5))
