@@ -135,49 +135,40 @@ class _ContractionTracker:
         self.last = delta
 
 
-def _table(values: np.ndarray, grid, ghosts: int) -> tuple[np.ndarray,
-                                                         np.ndarray]:
-    """Node values padded with ghost cells along the last axis, and their
-    forward differences.
+def _slopes(values: np.ndarray, grid) -> np.ndarray:
+    """Forward differences of node values along the last axis.
 
-    Periodic grids get wrapped copies; constant-extension grids get copies
-    of the end values, whose zero differences make the interpolant clamp
-    past the table ends exactly as ``np.interp`` does.
+    The difference out of the last node reaches the first node on periodic
+    grids and is zero under constant extension, where it holds the end
+    value past the table as ``np.interp`` does.
     """
-    k = np.arange(-ghosts, grid.n_cells + ghosts)
-    pad = (k % grid.n_cells if grid.periodic
-           else np.clip(k, 0, grid.n_cells - 1))
-    ext = values[..., pad]
-    return ext, np.diff(ext, axis=-1)
+    last = values[..., :1] if grid.periodic else values[..., -1:]
+    return np.diff(values, axis=-1, append=last)
 
 
-def _coordinate(x: np.ndarray, grid, ghosts: int) -> np.ndarray:
-    """Padded-table coordinate of x: node x_min + k dx sits at k + ghosts.
+def _lerp(values: np.ndarray, slopes: np.ndarray, x: np.ndarray,
+          shift: float, grid) -> np.ndarray:
+    """Linear interpolation at x of node values at x_min + (k + shift) dx.
 
-    Center tables use the coordinate minus one half.
+    With s = (x - x_min)/dx - shift, node j = floor(s) and weight w = s - j
+    give values[j] + w slopes[j].  Periodic grids wrap j; constant extension
+    clamps s to the table.
     """
-    return (x - grid.x_min) / grid.dx + ghosts
-
-
-def _lerp(ext: np.ndarray, diff: np.ndarray, s: np.ndarray, ghosts: int,
-          grid) -> np.ndarray:
-    """Linear interpolation of a padded table at coordinates s.
-
-    Node j = floor(s) and weight w = s - j give ext[j] + w diff[j].  An
-    index outside the padded band wraps (periodic) or clips onto the ghost
-    cells, whose zero differences hold the end value (constant extension).
-    """
+    s = x - grid.x_min
+    s /= grid.dx
+    s -= shift
+    if grid.periodic:
+        mode = "wrap"
+    else:
+        np.clip(s, 0.0, grid.n_cells - 1, out=s)
+        mode = "clip"
     j = np.floor(s)
-    w = s - j
+    w = np.subtract(s, j, out=s)
     j = j.astype(np.intp)
-    n = grid.n_cells
-    top = n + 2 * ghosts - 2
-    if j.min() < 0 or j.max() > top:
-        if grid.periodic:
-            j = (j - ghosts) % n + ghosts
-        else:
-            np.clip(j, 0, top, out=j)
-    return np.take(ext, j) + w * np.take(diff, j)
+    out = np.take(slopes, j, mode=mode)
+    out *= w
+    out += np.take(values, j, mode=mode)
+    return out
 
 
 def picard_oracle(initial: DensityField, model: VelocityModel,
@@ -196,12 +187,12 @@ def picard_oracle(initial: DensityField, model: VelocityModel,
     initial datum times that exponential.  Sweeps repeat until successive
     histories agree to ``iteration_tolerance`` in the max norm.
 
-    The interpolation in x reads node tables padded with
-    ``ceil(v(0) t0 / dx) + 2`` ghost cells on each side (wrapped copies
-    on periodic grids, end values under constant extension), so a point
-    costs one floor and two gathers; the edge (q) and center (rho) tables
-    share one coordinate, half a cell apart.  A sweep takes O(levels * N)
-    time and the tables O(N + ghosts) memory.
+    The interpolation in x uses that the nodes are uniform: a point costs
+    one floor and two gathers from the node values and their forward
+    differences, with the index wrapped on periodic grids and the point
+    clamped to the table under constant extension.  Center (rho) nodes sit
+    half a cell right of the edge (q) nodes.  A sweep takes O(levels * N)
+    time and the tables O(levels * N) memory.
 
     The transform contracts only for short horizons on Lipschitz,
     uniformly positive data; that is the intended regime, and divergence
@@ -231,17 +222,13 @@ def picard_oracle(initial: DensityField, model: VelocityModel,
         n_levels = max(3, int(np.ceil(t0 / (0.35 * grid.dx / max(v0, 1e-30)))))
     m = n_levels
     dt = t0 / m
-    # traces from the cell centers move left by at most v(0) t0; two more
-    # cells hold the center nodes' half-cell offset and the right neighbour
-    # of the last bracketing node
-    ghosts = int(np.ceil(v0 * t0 / grid.dx)) + 2
     centers = grid.cell_centers()
     n = grid.n_cells
     eps_val = eps.epsilon
 
     # history[l] holds the guess at time l*dt; level 0 is pinned to the data
     history = np.tile(initial.values, (m + 1, 1))
-    init_ext, init_diff = _table(initial.values, grid, ghosts)
+    init_slopes = _slopes(initial.values, grid)
     tracker = _ContractionTracker()
     deltas: list[float] = []
 
@@ -249,12 +236,12 @@ def picard_oracle(initial: DensityField, model: VelocityModel,
         q_levels = np.empty_like(history)
         for l in range(m + 1):
             q_levels[l] = average(DensityField(grid, history[l]), eps).values
-        q_ext, q_diff = _table(q_levels, grid, ghosts)
+        q_slopes = _slopes(q_levels, grid)
         # row l - 1 averages levels l - 1 and l: the midpoint in time
-        qm_ext, qm_diff = _table(0.5 * (q_levels[1:] + q_levels[:-1]), grid,
-                                 ghosts)
-        rm_ext, rm_diff = _table(0.5 * (history[1:] + history[:-1]), grid,
-                                 ghosts)
+        q_mid_levels = 0.5 * (q_levels[1:] + q_levels[:-1])
+        qm_slopes = _slopes(q_mid_levels, grid)
+        rho_mid_levels = 0.5 * (history[1:] + history[:-1])
+        rm_slopes = _slopes(rho_mid_levels, grid)
 
         # ensemble backward trace: row l targets time l*dt
         pos = np.tile(centers, (m, 1))  # rows 1..m, index shifted by one
@@ -262,22 +249,20 @@ def picard_oracle(initial: DensityField, model: VelocityModel,
         for level in range(m, 0, -1):
             active = slice(level - 1, m)  # rows with target >= current level
             x = pos[active]
-            q_here = _lerp(q_ext[level], q_diff[level],
-                           _coordinate(x, grid, ghosts), ghosts, grid)
+            q_here = _lerp(q_levels[level], q_slopes[level], x, 0.0, grid)
             k1 = model.v(q_here)
-            s_half = _coordinate(x - 0.5 * dt * k1, grid, ghosts)
-            q_mid = _lerp(qm_ext[level - 1], qm_diff[level - 1], s_half,
-                          ghosts, grid)
-            rho_mid = _lerp(rm_ext[level - 1], rm_diff[level - 1],
-                            s_half - 0.5, ghosts, grid)
+            x_half = x - 0.5 * dt * k1
+            q_mid = _lerp(q_mid_levels[level - 1], qm_slopes[level - 1],
+                          x_half, 0.0, grid)
+            rho_mid = _lerp(rho_mid_levels[level - 1], rm_slopes[level - 1],
+                            x_half, 0.5, grid)
             qx_mid = (q_mid - rho_mid) / eps_val
             expo[active] += dt * (-model.dv(q_mid) * qx_mid)
             pos[active] = x - dt * model.v(q_mid)
 
         new_history = np.empty_like(history)
         new_history[0] = initial.values
-        foot = _lerp(init_ext, init_diff,
-                     _coordinate(pos, grid, ghosts) - 0.5, ghosts, grid)
+        foot = _lerp(initial.values, init_slopes, pos, 0.5, grid)
         new_history[1:] = foot * np.exp(expo)
 
         delta = float(np.max(np.abs(new_history - history)))
