@@ -9,7 +9,8 @@ from .core import (Bump, CheckResult, DensityField, DomainError, Grid,
                    make_initial, validate_model)
 from .kernel import AveragedField, average, edge_to_center, ode_residual
 from .trajectory import Snapshot, Trajectory
-from .nonlocal_fv import PicardResult, picard_oracle, solve_nonlocal
+from .nonlocal_fv import (EnsembleStats, PicardResult, march_nonlocal,
+                          picard_oracle, solve_nonlocal)
 from .local_lwr import (FluxEntropyModel, entropy_pair, godunov_flux,
                         godunov_state, solve_local)
 from .relaxation import (BVConditionReport, RelaxationFrame,

@@ -41,7 +41,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="output directory (default: output.dir "
                               "from the config, or ./out)")
         cmd.add_argument("--jobs", type=int, default=1,
-                         help="concurrent runs inside a sweep")
+                         help="accepted and ignored: a sweep steps all "
+                              "its widths together as one ensemble")
         cmd.add_argument("--seed", type=int, default=0,
                          help="seed recorded in report metadata, for "
                               "randomized property suites built on top")

@@ -35,9 +35,12 @@ def total_variation(f: DensityField) -> float:
     Periodic grids include the wrap-around pair, so a discretized closed
     profile measures its full variation.
     """
-    v = f.values
+    return _variation(f.values, f.grid.periodic)
+
+
+def _variation(v: np.ndarray, periodic: bool) -> float:
     tv = float(np.sum(np.abs(np.diff(v))))
-    if f.grid.periodic:
+    if periodic:
         tv += abs(float(v[0] - v[-1]))
     return tv
 
@@ -58,8 +61,15 @@ def kernel_deviation(rho: DensityField, q: AveragedField) -> tuple[float, float]
     """
     if rho.grid != q.grid:
         raise ShapeError("density and averaged field live on different grids")
-    deviation = float(np.sum(np.abs(q.values - rho.values))) * rho.grid.dx
-    bound = q.epsilon.epsilon * total_variation(rho)
+    return kernel_deviation_values(rho.values, q.values, rho.grid,
+                                   q.epsilon.epsilon)
+
+
+def kernel_deviation_values(rho: np.ndarray, q: np.ndarray, grid,
+                            eps: float) -> tuple[float, float]:
+    """``kernel_deviation`` on raw arrays, for snapshot observers."""
+    deviation = float(np.sum(np.abs(q - rho))) * grid.dx
+    bound = eps * _variation(rho, grid.periodic)
     return deviation, bound
 
 
@@ -134,6 +144,81 @@ class BumpTestFunction:
         return (self.center_x - self.radius_x, self.center_x + self.radius_x)
 
 
+class EntropyProjector:
+    """The entropy residual of one run, fed a snapshot at a time.
+
+    Built from the grid and the snapshot times, it runs every check of
+    ``entropy_residual`` before any density arrives.  ``add`` then takes
+    the snapshot densities in time order and projects each one at once, so
+    no field is held; ``finish`` returns R(phi) for each phi.
+    """
+
+    def __init__(self, grid, times, fe, phis):
+        times = np.asarray(times, dtype=float)
+        if times.size < 2:
+            raise InsufficientDataError("need at least two snapshots")
+        phis = list(phis)
+        t_lo, t_hi = times[0], times[-1]
+        dt = np.diff(times)
+        for phi in phis:
+            lo, hi = phi.t_support
+            if lo < t_lo - 1e-12 or hi > t_hi + 1e-12:
+                raise SupportError(
+                    f"phi time support [{lo}, {hi}] exceeds trajectory window "
+                    f"[{t_lo}, {t_hi}]")
+            xlo, xhi = phi.x_support
+            if xlo < grid.x_min - 1e-12 or xhi > grid.x_max + 1e-12:
+                raise SupportError(
+                    f"phi space support [{xlo}, {xhi}] exceeds the domain "
+                    f"[{grid.x_min}, {grid.x_max}]")
+            covering = (times[1:] >= lo) & (times[:-1] <= hi)
+            spacing = dt[covering]
+            if spacing.size and float(np.max(spacing)) > phi.radius_t / 16.0:
+                raise SupportError(
+                    f"snapshot spacing {np.max(spacing):.3g} too coarse for "
+                    f"radius_t {phi.radius_t} (need <= radius_t/16)")
+
+        self._fe = fe
+        self._times = times
+        self._dx = grid.dx
+        self._center_t = np.array([phi.center_t for phi in phis])
+        self._radius_t = np.array([phi.radius_t for phi in phis])
+        center_x = np.array([phi.center_x for phi in phis])
+        radius_x = np.array([phi.radius_x for phi in phis])
+        xi = (grid.cell_centers()[:, None] - center_x) / radius_x
+        self._space = BumpTestFunction._s(xi)                 # (N, n_phi)
+        self._space_dx = BumpTestFunction._ds(xi) / radius_x
+        self._eta = np.empty((times.size, len(phis)))
+        self._psi = np.empty((times.size, len(phis)))
+        self._count = 0
+
+    def add(self, rho: np.ndarray):
+        """Project the density of the next snapshot."""
+        n = self._count
+        if n == self._times.size:
+            raise InsufficientDataError(
+                f"all {n} snapshots were already added")
+        self._eta[n] = self._fe.eta(rho) @ self._space
+        self._psi[n] = self._fe.psi(rho) @ self._space_dx
+        self._count = n + 1
+
+    def finish(self) -> list[float]:
+        """R(phi) for each phi, once every snapshot has been added."""
+        if self._count != self._times.size:
+            raise InsufficientDataError(
+                f"{self._count} of {self._times.size} snapshots added")
+        times, dt = self._times, np.diff(self._times)
+        keep = dt > 0
+        t_mid = 0.5 * (times[:-1] + times[1:])[keep]
+        eta_mid = 0.5 * (self._eta[:-1] + self._eta[1:])[keep]
+        psi_mid = 0.5 * (self._psi[:-1] + self._psi[1:])[keep]
+        theta = (t_mid[:, None] - self._center_t) / self._radius_t
+        integrand = (eta_mid * (BumpTestFunction._ds(theta) / self._radius_t)
+                     + psi_mid * BumpTestFunction._s(theta))
+        acc = (dt[keep] @ integrand) * self._dx
+        return [-float(a) for a in acc]
+
+
 def entropy_residual(traj, fe, phis) -> list[float]:
     """Weak-form entropy residual of a trajectory against bump functions.
 
@@ -150,60 +235,17 @@ def entropy_residual(traj, fe, phis) -> list[float]:
 
     The sum is evaluated separably, since phi = s(theta) s(xi): each
     snapshot's eta and psi are projected onto the space factors s(xi) and
-    s'(xi)/radius_x as it is read, and the midpoint average and the time
-    weights s'(theta)/radius_t, s(theta) act on those projections.  Extra
-    memory is O(n_snap * n_phi + N * n_phi), never O(n_snap * N).
+    s'(xi)/radius_x as it is read (``EntropyProjector``), and the midpoint
+    average and the time weights s'(theta)/radius_t, s(theta) act on those
+    projections.  Extra memory is O(n_snap * n_phi + N * n_phi), never
+    O(n_snap * N).
     """
     snaps = traj.snapshots
-    if len(snaps) < 2:
-        raise InsufficientDataError("need at least two snapshots")
-    phis = list(phis)
-    times = np.array([s.t for s in snaps])
-    grid = snaps[0].rho.grid
-    t_lo, t_hi = times[0], times[-1]
-    dt = np.diff(times)
-
-    for phi in phis:
-        lo, hi = phi.t_support
-        if lo < t_lo - 1e-12 or hi > t_hi + 1e-12:
-            raise SupportError(
-                f"phi time support [{lo}, {hi}] exceeds trajectory window "
-                f"[{t_lo}, {t_hi}]")
-        xlo, xhi = phi.x_support
-        if xlo < grid.x_min - 1e-12 or xhi > grid.x_max + 1e-12:
-            raise SupportError(
-                f"phi space support [{xlo}, {xhi}] exceeds the domain "
-                f"[{grid.x_min}, {grid.x_max}]")
-        covering = (times[1:] >= lo) & (times[:-1] <= hi)
-        spacing = dt[covering]
-        if spacing.size and float(np.max(spacing)) > phi.radius_t / 16.0:
-            raise SupportError(
-                f"snapshot spacing {np.max(spacing):.3g} too coarse for "
-                f"radius_t {phi.radius_t} (need <= radius_t/16)")
-
-    center_x = np.array([phi.center_x for phi in phis])
-    center_t = np.array([phi.center_t for phi in phis])
-    radius_x = np.array([phi.radius_x for phi in phis])
-    radius_t = np.array([phi.radius_t for phi in phis])
-
-    xi = (grid.cell_centers()[:, None] - center_x) / radius_x
-    space = BumpTestFunction._s(xi)                       # (N, n_phi)
-    space_dx = BumpTestFunction._ds(xi) / radius_x
-    eta_proj = np.empty((len(snaps), len(phis)))
-    psi_proj = np.empty((len(snaps), len(phis)))
-    for n, snap in enumerate(snaps):
-        eta_proj[n] = fe.eta(snap.rho.values) @ space
-        psi_proj[n] = fe.psi(snap.rho.values) @ space_dx
-
-    keep = dt > 0
-    t_mid = 0.5 * (times[:-1] + times[1:])[keep]
-    eta_mid = 0.5 * (eta_proj[:-1] + eta_proj[1:])[keep]
-    psi_mid = 0.5 * (psi_proj[:-1] + psi_proj[1:])[keep]
-    theta = (t_mid[:, None] - center_t) / radius_t
-    integrand = (eta_mid * (BumpTestFunction._ds(theta) / radius_t)
-                 + psi_mid * BumpTestFunction._s(theta))
-    acc = (dt[keep] @ integrand) * grid.dx
-    return [-float(a) for a in acc]
+    projector = EntropyProjector(snaps[0].rho.grid, [s.t for s in snaps],
+                                 fe, phis)
+    for snap in snaps:
+        projector.add(snap.rho.values)
+    return projector.finish()
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,7 @@ import hashlib
 import json
 import platform
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,13 +24,13 @@ from .core import (Bump, DensityField, DomainError, Grid, KernelScale,
                    MonotoneRamp, NumericsError, Riemann, Sine, SolverConfig,
                    VelocityModel, make_initial, validate_model)
 from .diagnostics import (BumpTestFunction, DiagnosticsReport,
-                          entropy_residual, kernel_deviation, l1_distance,
-                          total_variation)
+                          EntropyProjector, kernel_deviation_values,
+                          l1_distance, total_variation)
 from .kernel import TRUNCATION_WIDTHS
 from .local_lwr import FluxEntropyModel, solve_local
-from .nonlocal_fv import solve_nonlocal
-from .relaxation import (RelaxationFrame, UZFields, check_bv_conditions,
-                         check_subcharacteristic, physical_slice,
+from .nonlocal_fv import march_nonlocal, solve_nonlocal
+from .relaxation import (RelaxationFrame, SliceGatherer, UZFields,
+                         check_bv_conditions, check_subcharacteristic,
                          solve_relaxation)
 
 SWEEP_CSV_COLUMNS = ("epsilon", "l1_to_reference", "tv_final", "tv_bound",
@@ -316,45 +315,64 @@ def _sweep_snapshot_times(config: ExperimentConfig,
     return tuple(float(t) for t in merged if 0.0 < t < t_final)
 
 
-def _sweep_one(config: ExperimentConfig, eps_value: float,
-               reference_final: DensityField, phis,
-               snapshot_times) -> SweepRow:
-    initial = config.initial_field()
+def _sweep_rows(config: ExperimentConfig, eps_values, initial: DensityField,
+                reference_final: DensityField, phis,
+                solver: SolverConfig) -> list[SweepRow]:
+    """Rows for eps_values from one ensemble march over all of them.
+
+    Observers reduce each snapshot as it arrives: the kernel-deviation
+    margin and the entropy projections per member, and a copy of the
+    final densities; no history is held.  Each row's runtime is the
+    march's wall time, observers and row summaries included, split evenly
+    over its members.
+    """
+    grid = config.grid
     rho_min0 = float(np.min(initial.values))
     rho_max0 = float(np.max(initial.values))
     tv0 = total_variation(initial)
     fe = FluxEntropyModel(config.model)
-    solver = SolverConfig(t_final=config.solver.t_final,
-                          cfl=config.solver.cfl,
-                          snapshot_times=snapshot_times)
     start = time.perf_counter()
-    try:
-        traj = solve_nonlocal(initial, config.model, KernelScale(eps_value),
-                              solver)
-        l1 = l1_distance(traj.final.rho, reference_final)
-        tv_final = total_variation(traj.final.rho)
-        tv_bound = (rho_max0 / rho_min0) * tv0
-        maxp = min(traj.rho_min_seen - rho_min0, rho_max0 - traj.rho_max_seen)
-        kdev = min(bound - dev for dev, bound in
-                   ((kernel_deviation(s.rho, s.q)) for s in traj.snapshots))
-        residuals = entropy_residual(traj, fe, phis)
-        per_phi = tuple(max(r, 0.0) for r in residuals)
-        runtime = time.perf_counter() - start
-        return SweepRow(eps_value, l1, tv_final, tv_bound, maxp, kdev,
-                        max(per_phi), runtime, entropy_pos_per_phi=per_phi)
-    except (NumericsError, DomainError) as exc:
-        runtime = time.perf_counter() - start
-        nan = float("nan")
-        return SweepRow(eps_value, nan, nan, nan, nan, nan, nan, runtime,
-                        error=f"{type(exc).__name__}: {exc}")
+    times = solver.emission_times()
+    projectors = [EntropyProjector(grid, times, fe, phis) for _ in eps_values]
+    margins = [[] for _ in eps_values]
+    final = np.empty((len(eps_values), grid.n_cells))
+
+    def observe(t: float, rho: np.ndarray, q: np.ndarray):
+        for m, eps_value in enumerate(eps_values):
+            dev, bound = kernel_deviation_values(rho[m], q[m], grid,
+                                                 eps_value)
+            margins[m].append(bound - dev)
+            projectors[m].add(rho[m])
+        if t == times[-1]:
+            final[:] = rho
+
+    stats = march_nonlocal([initial] * len(eps_values), config.model,
+                           [KernelScale(e) for e in eps_values], solver,
+                           observe)
+    tv_bound = (rho_max0 / rho_min0) * tv0
+    rows = []
+    for m, eps_value in enumerate(eps_values):
+        final_rho = DensityField(grid, final[m])
+        maxp = min(float(stats.rho_min_seen[m]) - rho_min0,
+                   rho_max0 - float(stats.rho_max_seen[m]))
+        per_phi = tuple(max(r, 0.0) for r in projectors[m].finish())
+        rows.append(SweepRow(
+            eps_value, l1_distance(final_rho, reference_final),
+            total_variation(final_rho), tv_bound, maxp, min(margins[m]),
+            max(per_phi), 0.0, entropy_pos_per_phi=per_phi))
+    runtime = (time.perf_counter() - start) / len(eps_values)
+    return [replace(row, runtime_seconds=runtime) for row in rows]
 
 
 def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepReport:
     """One row per epsilon, decreasing; failures fill their row, never abort.
 
-    Rows are computed against a single local reference solve.  With
-    jobs > 1 the epsilon runs execute concurrently; ordering of the report
-    is by epsilon regardless of completion order.
+    Rows are computed against a single local reference solve.  All widths
+    step together as one ensemble (``march_nonlocal``): for an admissible
+    law they share one step sequence, and every row is bit for bit that of
+    a lone run.  If the ensemble raises a numerical or domain error, the
+    widths are rerun one at a time, so each failing width fills its own
+    row.  ``jobs`` is accepted for compatibility and has no effect.
     """
     initial = config.initial_field()
     if float(np.min(initial.values)) <= 0.0:
@@ -367,17 +385,24 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepReport:
     solver = SolverConfig(t_final=config.solver.t_final,
                           cfl=config.solver.cfl,
                           snapshot_times=snapshot_times)
-    reference = solve_local(initial, fe, solver)
+    reference = solve_local(initial, fe, solver).final.rho
 
-    def job(eps_value: float) -> SweepRow:
-        return _sweep_one(config, eps_value, reference.final.rho, phis,
-                          snapshot_times)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(job, config.epsilons))
-    else:
-        rows = [job(e) for e in config.epsilons]
+    try:
+        rows = _sweep_rows(config, config.epsilons, initial, reference, phis,
+                           solver)
+    except (NumericsError, DomainError):
+        rows = []
+        for eps_value in config.epsilons:
+            start = time.perf_counter()
+            try:
+                rows += _sweep_rows(config, (eps_value,), initial, reference,
+                                    phis, solver)
+            except (NumericsError, DomainError) as exc:
+                nan = float("nan")
+                rows.append(SweepRow(
+                    eps_value, nan, nan, nan, nan, nan, nan,
+                    time.perf_counter() - start,
+                    error=f"{type(exc).__name__}: {exc}"))
     return SweepReport.from_rows(rows)
 
 
@@ -407,10 +432,12 @@ def relaxation_roundtrip(initial: DensityField, model: VelocityModel,
     """Cross-validate the tilted-system integrator against the physical one.
 
     A constant-tau slice of the tilted coordinates is the line t = tau + x/K.
-    The physical solver is run once with dense snapshots; its state along
-    the starting slice seeds the tilted integrator, which marches delta_tau
-    and is compared against the physical state along the final slice.  Both
-    discretizations are first order, so the distance shrinks like dx.
+    The physical solver is run once with dense snapshots, each fed to the
+    two slices' gatherers as it arrives, so no history is held; its state
+    along the starting slice seeds the tilted integrator, which marches
+    delta_tau and is compared against the physical state along the final
+    slice.  Both discretizations are first order, so the distance shrinks
+    like dx.
 
     The initial data should be constant near the right boundary over the
     whole needed horizon (waves move right no faster than v(0), and the
@@ -423,17 +450,24 @@ def relaxation_roundtrip(initial: DensityField, model: VelocityModel,
     spacing = 2.0 * grid.dx / max(model.v_max, 1e-30)
     n_snap = max(64, int(np.ceil(t_need / spacing)))
     snaps = tuple(np.linspace(0.0, t_need, n_snap + 1)[1:-1])
-    traj = solve_nonlocal(initial, model, eps,
-                          SolverConfig(t_final=t_need, cfl=cfl,
-                                       snapshot_times=snaps))
+    physical = SolverConfig(t_final=t_need, cfl=cfl, snapshot_times=snaps)
+    times = physical.emission_times()
+    first = SliceGatherer(grid, eps, times, K, tau0)
+    last = SliceGatherer(grid, eps, times, K, tau0 + delta_tau)
+
+    def observe(t: float, rho: np.ndarray, q: np.ndarray):
+        first.add(rho[0], q[0])
+        last.add(rho[0], q[0])
+
+    march_nonlocal((initial,), model, (eps,), physical, observe)
 
     frame = RelaxationFrame(K, eps, model)
-    rho0, q0 = physical_slice(traj, K, tau0)
+    rho0, q0 = first.result()
     uz0 = UZFields(grid, np.log(rho0), np.log(K - model.v(q0)))
     relax = solve_relaxation(uz0, frame,
                              SolverConfig(t_final=delta_tau, cfl=cfl))
     rho_relax = np.exp(relax.final.fields.u)
-    rho_phys, _ = physical_slice(traj, K, tau0 + delta_tau)
+    rho_phys, _ = last.result()
     l1 = float(np.sum(np.abs(rho_relax - rho_phys))) * grid.dx
     return RoundtripResult(l1, tau0, delta_tau, grid.cell_centers(),
                            rho_relax, rho_phys, relax.newton_iterations_max,
@@ -541,22 +575,25 @@ def emit_report(report, fmt: str) -> str:
 # top-level experiment driver
 # ---------------------------------------------------------------------------
 
-def _trajectory_csv(traj) -> str:
-    lines = ["t,x,rho,q"]
-    for snap in traj.snapshots:
-        x = snap.rho.grid.cell_centers()
-        q = snap.q.values if snap.q is not None else np.full(x.size, np.nan)
-        t_repr = repr(float(snap.t))
-        for xi, ri, qi in zip(x, snap.rho.values, q):
-            lines.append(f"{t_repr},{float(xi)!r},{float(ri)!r},{float(qi)!r}")
-    return "\n".join(lines) + "\n"
+def _write_trajectory_csv(traj, path: Path):
+    """``t,x,rho,q`` long format, written one snapshot at a time."""
+    with open(path, "w") as fh:
+        fh.write("t,x,rho,q\n")
+        for snap in traj.snapshots:
+            x = snap.rho.grid.cell_centers()
+            q = snap.q.values if snap.q is not None else np.full(x.size,
+                                                                 np.nan)
+            t_repr = repr(float(snap.t))
+            fh.write("".join(
+                f"{t_repr},{float(xi)!r},{float(ri)!r},{float(qi)!r}\n"
+                for xi, ri, qi in zip(x, snap.rho.values, q)))
 
 
 def _run_kind(config: ExperimentConfig, out: Path, seed: int | None) -> dict:
     initial = config.initial_field()
     eps = KernelScale(config.epsilon)
     traj = solve_nonlocal(initial, config.model, eps, config.solver)
-    (out / "trajectory.csv").write_text(_trajectory_csv(traj))
+    _write_trajectory_csv(traj, out / "trajectory.csv")
     report = DiagnosticsReport()
     report.add("mass_drift",
                traj.final.rho.total_mass() - initial.total_mass(),
@@ -577,9 +614,9 @@ def _run_kind(config: ExperimentConfig, out: Path, seed: int | None) -> dict:
     return {"files": ["trajectory.csv", "run.json"]}
 
 
-def _sweep_kind(config: ExperimentConfig, out: Path, jobs: int,
+def _sweep_kind(config: ExperimentConfig, out: Path,
                 seed: int | None) -> dict:
-    report = run_sweep(config, jobs=jobs)
+    report = run_sweep(config)
     (out / "sweep.csv").write_text(sweep_csv(report))
     (out / "sweep.json").write_text(sweep_json(report, config, seed))
     return {"files": ["sweep.csv", "sweep.json"],
@@ -664,14 +701,15 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
 
     Returns a summary dict listing the files written.  Exceptions
     propagate: ConfigError for bad inputs, NumericsError subclasses for
-    solver failures, OSError for unwritable destinations.
+    solver failures, OSError for unwritable destinations.  ``jobs`` is
+    accepted and ignored, as in ``run_sweep``.
     """
     out = Path(out_dir) if out_dir is not None else Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if config.kind == "run":
         result = _run_kind(config, out, seed)
     elif config.kind == "sweep":
-        result = _sweep_kind(config, out, jobs, seed)
+        result = _sweep_kind(config, out, seed)
     elif config.kind == "compare":
         result = _compare_kind(config, out, seed)
     else:

@@ -85,10 +85,106 @@ def _scan_weights(width: int, h: float) -> np.ndarray:
     return w
 
 
-def _recursion(rho: DensityField, eps: float) -> np.ndarray:
+@dataclass(frozen=True)
+class _ScanGroup:
+    """Members of an ensemble that share a scan width, with their weights.
+
+    ``members`` indexes the ensemble rows; ``w`` stacks each member's
+    weights (m, width) and the per-member scalars are (m, 1) columns,
+    each computed exactly as for a lone member so that every row rounds
+    the same way in any ensemble.
+    """
+
+    members: np.ndarray
+    width: int
+    rows: int
+    w: np.ndarray
+    scale: np.ndarray        # 1 - beta = -expm1(-h)
+    beta: np.ndarray         # exp(-h)
+    closure: np.ndarray      # 1 - beta^N, the periodic closure
+    gamma: np.ndarray        # beta^width, the damping per row
+    seed_powers: np.ndarray  # gamma^j, j < min(rows, 3)
+
+
+def _column(values) -> np.ndarray:
+    return np.array(values, dtype=float).reshape(-1, 1)
+
+
+@lru_cache(maxsize=32)
+def _scan_plan(n: int, hs: tuple[float, ...]) -> tuple[_ScanGroup, ...]:
+    """Members grouped by scan width, for rows of n cells with h = hs[m]."""
+    widths = [min(n, max(1, int(SCAN_EXPONENT_CAP / h))) for h in hs]
+    groups = []
+    for width in dict.fromkeys(widths):
+        members = [m for m, wd in enumerate(widths) if wd == width]
+        rows = -(-n // width)
+        h = [hs[m] for m in members]
+        gamma = [np.exp(-x * width) for x in h]
+        groups.append(_ScanGroup(
+            members=np.array(members), width=width, rows=rows,
+            w=np.stack([_scan_weights(width, x) for x in h]),
+            scale=_column([-np.expm1(-x) for x in h]),
+            beta=_column([np.exp(-x) for x in h]),
+            closure=_column([-np.expm1(-x * n) for x in h]),
+            gamma=_column(gamma),
+            seed_powers=np.stack([g ** np.arange(min(rows, 3))
+                                  for g in gamma])))
+    return tuple(groups)
+
+
+def _scan_group(values: np.ndarray, g: _ScanGroup,
+                periodic: bool) -> np.ndarray:
+    """The recursion on one group's rows; values is (m, N), q is too."""
+    m, n = values.shape
+    r = values[:, ::-1]
+    if g.rows == 1:
+        num = r * g.w
+        np.cumsum(num, axis=-1, out=num)
+        num *= g.scale
+        q_last = num[:, -1:] / g.w[:, -1:]
+    else:
+        padded = np.zeros((m, g.rows * g.width))
+        padded[:, :n] = r
+        num = padded.reshape(m, g.rows, g.width)
+        num *= g.w[:, None, :]
+        np.cumsum(num, axis=-1, out=num)
+        num *= g.scale[:, :, None]
+        # carry into row b, seed aside: the row ends before it, damped by
+        # gamma per row; terms beyond gamma^2 underflow
+        ends = num[:, :, -1] / g.w[:, -1:]
+        carry = np.zeros((m, g.rows))
+        carry[:, 1:] = ends[:, :-1]
+        carry[:, 2:] += g.gamma * ends[:, :-2]
+        carry[:, 3:] += g.gamma * g.gamma * ends[:, :-3]
+        k = n - 1 - (g.rows - 1) * g.width
+        q_last = (num[:, -1, k:k + 1] + g.beta * carry[:, -1:]) \
+            / g.w[:, k:k + 1]
+
+    if periodic:
+        # one full period later the same edge is seen again, damped by
+        # beta^N; closing the geometric sum gives q_0 exactly
+        seed = q_last / g.closure
+    else:
+        # constant extension: everything beyond the last cell averages to
+        # its value
+        seed = values[:, -1:]
+
+    if g.rows == 1:
+        num += g.beta * seed
+        num /= g.w
+        return num[:, ::-1]
+    carry[:, :g.seed_powers.shape[1]] += seed * g.seed_powers
+    num += (g.beta * carry)[:, :, None]
+    num /= g.w[:, None, :]
+    return num.reshape(m, -1)[:, n - 1::-1]
+
+
+def _recursion(values: np.ndarray, hs, periodic: bool) -> np.ndarray:
     """Exact recursion q_i = (1 - beta) rho_i + beta q_{i+1}, as a scan.
 
-    On the reversed density r (r_k = rho_{N-1-k}), with w_k = beta^-k, the
+    ``values`` holds one density per row (an ensemble of M members on one
+    grid) and row m has its own h = hs[m] = dx/eps_m, beta = exp(-h).  On
+    the reversed density r (r_k = rho_{N-1-k}), with w_k = beta^-k, the
     recursion seeded with q_N = c has the closed form
 
         q_{N-1-k} = ((1 - beta) sum_{j<=k} r_j w_j + beta c) / w_k,
@@ -99,10 +195,11 @@ def _recursion(rho: DensityField, eps: float) -> np.ndarray:
     reuses the same weights.
 
     The weights are cached per (width, h) and kept finite by capping a
-    row at h * width <= SCAN_EXPONENT_CAP.  The shipped configurations
-    and the benchmark workloads all have h * N <= 320 and run as one row.
-    Shorter kernels split the reversed density into rows of that width,
-    scanned by one cumsum over the rows of a 2-D array.
+    scan row at h * width <= SCAN_EXPONENT_CAP.  A member with h * N <=
+    SCAN_EXPONENT_CAP scans as one row of width N; the shipped
+    configurations and the benchmark workloads all do.  Shorter kernels
+    split the reversed density into rows of that width, scanned by one
+    cumsum over the rows of a 2-D array.
     Each row is then seeded with the carry from the rows before it: with
     two or more rows h * width > 300, so the damping gamma = beta^width
     < exp(-300) per row makes gamma^3 underflow, and the carry series
@@ -112,56 +209,25 @@ def _recursion(rho: DensityField, eps: float) -> np.ndarray:
     7-15 ms and ~0.56 s for a Python loop over the rows, and 0.5-1.1 ms
     for a compiled IIR filter pass.
 
+    Members that share a scan width share one cumsum over all their rows,
+    so one-row and multi-row members can sit in one ensemble.  Every
+    operation acts along a row, with per-member scalars computed as for a
+    lone member, so each member's q is bit for bit the same in any
+    ensemble.
+
     Rounding: each cumulative sum term carries relative error u and the
     terms grow like w, so q is accurate to about u (1 + eps/dx) max|rho|,
     the order of the sequential recursion (tests/test_kernel.py holds the
     two within 8 u (1 + eps/dx) max|rho|).
     """
-    grid = rho.grid
-    n = grid.n_cells
-    h = grid.dx / eps
-    beta = np.exp(-h)
-    width = min(n, max(1, int(SCAN_EXPONENT_CAP / h)))
-    rows = -(-n // width)
-    w = _scan_weights(width, h)
-    r = rho.values[::-1]
-    if rows > 1:
-        r = np.concatenate([r, np.zeros(rows * width - n)])
-        r = r.reshape(rows, width)
-    num = np.cumsum(r * w, axis=-1)
-    num *= -np.expm1(-h)
-
-    if rows == 1:
-        q_last = num[-1] / w[-1]
-    else:
-        # carry into row b, seed aside: the row ends before it, damped by
-        # gamma per row; terms beyond gamma^2 underflow
-        gamma = np.exp(-h * width)
-        ends = num[:, -1] / w[-1]
-        carry = np.zeros(rows)
-        carry[1:] = ends[:-1]
-        carry[2:] += gamma * ends[:-2]
-        carry[3:] += gamma * gamma * ends[:-3]
-        k = n - 1 - (rows - 1) * width
-        q_last = (num[-1, k] + beta * carry[-1]) / w[k]
-
-    if grid.periodic:
-        # one full period later the same edge is seen again, damped by
-        # beta^N; closing the geometric sum gives q_0 exactly
-        seed = q_last / (-np.expm1(-h * n))
-    else:
-        # constant extension: everything beyond the last cell averages to
-        # its value
-        seed = rho.values[-1]
-
-    if rows == 1:
-        num += beta * seed
-        num /= w
-        return num[::-1]
-    carry[:3] += seed * gamma ** np.arange(min(rows, 3))
-    num += beta * carry[:, None]
-    num /= w
-    return num.ravel()[n - 1::-1]
+    m, n = values.shape
+    groups = _scan_plan(n, tuple(hs))
+    if len(groups) == 1:
+        return _scan_group(values, groups[0], periodic)
+    q = np.empty((m, n))
+    for g in groups:
+        q[g.members] = _scan_group(values[g.members], g, periodic)
+    return q
 
 
 def _gauss_weights(dx: float, eps: float, tol: float) -> np.ndarray:
@@ -234,7 +300,8 @@ def average(rho: DensityField, eps: KernelScale,
     independent cross-check of the recursion.
     """
     if method == "exact_recursion":
-        values = _recursion(rho, eps.epsilon)
+        values = _recursion(rho.values[None], (rho.grid.dx / eps.epsilon,),
+                            rho.grid.periodic)[0]
     elif method == "quadrature":
         values = _quadrature(rho, eps.epsilon, quad_tol)
     else:
@@ -278,10 +345,16 @@ def edge_to_center(rho: DensityField, q: AveragedField) -> np.ndarray:
     """
     _check_pair(rho, q)
     grid = rho.grid
-    eps = q.epsilon.epsilon
-    gamma = np.exp(-grid.dx / (2.0 * eps))
-    if grid.periodic:
-        q_next = np.roll(q.values, -1)
+    gamma = np.exp(-grid.dx / (2.0 * q.epsilon.epsilon))
+    return _center_average(rho.values, q.values, gamma, grid.periodic,
+                           0, grid.n_cells)
+
+
+def _center_average(rho: np.ndarray, q: np.ndarray, gamma: float,
+                    periodic: bool, start: int, stop: int) -> np.ndarray:
+    """``edge_to_center`` on raw arrays, for the cells [start, stop)."""
+    if stop < rho.size:
+        q_next = q[start + 1:stop + 1]
     else:
-        q_next = np.concatenate([q.values[1:], [rho.values[-1]]])
-    return (1.0 - gamma) * rho.values + gamma * q_next
+        q_next = np.append(q[start + 1:], q[0] if periodic else rho[-1])
+    return (1.0 - gamma) * rho[start:stop] + gamma * q_next

@@ -16,13 +16,14 @@ range-preserving combination for any admissible affine model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import (BlowupError, DensityField, DomainError, KernelScale,
-                   NumericsError, PositivityError, SolverConfig,
+                   NumericsError, PositivityError, ShapeError, SolverConfig,
                    TimeStepCollapse, VelocityModel)
-from .kernel import AveragedField, average
+from .kernel import AveragedField, _recursion, average
 from .trajectory import DtSummary, Snapshot, Trajectory
 
 
@@ -30,73 +31,128 @@ class ContractionFailure(NumericsError):
     """Fixed-point iterates moved apart instead of converging."""
 
 
-def _interface_speeds(q: AveragedField, rho: DensityField,
-                      model: VelocityModel) -> np.ndarray:
-    """v(q) at all n+1 interfaces, from the left-edge averaged field."""
-    grid = rho.grid
-    if grid.periodic:
-        q_iface = np.concatenate([q.values, q.values[:1]])
-    else:
-        # the average seen from the right boundary is the frozen edge value
-        q_iface = np.concatenate([q.values, rho.values[-1:]])
-    return model.v(q_iface)
+@dataclass(frozen=True)
+class EnsembleStats:
+    """Bookkeeping of one ensemble march: the step sequence all members
+    share, and each member's density extrema over every step taken."""
+
+    step_count: int
+    dt_summary: DtSummary
+    rho_min_seen: np.ndarray
+    rho_max_seen: np.ndarray
+
+
+def march_nonlocal(initial: Sequence[DensityField], model: VelocityModel,
+                   eps: Sequence[KernelScale], config: SolverConfig,
+                   observe: Callable[[float, np.ndarray, np.ndarray], None]
+                   ) -> EnsembleStats:
+    """March an ensemble of members to t_final on raw (M, N) arrays.
+
+    Member m starts from initial[m] and averages with width eps[m]; all
+    members live on one grid and take one step sequence.  dt is
+    cfl * dx / max(v(0), max v(q)), the max running over every member, and
+    is clipped to land exactly on every emission time of ``config``.  At
+    each emission time t (t = 0 included) the march calls
+    ``observe(t, rho, q)`` with the (M, N) density and left-edge average;
+    both arrays are reused by later steps, so an observer copies what it
+    keeps.
+
+    For an admissible law v(q) <= v(0), so dt = cfl * dx / v(0) on every
+    step for every member, and each member's fields, step count and
+    extrema are bit for bit those of its run alone.  A law with v(q) > v(0)
+    somewhere gives every member the ensemble's smallest dt, so its
+    members can differ from lone runs.  The custom-law evaluator sees one
+    1-D array per step.  Periodic runs conserve each member's mass to
+    rounding.
+    """
+    if len(initial) != len(eps) or not initial:
+        raise ShapeError(
+            f"need one kernel scale per initial field, got {len(initial)} "
+            f"fields and {len(eps)} scales")
+    grid = initial[0].grid
+    if any(f.grid != grid for f in initial):
+        raise ShapeError("ensemble members live on different grids")
+    rho = np.stack([f.values for f in initial])
+    seen_min, seen_max = rho.min(axis=1), rho.max(axis=1)
+    lo, hi = float(seen_min.min()), float(seen_max.max())
+    if lo < 0.0 or hi > model.rho_jam:
+        raise DomainError(
+            f"initial density range [{lo}, {hi}] outside [0, {model.rho_jam}]")
+
+    m, n = rho.shape
+    hs = tuple(grid.dx / e.epsilon for e in eps)
+    periodic = grid.periodic
+    # q at the n + 1 interfaces; the last one sees q_0 again on periodic
+    # grids and the frozen edge value under constant extension
+    q_iface = np.empty((m, n + 1))
+    flux = np.empty((m, n + 1))
+    update = np.empty((m, n))
+    emit = config.emission_times()
+    q = _recursion(rho, hs, periodic)
+    observe(0.0, rho, q)
+    t = 0.0
+    steps = 0
+    dt_min, dt_max, dt_sum = np.inf, 0.0, 0.0
+    v0 = model.v_max
+
+    for target in emit[1:]:
+        while t < target - 1e-14 * max(1.0, target):
+            q_iface[:, :n] = q
+            q_iface[:, n] = q[:, 0] if periodic else rho[:, -1]
+            v_iface = model.v(q_iface.reshape(-1)).reshape(m, n + 1)
+            speed = max(v0, float(np.max(v_iface)))
+            dt = min(config.cfl * grid.dx / speed, target - t)
+            if dt < 1e-14:
+                raise TimeStepCollapse(
+                    f"time step collapsed at t = {t:.6g} (step {steps})")
+            np.multiply(rho, v_iface[:, 1:], out=flux[:, 1:])
+            flux[:, 0] = rho[:, -1 if periodic else 0] * v_iface[:, 0]
+            np.subtract(flux[:, 1:], flux[:, :-1], out=update)
+            update *= dt / grid.dx
+            rho -= update
+            row_min, row_max = rho.min(axis=1), rho.max(axis=1)
+            if not (np.isfinite(row_min).all() and np.isfinite(row_max).all()):
+                raise BlowupError(f"non-finite density at step {steps}")
+            q = _recursion(rho, hs, periodic)
+            t += dt
+            steps += 1
+            dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
+            dt_sum += dt
+            np.minimum(seen_min, row_min, out=seen_min)
+            np.maximum(seen_max, row_max, out=seen_max)
+        t = target
+        observe(t, rho, q)
+
+    return EnsembleStats(
+        step_count=steps,
+        dt_summary=DtSummary.collect(steps, dt_min, dt_max, dt_sum),
+        rho_min_seen=seen_min, rho_max_seen=seen_max)
 
 
 def solve_nonlocal(initial: DensityField, model: VelocityModel,
                    eps: KernelScale, config: SolverConfig) -> Trajectory:
     """March the upwind scheme to t_final, recording snapshots with q.
 
-    The averaged field is recomputed from scratch every step by the exact
-    O(N) recursion.  dt is cfl * dx / max(v(0), max v(q)) each step,
-    clipped to land exactly on every requested snapshot time.  Periodic
-    runs conserve total mass to rounding.
+    The one-member case of ``march_nonlocal``, whose observer records a
+    snapshot at every emission time.  The averaged field is recomputed
+    from scratch every step by the exact O(N) recursion.  dt is
+    cfl * dx / max(v(0), max v(q)) each step, clipped to land exactly on
+    every requested snapshot time.  Periodic runs conserve total mass to
+    rounding.
     """
     grid = initial.grid
-    lo, hi = float(np.min(initial.values)), float(np.max(initial.values))
-    if lo < 0.0 or hi > model.rho_jam:
-        raise DomainError(
-            f"initial density range [{lo}, {hi}] outside [0, {model.rho_jam}]")
+    snapshots = []
 
-    emit = config.emission_times()
-    rho = initial
-    q = average(rho, eps)
-    snapshots = [Snapshot(t=0.0, rho=rho, q=q)]
-    t = 0.0
-    steps = 0
-    dt_min, dt_max, dt_sum = np.inf, 0.0, 0.0
-    seen_min, seen_max = lo, hi
-    v0 = model.v_max
+    def record(t: float, rho: np.ndarray, q: np.ndarray):
+        snapshots.append(Snapshot(t=t, rho=DensityField(grid, rho[0]),
+                                  q=AveragedField(grid, q[0], eps)))
 
-    for target in emit[1:]:
-        while t < target - 1e-14 * max(1.0, target):
-            v_iface = _interface_speeds(q, rho, model)
-            speed = max(v0, float(np.max(v_iface)))
-            dt = min(config.cfl * grid.dx / speed, target - t)
-            if dt < 1e-14:
-                raise TimeStepCollapse(
-                    f"time step collapsed at t = {t:.6g} (step {steps})")
-            flux = np.empty(grid.n_cells + 1)
-            flux[1:] = rho.values * v_iface[1:]
-            flux[0] = (rho.values[-1] * v_iface[0] if grid.periodic
-                       else rho.values[0] * v_iface[0])
-            new_values = rho.values - (dt / grid.dx) * (flux[1:] - flux[:-1])
-            if not np.all(np.isfinite(new_values)):
-                raise BlowupError(f"non-finite density at step {steps}")
-            rho = DensityField(grid, new_values)
-            q = average(rho, eps)
-            t += dt
-            steps += 1
-            dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
-            dt_sum += dt
-            seen_min = min(seen_min, float(np.min(new_values)))
-            seen_max = max(seen_max, float(np.max(new_values)))
-        t = target
-        snapshots.append(Snapshot(t=t, rho=rho, q=q))
-
+    stats = march_nonlocal((initial,), model, (eps,), config, record)
     return Trajectory(
-        model=model, eps=eps, snapshots=tuple(snapshots), step_count=steps,
-        dt_summary=DtSummary.collect(steps, dt_min, dt_max, dt_sum),
-        rho_min_seen=seen_min, rho_max_seen=seen_max)
+        model=model, eps=eps, snapshots=tuple(snapshots),
+        step_count=stats.step_count, dt_summary=stats.dt_summary,
+        rho_min_seen=float(stats.rho_min_seen[0]),
+        rho_max_seen=float(stats.rho_max_seen[0]))
 
 
 # ---------------------------------------------------------------------------

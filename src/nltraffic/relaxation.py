@@ -33,7 +33,7 @@ import numpy as np
 from .core import (BlowupError, CheckResult, DensityField, DomainError,
                    Grid, KernelScale, NumericsError, PositivityError,
                    ShapeError, SolverConfig, TimeStepCollapse, VelocityModel)
-from .kernel import AveragedField, edge_to_center
+from .kernel import AveragedField, _center_average
 from .trajectory import DtSummary, Trajectory
 
 
@@ -558,50 +558,91 @@ def solve_relaxation(initial: UZFields, frame: RelaxationFrame,
 # slanted-slice sampling of a physical trajectory
 # ---------------------------------------------------------------------------
 
+class SliceGatherer:
+    """Samples of a physical run along the line t = tau + x/K, gathered
+    while the run is solved.
+
+    A constant-tau slice of the tilted coordinates is exactly such a
+    slanted line in (t, x).  Built from the grid, the kernel scale and the
+    run's emission times, which must cover the whole line (else
+    DomainError); ``add`` takes each snapshot's density and left-edge
+    average in time order.  ``result`` returns per-cell (rho, q) with q at
+    cell centers, linearly interpolated in time between snapshots.
+
+    Slice times grow with x, so the bracketing snapshot pair is constant
+    on runs of adjacent cells.  A snapshot fills the run it closes and
+    keeps the cells of the run it opens until the next one arrives: O(N)
+    memory however many snapshots there are, and no history.
+    """
+
+    def __init__(self, grid: Grid, eps: KernelScale, times, K: float,
+                 tau: float):
+        times = np.asarray(times, dtype=float)
+        t_slice = tau + grid.cell_centers() / K
+        if (float(np.min(t_slice)) < times[0] - 1e-12
+                or float(np.max(t_slice)) > times[-1] + 1e-12):
+            raise DomainError(
+                f"slice times [{t_slice.min():.6g}, {t_slice.max():.6g}] not "
+                f"covered by snapshots [{times[0]:.6g}, {times[-1]:.6g}]")
+        idx = np.clip(np.searchsorted(times, t_slice, side="right") - 1,
+                      0, len(times) - 2)
+        w = (t_slice - times[idx]) / (times[idx + 1] - times[idx])
+        self._w = np.clip(w, 0.0, 1.0)
+        starts = np.flatnonzero(np.diff(idx, prepend=-1))
+        stops = np.append(starts[1:], grid.n_cells)
+        # snapshot k opens the run of cells bracketed by k and k + 1
+        self._runs = {int(idx[a]): (int(a), int(b))
+                      for a, b in zip(starts, stops)}
+        self._gamma = np.exp(-grid.dx / (2.0 * eps.epsilon))
+        self._periodic = grid.periodic
+        self._n_times = times.size
+        self._count = 0
+        self._held = None
+        self._rho = np.empty(grid.n_cells)
+        self._q = np.empty(grid.n_cells)
+
+    def _center(self, rho, q, a: int, b: int) -> np.ndarray:
+        return _center_average(rho, q, self._gamma, self._periodic, a, b)
+
+    def add(self, rho: np.ndarray, q: np.ndarray):
+        """Take the next snapshot's density and left-edge average."""
+        k = self._count
+        if k == self._n_times:
+            raise DomainError(f"all {k} snapshots were already added")
+        if k - 1 in self._runs:
+            a, b = self._runs[k - 1]
+            rho_lo, qc_lo = self._held
+            wr = self._w[a:b]
+            self._rho[a:b] = (1.0 - wr) * rho_lo + wr * rho[a:b]
+            self._q[a:b] = (1.0 - wr) * qc_lo + wr * self._center(rho, q, a, b)
+        self._held = None
+        if k in self._runs:
+            a, b = self._runs[k]
+            self._held = (rho[a:b].copy(), self._center(rho, q, a, b))
+        self._count = k + 1
+
+    def result(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-cell (rho, q) along the line, once every snapshot is in."""
+        if self._count != self._n_times:
+            raise DomainError(
+                f"{self._count} of {self._n_times} snapshots added")
+        return self._rho, self._q
+
+
 def physical_slice(traj: Trajectory, K: float, tau: float
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Sample a physical-time trajectory along the line t = tau + x/K.
 
-    A constant-tau slice of the tilted coordinates is exactly such a
-    slanted line in (t, x).  Returns per-cell (rho, q) with q evaluated at
-    cell centers, linearly interpolated in time between snapshots; the
-    trajectory must cover the whole line and carry averaged fields.
-
-    Slice times grow with x, so the bracketing snapshot pair is constant
-    on runs of adjacent cells.  Each run reads only its two snapshots, and
-    each snapshot's center average is computed once, when its run is
-    reached: O(N) extra memory however many snapshots there are.
+    Returns per-cell (rho, q) with q evaluated at cell centers, linearly
+    interpolated in time between snapshots; the trajectory must cover the
+    whole line and carry averaged fields.  The snapshots feed a
+    ``SliceGatherer`` in time order, as a running solve would.
     """
     snaps = traj.snapshots
-    times = np.array([s.t for s in snaps])
-    grid = snaps[0].rho.grid
-    x = grid.cell_centers()
-    t_slice = tau + x / K
-    if (float(np.min(t_slice)) < times[0] - 1e-12
-            or float(np.max(t_slice)) > times[-1] + 1e-12):
-        raise DomainError(
-            f"slice times [{t_slice.min():.6g}, {t_slice.max():.6g}] not "
-            f"covered by snapshots [{times[0]:.6g}, {times[-1]:.6g}]")
     if any(s.q is None for s in snaps):
         raise DomainError("trajectory snapshots carry no averaged field")
-
-    idx = np.clip(np.searchsorted(times, t_slice, side="right") - 1,
-                  0, len(times) - 2)
-    w = (t_slice - times[idx]) / (times[idx + 1] - times[idx])
-    w = np.clip(w, 0.0, 1.0)
-    rho = np.empty(grid.n_cells)
-    qc = np.empty(grid.n_cells)
-    starts = np.flatnonzero(np.diff(idx, prepend=-1))
-    stops = np.append(starts[1:], grid.n_cells)
-    k_hi, qc_hi = -1, None  # the last run's upper snapshot
-    for start, stop in zip(starts, stops):
-        k = int(idx[start])
-        lo, hi = snaps[k], snaps[k + 1]
-        qc_lo = qc_hi if k == k_hi else edge_to_center(lo.rho, lo.q)
-        k_hi, qc_hi = k + 1, edge_to_center(hi.rho, hi.q)
-        cells = slice(start, stop)
-        wr = w[cells]
-        rho[cells] = (1.0 - wr) * lo.rho.values[cells] \
-            + wr * hi.rho.values[cells]
-        qc[cells] = (1.0 - wr) * qc_lo[cells] + wr * qc_hi[cells]
-    return rho, qc
+    gather = SliceGatherer(snaps[0].rho.grid, snaps[0].q.epsilon,
+                           [s.t for s in snaps], K, tau)
+    for snap in snaps:
+        gather.add(snap.rho.values, snap.q.values)
+    return gather.result()

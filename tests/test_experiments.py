@@ -168,14 +168,14 @@ class TestSweep:
 
     def test_failed_row_recorded_not_fatal(self, monkeypatch):
         config = parse_config(SWEEP)
-        real = experiments.solve_nonlocal
+        real = experiments.march_nonlocal
 
-        def flaky(initial, model, eps, cfg):
-            if eps.epsilon == 0.1:
+        def flaky(initial, model, eps, cfg, observe):
+            if any(e.epsilon == 0.1 for e in eps):
                 raise NumericsError("synthetic failure")
-            return real(initial, model, eps, cfg)
+            return real(initial, model, eps, cfg, observe)
 
-        monkeypatch.setattr(experiments, "solve_nonlocal", flaky)
+        monkeypatch.setattr(experiments, "march_nonlocal", flaky)
         report = run_sweep(config)
         assert len(report.rows) == 2
         good, bad = report.rows

@@ -25,6 +25,12 @@ def recursion_lfilter(rho: DensityField, eps: float) -> np.ndarray:
     return partial + rho.values[-1] * beta_pow
 
 
+def _scan(rho: DensityField, eps: float) -> np.ndarray:
+    """The scan for a single member."""
+    return _recursion(rho.values[None], (rho.grid.dx / eps,),
+                      rho.grid.periodic)[0]
+
+
 # |scan - lfilter| <= SCAN_TOL * u * (1 + eps/dx) * max rho; both sum terms
 # damped by beta per cell, so each carries ~u/(1 - beta) of rounding.
 # Measured <= 1.9 on 6000 random cases (N in [4, 4096], eps/dx in
@@ -65,7 +71,7 @@ def test_scan_matches_lfilter_oracle(boundary, n, log_ratio, kind, seed):
     values = _scan_case_density(kind, n, seed)
     rho = DensityField(g, values)
     eps = ratio * g.dx
-    got = _recursion(rho, eps)
+    got = _scan(rho, eps)
     want = recursion_lfilter(rho, eps)
     tol = SCAN_TOL * np.finfo(float).eps * (1.0 + ratio) * np.max(values)
     assert got.shape == (n,)
@@ -84,12 +90,32 @@ def test_scan_carries_keep_relative_accuracy(boundary, cell, h):
     values = np.zeros(n)
     values[cell] = 1.0
     rho = DensityField(g, values)
-    got = _recursion(rho, g.dx / h)
+    got = _scan(rho, g.dx / h)
     want = recursion_lfilter(rho, g.dx / h)
     normal = want > 1e-300
     assert np.count_nonzero(normal[:-1] & (want[:-1] < np.exp(-h))) >= 1
     np.testing.assert_allclose(got[normal], want[normal], rtol=1e-13)
     assert np.all(np.abs(got[~normal]) <= 1e-300)
+
+
+@given(boundary=st.sampled_from(["periodic", "constant_extension"]),
+       n=st.integers(4, 2048),
+       log_ratios=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5),
+       seed=st.integers(0, 2**16))
+@example(boundary="constant_extension", n=2048,
+         log_ratios=[1.0, -0.7, 2.0, -0.7], seed=0)  # one-row and 2-row
+@settings(max_examples=40, deadline=None)
+def test_ensemble_rows_equal_lone_members(boundary, n, log_ratios, seed):
+    # members that share a scan width share one cumsum; every row must
+    # still round exactly as the member scanned alone
+    g = Grid(-1.0, 1.0, n, boundary)
+    values = np.random.default_rng(seed).uniform(0.0, 1.0,
+                                                 (len(log_ratios), n))
+    hs = tuple(10.0 ** -r for r in log_ratios)
+    got = _recursion(values, hs, g.periodic)
+    for m, h in enumerate(hs):
+        assert np.array_equal(got[m], _recursion(values[m:m + 1], (h,),
+                                                 g.periodic)[0])
 
 
 def test_scan_weights_read_only():

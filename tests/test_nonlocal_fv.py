@@ -3,10 +3,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nltraffic import (Bump, DensityField, DomainError, Grid, KernelScale,
-                       MonotoneRamp, PositivityError, Riemann, SolverConfig,
-                       Trajectory, VelocityModel, l1_distance, make_initial,
-                       picard_oracle, solve_nonlocal, stability_gap,
-                       total_variation)
+                       MonotoneRamp, PositivityError, Riemann, ShapeError,
+                       SolverConfig, Trajectory, VelocityModel, l1_distance,
+                       make_initial, march_nonlocal, picard_oracle,
+                       solve_nonlocal, stability_gap, total_variation)
 from nltraffic.core import BlowupError, TimeStepCollapse
 from nltraffic.kernel import average
 from nltraffic.nonlocal_fv import (ContractionFailure, PicardResult,
@@ -146,6 +146,105 @@ class TestTrajectoryInvariants:
                                   Snapshot(t=0.0, rho=f)),
                        step_count=0, dt_summary=DtSummary(0, 0, 0, 0),
                        rho_min_seen=0.5, rho_max_seen=0.5)
+
+
+def _one_d_only(fn):
+    """An evaluator that refuses arrays of more than one dimension."""
+    def evaluator(r):
+        r = np.asarray(r, dtype=float)
+        if r.ndim > 1:
+            raise ValueError(f"1-D input only, got shape {r.shape}")
+        return fn(r)
+    return evaluator
+
+
+def _one_d_quadratic() -> VelocityModel:
+    """v = 1 - rho^2, with evaluators that accept 1-D input only."""
+    return VelocityModel.custom(
+        v=_one_d_only(lambda r: 1.0 - r ** 2),
+        dv=_one_d_only(lambda r: -2.0 * r),
+        d2v=_one_d_only(lambda r: np.full_like(r, -2.0)),
+        v_inverse=_one_d_only(lambda s: np.sqrt(np.maximum(1.0 - s, 0.0))),
+        rho_jam=1.0)
+
+
+def _march_recorded(initials, model, eps_values, config):
+    """Every member's (t, rho, q) at each emission time, and the stats."""
+    records = [[] for _ in eps_values]
+
+    def observe(t, rho, q):
+        for m, record in enumerate(records):
+            record.append((t, rho[m].copy(), q[m].copy()))
+
+    stats = march_nonlocal(initials, model,
+                           [KernelScale(e) for e in eps_values], config,
+                           observe)
+    return records, stats
+
+
+class TestEnsembleMarch:
+    @given(boundary=st.sampled_from(["periodic", "constant_extension"]),
+           n=st.integers(16, 400),
+           log_ratios=st.lists(st.floats(-1.5, 1.5), min_size=1,
+                               max_size=4),
+           law=st.sampled_from(["affine", "one_d_quadratic"]),
+           shared_initial=st.booleans(),
+           seed=st.integers(0, 2**16))
+    @example(boundary="constant_extension", n=400,
+             log_ratios=[1.0, -1.0, 0.5, -1.0], law="affine",
+             shared_initial=True, seed=0)    # one-row and 2-row members
+    @example(boundary="periodic", n=256, log_ratios=[-1.2, 0.3],
+             law="one_d_quadratic", shared_initial=False, seed=1)
+    @settings(max_examples=25, deadline=None)
+    def test_members_equal_lone_runs(self, boundary, n, log_ratios, law,
+                                     shared_initial, seed):
+        # eps = ratio * dx, so h N = N / ratio: below ratio = N / 600 a
+        # member scans as several rows, beside one-row members
+        g = Grid(-1.0, 1.0, n, boundary)
+        model = (VelocityModel.affine(1.0, 1.0) if law == "affine"
+                 else _one_d_quadratic())
+        rng = np.random.default_rng(seed)
+        initials = [random_bv_field(g, rng, n_blocks=8)
+                    for _ in (log_ratios[:1] if shared_initial
+                              else log_ratios)]
+        initials *= len(log_ratios) // len(initials)
+        eps_values = [10.0 ** r * g.dx for r in log_ratios]
+        steps = 30
+        t_final = steps * 0.5 * g.dx
+        config = SolverConfig(t_final=t_final,
+                              snapshot_times=(t_final / 3, t_final / 2))
+        records, stats = _march_recorded(initials, model, eps_values, config)
+        for m, eps in enumerate(eps_values):
+            lone = solve_nonlocal(initials[m], model, KernelScale(eps),
+                                  config)
+            assert stats.step_count == lone.step_count
+            assert stats.rho_min_seen[m] == lone.rho_min_seen
+            assert stats.rho_max_seen[m] == lone.rho_max_seen
+            assert [t for t, _, _ in records[m]] == lone.times
+            for (_, rho, q), snap in zip(records[m], lone.snapshots):
+                assert np.array_equal(rho, snap.rho.values)
+                assert np.array_equal(q, snap.q.values)
+
+    def test_members_must_pair_with_scales(self, model):
+        g = Grid(-1.0, 1.0, 16)
+        f = DensityField(g, np.full(16, 0.5))
+        config = SolverConfig(t_final=0.1)
+        with pytest.raises(ShapeError):
+            march_nonlocal((f, f), model, (KernelScale(0.1),), config,
+                           lambda t, rho, q: None)
+        with pytest.raises(ShapeError):
+            march_nonlocal((f, DensityField(Grid(-1.0, 2.0, 16),
+                                            np.full(16, 0.5))), model,
+                           (KernelScale(0.1),) * 2, config,
+                           lambda t, rho, q: None)
+
+    def test_initial_range_checked_over_members(self, model):
+        g = Grid(-1.0, 1.0, 16)
+        good = DensityField(g, np.full(16, 0.5))
+        bad = DensityField(g, np.full(16, 1.2))
+        with pytest.raises(DomainError):
+            march_nonlocal((good, bad), model, (KernelScale(0.1),) * 2,
+                           SolverConfig(t_final=0.1), lambda t, rho, q: None)
 
 
 # ---------------------------------------------------------------------------

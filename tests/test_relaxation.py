@@ -6,13 +6,13 @@ from nltraffic import (DensityField, DomainError, Grid, KernelScale,
                        Riemann, SolverConfig, UZFields, VelocityModel,
                        average, check_bv_conditions, check_subcharacteristic,
                        equilibrium_speed, equilibrium_z, from_uz,
-                       lambda_source, make_initial, physical_slice,
-                       solve_nonlocal, solve_relaxation, speeds, to_uz,
-                       transformed_tv)
+                       lambda_source, make_initial, march_nonlocal,
+                       physical_slice, solve_nonlocal, solve_relaxation,
+                       speeds, to_uz, transformed_tv)
 from nltraffic.diagnostics import InsufficientDataError
 from nltraffic.kernel import edge_to_center
-from nltraffic.relaxation import (FrameError, SourceBandError,
-                                  _source_partials)
+from nltraffic.relaxation import (FrameError, SliceGatherer,
+                                  SourceBandError, _source_partials)
 
 from conftest import quadratic_model
 
@@ -319,16 +319,40 @@ class TestPhysicalSlice:
         landed = tuple(float(t) for t in (tau_on + x / frame.K)[::9])
         snaps = tuple(sorted(set(np.linspace(0.0, t_final, n_snap)[1:-1])
                              | set(landed)))
-        traj = solve_nonlocal(ic, model, frame.eps,
-                              SolverConfig(t_final=t_final,
-                                           snapshot_times=snaps))
+        config = SolverConfig(t_final=t_final, snapshot_times=snaps)
+        taus = (tau_lo, tau_on, 0.5, tau_hi)
+        # the same slices gathered while a march runs, holding no history
+        gathers = [SliceGatherer(g, frame.eps, config.emission_times(),
+                                 frame.K, tau) for tau in taus]
+
+        def observe(t, rho, q):
+            for gather in gathers:
+                gather.add(rho[0], q[0])
+
+        march_nonlocal((ic,), model, (frame.eps,), config, observe)
+        traj = solve_nonlocal(ic, model, frame.eps, config)
         assert set(landed) <= set(traj.times)
-        for tau in (tau_lo, tau_on, 0.5, tau_hi):
-            rho, q = physical_slice(traj, frame.K, tau)
+        for tau, gather in zip(taus, gathers):
             rho_ref, q_ref = _physical_slice_stacked(traj, frame.K, tau)
-            assert np.array_equal(rho, rho_ref)
-            assert np.array_equal(q, q_ref)
+            for rho, q in (physical_slice(traj, frame.K, tau),
+                           gather.result()):
+                assert np.array_equal(rho, rho_ref)
+                assert np.array_equal(q, q_ref)
         assert np.ptp(rho) > 0.1  # the data is not constant along the slice
+
+    def test_gatherer_counts_snapshots(self, frame):
+        g = Grid(-1.0, 1.0, 64, "constant_extension")
+        times = np.linspace(0.0, 1.2, 5)
+        gather = SliceGatherer(g, frame.eps, times, frame.K, 0.5)
+        rho = np.full(64, 0.5)
+        for _ in times[:-1]:
+            gather.add(rho, rho)
+        with pytest.raises(DomainError, match="4 of 5"):
+            gather.result()
+        gather.add(rho, rho)
+        assert np.array_equal(gather.result()[0], rho)
+        with pytest.raises(DomainError, match="already added"):
+            gather.add(rho, rho)
 
     def test_constant_state(self, model, frame):
         g = Grid(-1.0, 1.0, 64, "constant_extension")
