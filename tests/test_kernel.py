@@ -103,7 +103,7 @@ def test_scan_carries_keep_relative_accuracy(boundary, cell, h):
        log_ratios=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5),
        seed=st.integers(0, 2**16))
 @example(boundary="constant_extension", n=2048,
-         log_ratios=[1.0, -0.7, 2.0, -0.7], seed=0)  # one-row and 2-row
+         log_ratios=[1.0, -0.7, 2.0, -0.7], seed=0)  # 1 and 18 rows
 @settings(max_examples=40, deadline=None)
 def test_ensemble_rows_equal_lone_members(boundary, n, log_ratios, seed):
     # members that share a scan width share one cumsum; every row must

@@ -192,7 +192,7 @@ class TestEnsembleMarch:
            seed=st.integers(0, 2**16))
     @example(boundary="constant_extension", n=400,
              log_ratios=[1.0, -1.0, 0.5, -1.0], law="affine",
-             shared_initial=True, seed=0)    # one-row and 2-row members
+             shared_initial=True, seed=0)    # 1-row and 7-row members
     @example(boundary="periodic", n=256, log_ratios=[-1.2, 0.3],
              law="one_d_quadratic", shared_initial=False, seed=1)
     @settings(max_examples=25, deadline=None)
