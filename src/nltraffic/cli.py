@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .core import DomainError, NumericsError
 from .experiments import ConfigError, parse_config, run_experiment
@@ -57,7 +58,7 @@ def _error_record(kind: str, exc: Exception) -> str:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        text = open(args.config, encoding="utf-8").read()
+        text = Path(args.config).read_text(encoding="utf-8")
     except OSError as exc:
         print(_error_record("io", exc), file=sys.stderr)
         return EXIT_IO
@@ -73,8 +74,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
 
     try:
-        summary = run_experiment(config, out_dir=args.out, jobs=args.jobs,
-                                 seed=args.seed)
+        summary = run_experiment(config, out_dir=args.out, seed=args.seed)
     except (ConfigError, DomainError) as exc:
         print(_error_record("config", exc), file=sys.stderr)
         return EXIT_CONFIG

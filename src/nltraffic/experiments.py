@@ -364,7 +364,7 @@ def _sweep_rows(config: ExperimentConfig, eps_values, initial: DensityField,
     return [replace(row, runtime_seconds=runtime) for row in rows]
 
 
-def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepReport:
+def run_sweep(config: ExperimentConfig) -> SweepReport:
     """One row per epsilon, decreasing; failures fill their row, never abort.
 
     Rows are computed against a single local reference solve.  All widths
@@ -372,7 +372,7 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepReport:
     law they share one step sequence, and every row is bit for bit that of
     a lone run.  If the ensemble raises a numerical or domain error, the
     widths are rerun one at a time, so each failing width fills its own
-    row.  ``jobs`` is accepted for compatibility and has no effect.
+    row.
     """
     initial = config.initial_field()
     if float(np.min(initial.values)) <= 0.0:
@@ -696,13 +696,12 @@ def _check_kind(config: ExperimentConfig, out: Path, seed: int | None) -> dict:
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
-                   jobs: int = 1, seed: int | None = None) -> dict:
+                   seed: int | None = None) -> dict:
     """Execute one experiment, writing its reports under out_dir.
 
     Returns a summary dict listing the files written.  Exceptions
     propagate: ConfigError for bad inputs, NumericsError subclasses for
-    solver failures, OSError for unwritable destinations.  ``jobs`` is
-    accepted and ignored, as in ``run_sweep``.
+    solver failures, OSError for unwritable destinations.
     """
     out = Path(out_dir) if out_dir is not None else Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -122,7 +122,10 @@ def _scan_plan(n: int, hs: tuple[float, ...]) -> tuple[_ScanGroup, ...]:
         gamma = [np.exp(-x * width) for x in h]
         groups.append(_ScanGroup(
             members=np.array(members), width=width, rows=rows,
-            w=np.stack([_scan_weights(width, x) for x in h]),
+            # members of one h, as a Picard sweep's levels, share one row
+            w=(np.broadcast_to(_scan_weights(width, h[0]), (len(h), width))
+               if len(set(h)) == 1 else
+               np.stack([_scan_weights(width, x) for x in h])),
             scale=_column([-np.expm1(-x) for x in h]),
             beta=_column([np.exp(-x) for x in h]),
             closure=_column([-np.expm1(-x * n) for x in h]),

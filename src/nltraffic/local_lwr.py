@@ -13,9 +13,9 @@ from functools import cache
 
 import numpy as np
 
-from .core import (BlowupError, DensityField, DomainError, SolverConfig,
-                   TimeStepCollapse, VelocityModel, flux_curvature_sup)
-from .trajectory import DtSummary, Snapshot, Trajectory
+from .core import (DensityField, DomainError, SolverConfig, VelocityModel,
+                   flux_curvature_sup)
+from .trajectory import Snapshot, Trajectory, march
 
 
 @cache
@@ -210,38 +210,29 @@ def solve_local(initial: DensityField, fe: FluxEntropyModel,
     crit = _critical_density(fe)
     speed = fe.max_wave_speed()
     dt_cfl = config.cfl * grid.dx / speed if speed > 0 else config.t_final
-    emit = config.emission_times()
 
     rho = initial.values.copy()
-    snapshots = [Snapshot(t=0.0, rho=DensityField(grid, rho), q=None)]
-    t = 0.0
-    steps = 0
-    dt_min, dt_max, dt_sum = np.inf, 0.0, 0.0
+    snapshots = []
     seen_min, seen_max = lo, hi
 
-    for target in emit[1:]:
-        while t < target - 1e-14 * max(1.0, target):
-            dt = min(dt_cfl, target - t)
-            if dt < 1e-14:
-                raise TimeStepCollapse(
-                    f"dt = {dt:.3e} at t = {t:.6g} (step {steps})")
-            padded = _with_ghosts(rho, grid.periodic)
-            flux = _interface_flux(fe, padded[:-1], padded[1:], crit)
-            rho = rho - (dt / grid.dx) * (flux[1:] - flux[:-1])
-            if not np.all(np.isfinite(rho)):
-                raise BlowupError(f"non-finite density at step {steps}")
-            t += dt
-            steps += 1
-            dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
-            dt_sum += dt
-            seen_min = min(seen_min, float(np.min(rho)))
-            seen_max = max(seen_max, float(np.max(rho)))
-        t = target
+    def advance(dt: float) -> bool:
+        nonlocal rho, seen_min, seen_max
+        padded = _with_ghosts(rho, grid.periodic)
+        flux = _interface_flux(fe, padded[:-1], padded[1:], crit)
+        rho = rho - (dt / grid.dx) * (flux[1:] - flux[:-1])
+        if not np.all(np.isfinite(rho)):
+            return False
+        seen_min = min(seen_min, float(np.min(rho)))
+        seen_max = max(seen_max, float(np.max(rho)))
+        return True
+
+    def record(t: float):
         snapshots.append(Snapshot(t=t, rho=DensityField(grid, rho), q=None))
 
+    summary = march(config.emission_times(), lambda: dt_cfl, advance, record)
     return Trajectory(
-        model=model, eps=None, snapshots=tuple(snapshots), step_count=steps,
-        dt_summary=DtSummary.collect(steps, dt_min, dt_max, dt_sum),
+        model=model, eps=None, snapshots=tuple(snapshots),
+        step_count=summary.count, dt_summary=summary,
         rho_min_seen=seen_min, rho_max_seen=seen_max)
 
 

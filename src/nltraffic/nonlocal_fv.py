@@ -22,9 +22,9 @@ import numpy as np
 
 from .core import (BlowupError, DensityField, DomainError, KernelScale,
                    NumericsError, PositivityError, ShapeError, SolverConfig,
-                   TimeStepCollapse, VelocityModel)
-from .kernel import AveragedField, _recursion, average
-from .trajectory import DtSummary, Snapshot, Trajectory
+                   VelocityModel)
+from .kernel import AveragedField, _recursion
+from .trajectory import DtSummary, Snapshot, Trajectory, march
 
 
 class ContractionFailure(NumericsError):
@@ -87,45 +87,36 @@ def march_nonlocal(initial: Sequence[DensityField], model: VelocityModel,
     q_iface = np.empty((m, n + 1))
     flux = np.empty((m, n + 1))
     update = np.empty((m, n))
-    emit = config.emission_times()
     q = _recursion(rho, hs, periodic)
-    observe(0.0, rho, q)
-    t = 0.0
-    steps = 0
-    dt_min, dt_max, dt_sum = np.inf, 0.0, 0.0
+    v_iface = None
     v0 = model.v_max
 
-    for target in emit[1:]:
-        while t < target - 1e-14 * max(1.0, target):
-            q_iface[:, :n] = q
-            q_iface[:, n] = q[:, 0] if periodic else rho[:, -1]
-            v_iface = model.v(q_iface.reshape(-1)).reshape(m, n + 1)
-            speed = max(v0, float(np.max(v_iface)))
-            dt = min(config.cfl * grid.dx / speed, target - t)
-            if dt < 1e-14:
-                raise TimeStepCollapse(
-                    f"time step collapsed at t = {t:.6g} (step {steps})")
-            np.multiply(rho, v_iface[:, 1:], out=flux[:, 1:])
-            flux[:, 0] = rho[:, -1 if periodic else 0] * v_iface[:, 0]
-            np.subtract(flux[:, 1:], flux[:, :-1], out=update)
-            update *= dt / grid.dx
-            rho -= update
-            row_min, row_max = rho.min(axis=1), rho.max(axis=1)
-            if not (np.isfinite(row_min).all() and np.isfinite(row_max).all()):
-                raise BlowupError(f"non-finite density at step {steps}")
-            q = _recursion(rho, hs, periodic)
-            t += dt
-            steps += 1
-            dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
-            dt_sum += dt
-            np.minimum(seen_min, row_min, out=seen_min)
-            np.maximum(seen_max, row_max, out=seen_max)
-        t = target
-        observe(t, rho, q)
+    def stable_dt() -> float:
+        nonlocal v_iface
+        q_iface[:, :n] = q
+        q_iface[:, n] = q[:, 0] if periodic else rho[:, -1]
+        v_iface = model.v(q_iface.reshape(-1)).reshape(m, n + 1)
+        return config.cfl * grid.dx / max(v0, float(np.max(v_iface)))
 
+    def advance(dt: float) -> bool:
+        nonlocal q
+        np.multiply(rho, v_iface[:, 1:], out=flux[:, 1:])
+        flux[:, 0] = rho[:, -1 if periodic else 0] * v_iface[:, 0]
+        np.subtract(flux[:, 1:], flux[:, :-1], out=update)
+        np.multiply(update, dt / grid.dx, out=update)
+        np.subtract(rho, update, out=rho)
+        row_min, row_max = rho.min(axis=1), rho.max(axis=1)
+        if not (np.isfinite(row_min).all() and np.isfinite(row_max).all()):
+            return False
+        q = _recursion(rho, hs, periodic)
+        np.minimum(seen_min, row_min, out=seen_min)
+        np.maximum(seen_max, row_max, out=seen_max)
+        return True
+
+    summary = march(config.emission_times(), stable_dt, advance,
+                    lambda t: observe(t, rho, q))
     return EnsembleStats(
-        step_count=steps,
-        dt_summary=DtSummary.collect(steps, dt_min, dt_max, dt_sum),
+        step_count=summary.count, dt_summary=summary,
         rho_min_seen=seen_min, rho_max_seen=seen_max)
 
 
@@ -134,11 +125,7 @@ def solve_nonlocal(initial: DensityField, model: VelocityModel,
     """March the upwind scheme to t_final, recording snapshots with q.
 
     The one-member case of ``march_nonlocal``, whose observer records a
-    snapshot at every emission time.  The averaged field is recomputed
-    from scratch every step by the exact O(N) recursion.  dt is
-    cfl * dx / max(v(0), max v(q)) each step, clipped to land exactly on
-    every requested snapshot time.  Periodic runs conserve total mass to
-    rounding.
+    snapshot at every emission time.
     """
     grid = initial.grid
     snapshots = []
@@ -213,17 +200,17 @@ def _lerp(values: np.ndarray, slopes: np.ndarray, x: np.ndarray,
     s = x - grid.x_min
     s /= grid.dx
     s -= shift
-    if grid.periodic:
-        mode = "wrap"
-    else:
+    if not grid.periodic:
         np.clip(s, 0.0, grid.n_cells - 1, out=s)
-        mode = "clip"
     j = np.floor(s)
     w = np.subtract(s, j, out=s)
     j = j.astype(np.intp)
-    out = np.take(slopes, j, mode=mode)
+    # "wrap" mode moves an index by n per pass: endless for a NaN's INT_MIN
+    if j.min() < -grid.n_cells or j.max() >= 2 * grid.n_cells:
+        j %= grid.n_cells
+    out = np.take(slopes, j, mode="wrap")
     out *= w
-    out += np.take(values, j, mode=mode)
+    out += np.take(values, j, mode="wrap")
     return out
 
 
@@ -251,9 +238,9 @@ def picard_oracle(initial: DensityField, model: VelocityModel,
     time and the tables O(levels * N) memory.
 
     The transform contracts only for short horizons on Lipschitz,
-    uniformly positive data; that is the intended regime, and divergence
-    raises ContractionFailure rather than being worked around.  Returns
-    the density at t0 together with the sweep count and iterate distances.
+    uniformly positive data; that is the intended regime: divergence raises
+    ContractionFailure, a non-finite iterate BlowupError.  Returns the
+    density at t0 with the sweep count and iterate distances.
     ``iteration_tolerance`` must be positive and ``n_levels`` and
     ``max_sweeps`` at least one, else DomainError.
     """
@@ -281,6 +268,7 @@ def picard_oracle(initial: DensityField, model: VelocityModel,
     centers = grid.cell_centers()
     n = grid.n_cells
     eps_val = eps.epsilon
+    hs = (grid.dx / eps_val,) * (m + 1)
 
     # history[l] holds the guess at time l*dt; level 0 is pinned to the data
     history = np.tile(initial.values, (m + 1, 1))
@@ -289,9 +277,7 @@ def picard_oracle(initial: DensityField, model: VelocityModel,
     deltas: list[float] = []
 
     for sweep in range(1, max_sweeps + 1):
-        q_levels = np.empty_like(history)
-        for l in range(m + 1):
-            q_levels[l] = average(DensityField(grid, history[l]), eps).values
+        q_levels = _recursion(history, hs, grid.periodic)
         q_slopes = _slopes(q_levels, grid)
         # row l - 1 averages levels l - 1 and l: the midpoint in time
         q_mid_levels = 0.5 * (q_levels[1:] + q_levels[:-1])
@@ -322,6 +308,8 @@ def picard_oracle(initial: DensityField, model: VelocityModel,
         new_history[1:] = foot * np.exp(expo)
 
         delta = float(np.max(np.abs(new_history - history)))
+        if not np.isfinite(delta):
+            raise BlowupError(f"non-finite iterate at sweep {sweep}")
         deltas.append(delta)
         tracker.update(delta)
         history = new_history

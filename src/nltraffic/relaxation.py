@@ -30,11 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (BlowupError, CheckResult, DensityField, DomainError,
-                   Grid, KernelScale, NumericsError, PositivityError,
-                   ShapeError, SolverConfig, TimeStepCollapse, VelocityModel)
+from .core import (CheckResult, DensityField, DomainError, Grid, KernelScale,
+                   NumericsError, PositivityError, ShapeError, SolverConfig,
+                   VelocityModel)
 from .kernel import AveragedField, _center_average
-from .trajectory import DtSummary, Trajectory
+from .trajectory import DtSummary, Trajectory, march
 
 
 class FrameError(ValueError):
@@ -501,57 +501,48 @@ def solve_relaxation(initial: UZFields, frame: RelaxationFrame,
             or float(np.max(initial.z)) > hi + _BAND_SLACK):
         raise SourceBandError("initial z leaves the admissible band")
 
-    emit = config.emission_times()
     u = initial.u.copy()
     z = initial.z.copy()
-    snapshots = [UZSnapshot(0.0, UZFields(grid, u, z))]
-    tau = 0.0
-    steps = 0
+    snapshots = []
     newton_max_seen = 0
     bisected = 0
-    dt_min, dt_max, dt_sum = np.inf, 0.0, 0.0
     K = frame.K
     ratio_eps = K / frame.eps.epsilon
+    speed_u = None
 
-    for target in emit[1:]:
-        while tau < target - 1e-14 * max(1.0, target):
-            speed_u = K * (K * np.exp(-z) - 1.0)
-            top_speed = max(K, float(np.max(speed_u)))
-            dtau = min(config.cfl * grid.dx / top_speed, target - tau)
-            if dtau < 1e-14:
-                raise TimeStepCollapse(
-                    f"dtau = {dtau:.3e} at tau = {tau:.6g}")
+    def stable_dt() -> float:
+        nonlocal speed_u
+        speed_u = K * (K * np.exp(-z) - 1.0)
+        return config.cfl * grid.dx / max(K, float(np.max(speed_u)))
 
-            if grid.periodic:
-                u_left = np.roll(u, 1)
-                z_right = np.roll(z, -1)
-            else:
-                u_left = np.concatenate([u[:1], u[:-1]])
-                z_right = np.concatenate([z[1:], z[-1:]])
-            u_star = u - (dtau / grid.dx) * speed_u * (u - u_left)
-            z_star = z + (dtau / grid.dx) * K * (z_right - z)
+    def advance(dtau: float) -> bool:
+        nonlocal u, z, newton_max_seen, bisected
+        if grid.periodic:
+            u_left = np.roll(u, 1)
+            z_right = np.roll(z, -1)
+        else:
+            u_left = np.concatenate([u[:1], u[:-1]])
+            z_right = np.concatenate([z[1:], z[-1:]])
+        u_star = u - (dtau / grid.dx) * speed_u * (u - u_left)
+        z_star = z + (dtau / grid.dx) * K * (z_right - z)
 
-            total = u_star + z_star
-            u, its, n_bisected = _implicit_source(
-                u_star, total, dtau * ratio_eps, frame, newton_tol,
-                newton_max_iter)
-            z = total - u
-            newton_max_seen = max(newton_max_seen, its)
-            bisected += n_bisected
-            if not (np.all(np.isfinite(u)) and np.all(np.isfinite(z))):
-                raise BlowupError(f"non-finite state at step {steps}")
+        total = u_star + z_star
+        u, its, n_bisected = _implicit_source(
+            u_star, total, dtau * ratio_eps, frame, newton_tol,
+            newton_max_iter)
+        z = total - u
+        newton_max_seen = max(newton_max_seen, its)
+        bisected += n_bisected
+        return bool(np.all(np.isfinite(u)) and np.all(np.isfinite(z)))
 
-            tau += dtau
-            steps += 1
-            dt_min, dt_max = min(dt_min, dtau), max(dt_max, dtau)
-            dt_sum += dtau
-        tau = target
+    def record(tau: float):
         snapshots.append(UZSnapshot(tau, UZFields(grid, u, z)))
 
+    summary = march(config.emission_times(), stable_dt, advance, record)
     return RelaxationTrajectory(
-        frame=frame, snapshots=tuple(snapshots), step_count=steps,
-        dt_summary=DtSummary.collect(steps, dt_min, dt_max, dt_sum),
-        newton_iterations_max=newton_max_seen, bisection_cells=bisected)
+        frame=frame, snapshots=tuple(snapshots), step_count=summary.count,
+        dt_summary=summary, newton_iterations_max=newton_max_seen,
+        bisection_cells=bisected)
 
 
 # ---------------------------------------------------------------------------

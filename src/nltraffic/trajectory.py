@@ -1,10 +1,12 @@
-"""Time-ordered solution records shared by all solvers."""
+"""The solvers' one time loop, ``march``, and the records they return."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
-from .core import DensityField, DomainError, KernelScale, VelocityModel
+from .core import (BlowupError, DensityField, DomainError, KernelScale,
+                   TimeStepCollapse, VelocityModel)
 from .kernel import AveragedField
 
 
@@ -22,12 +24,38 @@ class DtSummary:
     max: float
     mean: float
 
-    @staticmethod
-    def collect(count: int, dt_min: float, dt_max: float,
-                dt_sum: float) -> "DtSummary":
-        if count == 0:
-            return DtSummary(0, 0.0, 0.0, 0.0)
-        return DtSummary(count, dt_min, dt_max, dt_sum / count)
+
+def march(emit: Sequence[float], stable_dt: Callable[[], float],
+          advance: Callable[[float], bool],
+          observe: Callable[[float], None]) -> DtSummary:
+    """Step from t = 0 through the increasing times ``emit`` (emit[0] = 0).
+
+    A step is ``stable_dt()`` clipped to the next emission time, which
+    counts as reached within 1e-14 max(1, time); a clipped step below 1e-14
+    raises TimeStepCollapse.  ``advance(dt)`` steps the state and returns
+    whether it is finite, else BlowupError names the step.  ``observe(t)``
+    runs at t = 0 and at each emission time, never after a raise.
+    """
+    observe(0.0)
+    t, steps = 0.0, 0
+    dt_min, dt_max, dt_sum = float("inf"), 0.0, 0.0
+    for target in emit[1:]:
+        while t < target - 1e-14 * max(1.0, target):
+            dt = min(stable_dt(), target - t)
+            if dt < 1e-14:
+                raise TimeStepCollapse(
+                    f"time step {dt:.3e} at t = {t:.6g} (step {steps})")
+            if not advance(dt):
+                raise BlowupError(f"non-finite state at step {steps}")
+            t += dt
+            steps += 1
+            dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
+            dt_sum += dt
+        t = target
+        observe(t)
+    if steps == 0:
+        return DtSummary(0, 0.0, 0.0, 0.0)
+    return DtSummary(steps, dt_min, dt_max, dt_sum / steps)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -161,8 +162,8 @@ def _strip_runtime(csv_text: str) -> str:
 class TestSweep:
     def test_rows_ordered_and_deterministic(self):
         config = parse_config(SWEEP)
-        a = run_sweep(config, jobs=1)
-        b = run_sweep(config, jobs=2)
+        a = run_sweep(config)
+        b = run_sweep(config)
         assert [r.epsilon for r in a.rows] == [0.2, 0.1]
         assert _strip_runtime(sweep_csv(a)) == _strip_runtime(sweep_csv(b))
 
@@ -309,7 +310,7 @@ class TestSweepSummary:
                 SweepRow(0.1, nan, nan, nan, nan, nan, nan, 0.9,
                          error="BlowupError: synthetic")]
         monkeypatch.setattr(experiments, "run_sweep",
-                            lambda config, jobs=1: SweepReport.from_rows(rows))
+                            lambda config: SweepReport.from_rows(rows))
         summary = run_experiment(parse_config(SWEEP), out_dir=tmp_path / "a")
         assert (summary["rows"], summary["failed_rows"]) == (2, 1)
         path = tmp_path / "sweep.cfg"
@@ -366,6 +367,22 @@ print(json.dumps({{"code": code, "after_run": after_run,
         assert report["after_run"] == []
         assert report["after_local"] == ["scipy.optimize", "scipy.special"]
         assert report["steps"] > 0 and report["finite"]
+
+    def test_config_file_closed(self, tmp_path, capsys):
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        path = configs / "check_affine.cfg"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            code = main(["check", "--config", str(path),
+                         "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, ResourceWarning)] == []
+
+    def test_jobs_flag_still_accepted(self, tmp_path, capsys):
+        path = self._write(tmp_path, MINIMAL)
+        assert main(["run", "--config", path, "--jobs", "2",
+                     "--out", str(tmp_path / "o")]) == 0
 
     def test_missing_config_is_io_error(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.cfg")])

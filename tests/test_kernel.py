@@ -104,6 +104,8 @@ def test_scan_carries_keep_relative_accuracy(boundary, cell, h):
        seed=st.integers(0, 2**16))
 @example(boundary="constant_extension", n=2048,
          log_ratios=[1.0, -0.7, 2.0, -0.7], seed=0)  # 1 and 18 rows
+# four one-row members sharing one h, so one broadcast weight row
+@example(boundary="periodic", n=1024, log_ratios=[0.7] * 4, seed=1)
 @settings(max_examples=40, deadline=None)
 def test_ensemble_rows_equal_lone_members(boundary, n, log_ratios, seed):
     # members that share a scan width share one cumsum; every row must

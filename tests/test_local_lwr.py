@@ -7,6 +7,7 @@ from nltraffic import (DensityField, DomainError, FluxEntropyModel, Grid,
                        Riemann, SolverConfig, VelocityModel, entropy_pair,
                        godunov_flux, godunov_state, make_initial, solve_local,
                        total_variation)
+from nltraffic.core import TimeStepCollapse
 import nltraffic.local_lwr as local_lwr
 from nltraffic.local_lwr import _critical_density, _interface_flux_concave
 
@@ -319,6 +320,13 @@ class TestSolveLocal:
         bad = DensityField(g, np.full(16, 1.4))
         with pytest.raises(DomainError):
             solve_local(bad, fe, SolverConfig(t_final=0.1))
+
+    def test_time_step_collapse(self):
+        # free-flow speed so large that the stable step stagnates
+        racing = FluxEntropyModel(VelocityModel.affine(1e16, 1e16))
+        ic = DensityField(Grid(-1.0, 1.0, 16), np.full(16, 0.4))
+        with pytest.raises(TimeStepCollapse):
+            solve_local(ic, racing, SolverConfig(t_final=0.1))
 
 
 class TestEntropyPair:

@@ -20,6 +20,17 @@ def _solve(ic, model, eps, **kw):
     return solve_nonlocal(ic, model, KernelScale(eps), SolverConfig(**kw))
 
 
+def _nan_above(threshold: float) -> VelocityModel:
+    """v = 1 - rho whose evaluator returns NaN above ``threshold``."""
+    return VelocityModel.custom(
+        v=lambda r: np.where(np.asarray(r) > threshold, np.nan,
+                             1.0 - np.asarray(r, dtype=float)),
+        dv=lambda r: np.full_like(np.asarray(r, dtype=float), -1.0),
+        d2v=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
+        v_inverse=lambda s: 1.0 - np.asarray(s, dtype=float),
+        rho_jam=1.0)
+
+
 class TestSolveNonlocal:
     def test_constant_stays_constant(self, model):
         g = Grid(-1.0, 1.0, 64, "periodic")
@@ -113,18 +124,10 @@ class TestSolveNonlocal:
             _solve(ic, racing, 0.1, t_final=0.1)
 
     def test_blowup_detected(self):
-        # evaluator turns NaN once the average exceeds a threshold
-        model = VelocityModel.custom(
-            v=lambda r: np.where(np.asarray(r) > 0.6, np.nan,
-                                 1.0 - np.asarray(r, dtype=float)),
-            dv=lambda r: np.full_like(np.asarray(r, dtype=float), -1.0),
-            d2v=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-            v_inverse=lambda s: 1.0 - np.asarray(s, dtype=float),
-            rho_jam=1.0)
         g = Grid(-1.0, 1.0, 64, "periodic")
         ic = DensityField(g, np.full(64, 0.8))
         with pytest.raises(BlowupError):
-            _solve(ic, model, 0.1, t_final=0.2)
+            _solve(ic, _nan_above(0.6), 0.1, t_final=0.2)
 
 
 class TestTrajectoryInvariants:
@@ -403,6 +406,16 @@ class TestPicardOracle:
         ref = _picard_interp(ic, model, KernelScale(0.2), 0.05, 1e-10)
         assert res.iterations == ref.iterations
         assert np.max(np.abs(res.field.values - ref.field.values)) <= 1e-12
+
+    @pytest.mark.parametrize("boundary", ["periodic", "constant_extension"])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+    def test_non_finite_law_raises(self, boundary):
+        # the bump reaches 0.6, so the first sweep traces through NaN
+        # speeds; on periodic grids that puts NaN into the wrapped index
+        g = Grid(-1.0, 1.0, 128, boundary)
+        ic = make_initial(g, Bump(0.4, 0.2, -0.2, 0.3))
+        with pytest.raises(BlowupError, match="sweep 1$"):
+            picard_oracle(ic, _nan_above(0.45), KernelScale(0.2), 0.05)
 
     def test_requires_positive_data(self, model):
         g = Grid(-1.0, 1.0, 64, "periodic")

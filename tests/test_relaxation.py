@@ -9,6 +9,7 @@ from nltraffic import (DensityField, DomainError, Grid, KernelScale,
                        lambda_source, make_initial, march_nonlocal,
                        physical_slice, solve_nonlocal, solve_relaxation,
                        speeds, to_uz, transformed_tv)
+from nltraffic.core import TimeStepCollapse
 from nltraffic.diagnostics import InsufficientDataError
 from nltraffic.kernel import edge_to_center
 from nltraffic.relaxation import (FrameError, SliceGatherer,
@@ -254,6 +255,15 @@ class TestSolveRelaxation:
         with pytest.raises(SourceBandError):
             solve_relaxation(UZFields(g, np.full(8, -0.7), np.full(8, 5.0)),
                              frame, SolverConfig(t_final=0.01))
+
+    def test_time_step_collapse(self, model):
+        # the step is at most cfl dx / K, so K = 1e16 stagnates it
+        frame = RelaxationFrame(1e16, KernelScale(0.1), model)
+        g = Grid(-1.0, 1.0, 16, "periodic")
+        u0 = np.full(16, np.log(0.4))
+        with pytest.raises(TimeStepCollapse):
+            solve_relaxation(UZFields(g, u0, equilibrium_z(u0, frame)),
+                             frame, SolverConfig(t_final=0.1))
 
 
 class TestTransformedTV:
