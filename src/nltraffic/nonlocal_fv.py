@@ -36,10 +36,13 @@ class EnsembleStats:
     """Bookkeeping of one ensemble march: the step sequence all members
     share, and each member's density extrema over every step taken."""
 
-    step_count: int
     dt_summary: DtSummary
     rho_min_seen: np.ndarray
     rho_max_seen: np.ndarray
+
+    @property
+    def step_count(self) -> int:
+        return self.dt_summary.count
 
 
 def march_nonlocal(initial: Sequence[DensityField], model: VelocityModel,
@@ -115,9 +118,8 @@ def march_nonlocal(initial: Sequence[DensityField], model: VelocityModel,
 
     summary = march(config.emission_times(), stable_dt, advance,
                     lambda t: observe(t, rho, q))
-    return EnsembleStats(
-        step_count=summary.count, dt_summary=summary,
-        rho_min_seen=seen_min, rho_max_seen=seen_max)
+    return EnsembleStats(dt_summary=summary, rho_min_seen=seen_min,
+                         rho_max_seen=seen_max)
 
 
 def solve_nonlocal(initial: DensityField, model: VelocityModel,
@@ -137,7 +139,7 @@ def solve_nonlocal(initial: DensityField, model: VelocityModel,
     stats = march_nonlocal((initial,), model, (eps,), config, record)
     return Trajectory(
         model=model, eps=eps, snapshots=tuple(snapshots),
-        step_count=stats.step_count, dt_summary=stats.dt_summary,
+        dt_summary=stats.dt_summary,
         rho_min_seen=float(stats.rho_min_seen[0]),
         rho_max_seen=float(stats.rho_max_seen[0]))
 
@@ -195,19 +197,23 @@ def _lerp(values: np.ndarray, slopes: np.ndarray, x: np.ndarray,
 
     With s = (x - x_min)/dx - shift, node j = floor(s) and weight w = s - j
     give values[j] + w slopes[j].  Periodic grids wrap j; constant extension
-    clamps s to the table.
+    clamps s to the table.  A non-finite x raises BlowupError.
     """
+    n = grid.n_cells
     s = x - grid.x_min
     s /= grid.dx
     s -= shift
     if not grid.periodic:
-        np.clip(s, 0.0, grid.n_cells - 1, out=s)
+        np.clip(s, 0.0, n - 1, out=s)
     j = np.floor(s)
     w = np.subtract(s, j, out=s)
+    # "wrap" mode moves an index by n per pass, so far indices are reduced
+    # first, while still floats; a NaN fails the test and is caught here
+    if not (j.min() >= -n and j.max() < 2 * n):
+        if not np.isfinite(j).all():
+            raise BlowupError("non-finite traced position")
+        np.mod(j, n, out=j)
     j = j.astype(np.intp)
-    # "wrap" mode moves an index by n per pass: endless for a NaN's INT_MIN
-    if j.min() < -grid.n_cells or j.max() >= 2 * grid.n_cells:
-        j %= grid.n_cells
     out = np.take(slopes, j, mode="wrap")
     out *= w
     out += np.take(values, j, mode="wrap")
@@ -288,23 +294,28 @@ def picard_oracle(initial: DensityField, model: VelocityModel,
         # ensemble backward trace: row l targets time l*dt
         pos = np.tile(centers, (m, 1))  # rows 1..m, index shifted by one
         expo = np.zeros((m, n))
-        for level in range(m, 0, -1):
-            active = slice(level - 1, m)  # rows with target >= current level
-            x = pos[active]
-            q_here = _lerp(q_levels[level], q_slopes[level], x, 0.0, grid)
-            k1 = model.v(q_here)
-            x_half = x - 0.5 * dt * k1
-            q_mid = _lerp(q_mid_levels[level - 1], qm_slopes[level - 1],
-                          x_half, 0.0, grid)
-            rho_mid = _lerp(rho_mid_levels[level - 1], rm_slopes[level - 1],
-                            x_half, 0.5, grid)
-            qx_mid = (q_mid - rho_mid) / eps_val
-            expo[active] += dt * (-model.dv(q_mid) * qx_mid)
-            pos[active] = x - dt * model.v(q_mid)
+        try:
+            for level in range(m, 0, -1):
+                # rows with target >= current level
+                active = slice(level - 1, m)
+                x = pos[active]
+                q_here = _lerp(q_levels[level], q_slopes[level], x, 0.0, grid)
+                k1 = model.v(q_here)
+                x_half = x - 0.5 * dt * k1
+                q_mid = _lerp(q_mid_levels[level - 1], qm_slopes[level - 1],
+                              x_half, 0.0, grid)
+                rho_mid = _lerp(rho_mid_levels[level - 1],
+                                rm_slopes[level - 1], x_half, 0.5, grid)
+                qx_mid = (q_mid - rho_mid) / eps_val
+                expo[active] += dt * (-model.dv(q_mid) * qx_mid)
+                pos[active] = x - dt * model.v(q_mid)
+
+            foot = _lerp(initial.values, init_slopes, pos, 0.5, grid)
+        except BlowupError as err:
+            raise BlowupError(f"{err} at sweep {sweep}") from None
 
         new_history = np.empty_like(history)
         new_history[0] = initial.values
-        foot = _lerp(initial.values, init_slopes, pos, 0.5, grid)
         new_history[1:] = foot * np.exp(expo)
 
         delta = float(np.max(np.abs(new_history - history)))

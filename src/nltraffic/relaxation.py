@@ -138,14 +138,23 @@ def check_subcharacteristic(frame: RelaxationFrame,
     Samples the open midpoint lattice rho_j = (j + 1/2) rho_jam / n.
     The vacuum endpoint rho = 0 is deliberately excluded: there f' = v(0)
     exactly, so lambda* and lambda2 coincide and the upper margin
-    degenerates to zero; strict separation holds on (0, rho_jam].
+    degenerates to zero; strict separation holds on (0, rho_jam].  The
+    speeds are those of ``equilibrium_speed`` and ``speeds``, computed on
+    all samples at once, and raise FrameError as they do.
     """
     if n_samples < 2:
         raise DomainError(f"need n_samples >= 2, got {n_samples}")
-    rho = (np.arange(n_samples) + 0.5) * frame.model.rho_jam / n_samples
-    lam_star = np.array([equilibrium_speed(float(r), frame) for r in rho])
-    lam2 = np.array([speeds(float(r), frame)[1] for r in rho])
-    lower = lam_star + frame.K
+    model, K = frame.model, frame.K
+    rho = (np.arange(n_samples) + 0.5) * model.rho_jam / n_samples
+    v = np.asarray(model.v(rho), dtype=float)
+    df = v + rho * np.asarray(model.dv(rho), dtype=float)
+    if np.any(K <= df):
+        raise FrameError(f"K = {K} <= f'(rho) = {df[np.argmax(K <= df)]}")
+    if np.any(K <= v):
+        raise FrameError(f"K = {K} <= v(q) = {v[np.argmax(K <= v)]}")
+    lam_star = K * df / (K - df)
+    lam2 = K * v / (K - v)
+    lower = lam_star + K
     upper = lam2 - lam_star
     min_lower = float(np.min(lower))
     min_upper = float(np.min(upper))
@@ -409,12 +418,15 @@ class UZSnapshot:
 class RelaxationTrajectory:
     frame: RelaxationFrame
     snapshots: tuple[UZSnapshot, ...]
-    step_count: int
     dt_summary: DtSummary
     newton_iterations_max: int
     #: cells, summed over steps, whose source solve fell back from Newton
     #: to bisection
     bisection_cells: int
+
+    @property
+    def step_count(self) -> int:
+        return self.dt_summary.count
 
     @property
     def final(self) -> UZSnapshot:
@@ -540,9 +552,8 @@ def solve_relaxation(initial: UZFields, frame: RelaxationFrame,
 
     summary = march(config.emission_times(), stable_dt, advance, record)
     return RelaxationTrajectory(
-        frame=frame, snapshots=tuple(snapshots), step_count=summary.count,
-        dt_summary=summary, newton_iterations_max=newton_max_seen,
-        bisection_cells=bisected)
+        frame=frame, snapshots=tuple(snapshots), dt_summary=summary,
+        newton_iterations_max=newton_max_seen, bisection_cells=bisected)
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,6 @@ class Trajectory:
     model: VelocityModel
     eps: KernelScale | None
     snapshots: tuple[Snapshot, ...]
-    step_count: int
     dt_summary: DtSummary
     rho_min_seen: float
     rho_max_seen: float
@@ -82,6 +81,10 @@ class Trajectory:
             raise DomainError("first snapshot must be at t = 0")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise DomainError("snapshot times must increase strictly")
+
+    @property
+    def step_count(self) -> int:
+        return self.dt_summary.count
 
     @property
     def times(self) -> list[float]:

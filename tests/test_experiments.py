@@ -334,26 +334,38 @@ class TestCli:
         assert json.loads(capsys.readouterr().out)["config_hash"]
 
     def test_affine_run_imports_no_scipy_submodules(self, tmp_path):
-        # importing the package and an affine CLI run stay on numpy; the
-        # custom-law paths load scipy.optimize / scipy.special on demand
+        # importing the package, an affine CLI run and concave custom laws
+        # stay on numpy; only the scalar Godunov oracle of a non-concave law
+        # loads scipy.optimize, which itself imports scipy.special
         path = self._write(tmp_path, MINIMAL)
+        sweep = SWEEP.replace("grid.n_cells = 256", "grid.n_cells = 64")
         script = f"""
-import json, sys
+import dataclasses, json, sys
 import numpy as np
 from nltraffic import FluxEntropyModel, SolverConfig, make_initial
 from nltraffic import Grid, Riemann, cli, solve_local
+from nltraffic.experiments import parse_config, run_sweep
 HEAVY = ("scipy.signal", "scipy.optimize", "scipy.special")
+loaded = lambda: [m for m in HEAVY if m in sys.modules]
 code = cli.main(["run", "--config", {path!r}, "--out", {str(tmp_path / "o")!r}])
-after_run = [m for m in HEAVY if m in sys.modules]
-from conftest import quadratic_model
+after_run = loaded()
+from conftest import non_concave_model, quadratic_model
 fe = FluxEntropyModel(quadratic_model())
 g = Grid(-1.0, 1.0, 64, "constant_extension")
-traj = solve_local(make_initial(g, Riemann(0.8, 0.2, 0.0)), fe,
-                   SolverConfig(t_final=0.1))
+initial = make_initial(g, Riemann(0.8, 0.2, 0.0))
+traj = solve_local(initial, fe, SolverConfig(t_final=0.1))
 psi = fe.psi(traj.final.rho.values)
+after_local = loaded()
+report = run_sweep(dataclasses.replace(parse_config({sweep!r}),
+                                       model=quadratic_model()))
+after_sweep = loaded()
+other = solve_local(initial, FluxEntropyModel(non_concave_model()),
+                    SolverConfig(t_final=0.1))
 print(json.dumps({{"code": code, "after_run": after_run,
-                  "after_local": [m for m in HEAVY if m in sys.modules],
-                  "steps": traj.step_count,
+                  "after_local": after_local, "after_sweep": after_sweep,
+                  "after_non_concave": loaded(),
+                  "steps": [traj.step_count, other.step_count],
+                  "sweep_errors": [r.error for r in report.rows],
                   "finite": bool(np.all(np.isfinite(psi)))}}))
 """
         package_root = Path(experiments.__file__).resolve().parents[1]
@@ -365,8 +377,12 @@ print(json.dumps({{"code": code, "after_run": after_run,
         report = json.loads(done.stdout.strip().splitlines()[-1])
         assert report["code"] == 0
         assert report["after_run"] == []
-        assert report["after_local"] == ["scipy.optimize", "scipy.special"]
-        assert report["steps"] > 0 and report["finite"]
+        assert report["after_local"] == []
+        assert report["after_sweep"] == []
+        assert report["after_non_concave"] == ["scipy.optimize",
+                                               "scipy.special"]
+        assert min(report["steps"]) > 0 and report["finite"]
+        assert report["sweep_errors"] == [None, None]
 
     def test_config_file_closed(self, tmp_path, capsys):
         configs = Path(__file__).resolve().parents[1] / "configs"

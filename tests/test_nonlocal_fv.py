@@ -137,7 +137,7 @@ class TestTrajectoryInvariants:
         with pytest.raises(DomainError):
             Trajectory(model=model, eps=None,
                        snapshots=(Snapshot(t=0.5, rho=f),),
-                       step_count=0, dt_summary=DtSummary(0, 0, 0, 0),
+                       dt_summary=DtSummary(0, 0, 0, 0),
                        rho_min_seen=0.5, rho_max_seen=0.5)
 
     def test_strictly_increasing_times(self, model):
@@ -147,7 +147,7 @@ class TestTrajectoryInvariants:
             Trajectory(model=model, eps=None,
                        snapshots=(Snapshot(t=0.0, rho=f),
                                   Snapshot(t=0.0, rho=f)),
-                       step_count=0, dt_summary=DtSummary(0, 0, 0, 0),
+                       dt_summary=DtSummary(0, 0, 0, 0),
                        rho_min_seen=0.5, rho_max_seen=0.5)
 
 
@@ -408,10 +408,11 @@ class TestPicardOracle:
         assert np.max(np.abs(res.field.values - ref.field.values)) <= 1e-12
 
     @pytest.mark.parametrize("boundary", ["periodic", "constant_extension"])
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_law_raises(self, boundary):
         # the bump reaches 0.6, so the first sweep traces through NaN
-        # speeds; on periodic grids that puts NaN into the wrapped index
+        # speeds; the trace stops at the first NaN position, before its
+        # cast to an index could warn
         g = Grid(-1.0, 1.0, 128, boundary)
         ic = make_initial(g, Bump(0.4, 0.2, -0.2, 0.3))
         with pytest.raises(BlowupError, match="sweep 1$"):

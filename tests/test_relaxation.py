@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nltraffic import (DensityField, DomainError, Grid, KernelScale,
                        MonotoneRamp, PositivityError, RelaxationFrame,
@@ -15,7 +16,12 @@ from nltraffic.kernel import edge_to_center
 from nltraffic.relaxation import (FrameError, SliceGatherer,
                                   SourceBandError, _source_partials)
 
-from conftest import quadratic_model
+from conftest import cubic_model, quadratic_model
+
+LAWS = {"affine": VelocityModel.affine(1.0, 1.0),
+        "wide": VelocityModel.affine(2.0, 0.5),
+        "quadratic": quadratic_model(),
+        "cubic": cubic_model()}
 
 
 @pytest.fixture
@@ -65,6 +71,34 @@ class TestSpeeds:
         assert rep.passed
         assert rep.min_margin_lower > 0.0
         assert rep.min_margin_upper > 0.0
+
+    @pytest.mark.parametrize("name", sorted(LAWS))
+    @given(tilt=st.floats(1.0 + 1e-9, 8.0), n=st.integers(2, 300))
+    @settings(max_examples=30, deadline=None)
+    def test_margins_equal_per_sample_speeds(self, name, tilt, n):
+        model = LAWS[name]
+        frame = RelaxationFrame(tilt * model.v_max, KernelScale(0.1), model)
+        rho = (np.arange(n) + 0.5) * model.rho_jam / n
+        lam_star = np.array([equilibrium_speed(float(r), frame) for r in rho])
+        lam2 = np.array([speeds(float(r), frame)[1] for r in rho])
+        rep = check_subcharacteristic(frame, n)
+        assert rep.min_margin_lower == float(np.min(lam_star + frame.K))
+        assert rep.min_margin_upper == float(np.min(lam2 - lam_star))
+
+    def test_speed_above_tilt_raises(self):
+        # v = 1 + 2 rho: f' = 1 + 4 rho passes K = 1.5 first, at the second
+        # of 8 samples, rho = 0.1875, where equilibrium_speed raises too
+        rising = VelocityModel.custom(
+            v=lambda r: 1.0 + 2.0 * np.asarray(r, dtype=float),
+            dv=lambda r: np.full_like(np.asarray(r, dtype=float), 2.0),
+            d2v=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
+            v_inverse=lambda s: (np.asarray(s, dtype=float) - 1.0) / 2.0,
+            rho_jam=1.0)
+        frame = RelaxationFrame(1.5, KernelScale(0.1), rising)
+        with pytest.raises(FrameError, match=r"f'\(rho\) = 1\.75$"):
+            check_subcharacteristic(frame, 8)
+        with pytest.raises(FrameError, match=r"f'\(rho\) = 1\.75$"):
+            equilibrium_speed(0.1875, frame)
 
 
 class TestBVConditions:
