@@ -61,16 +61,24 @@ def kernel_deviation(rho: DensityField, q: AveragedField) -> tuple[float, float]
     """
     if rho.grid != q.grid:
         raise ShapeError("density and averaged field live on different grids")
-    return kernel_deviation_values(rho.values, q.values, rho.grid,
-                                   q.epsilon.epsilon)
+    deviation, bound = kernel_deviation_values(rho.values, q.values, rho.grid,
+                                               q.epsilon.epsilon)
+    return float(deviation), float(bound)
 
 
-def kernel_deviation_values(rho: np.ndarray, q: np.ndarray, grid,
-                            eps: float) -> tuple[float, float]:
-    """``kernel_deviation`` on raw arrays, for snapshot observers."""
-    deviation = float(np.sum(np.abs(q - rho))) * grid.dx
-    bound = eps * _variation(rho, grid.periodic)
-    return deviation, bound
+def kernel_deviation_values(rho: np.ndarray, q: np.ndarray, grid, eps):
+    """``kernel_deviation`` on raw arrays, for snapshot observers.
+
+    ``rho`` and ``q`` may hold an (M, N) ensemble, one member per row, with
+    ``eps`` one width per row: every row is reduced along the last axis at
+    once, bit for bit as the row alone, and (deviation, bound) come back as
+    arrays of M values.
+    """
+    deviation = np.sum(np.abs(q - rho), axis=-1) * grid.dx
+    tv = np.sum(np.abs(np.diff(rho, axis=-1)), axis=-1)
+    if grid.periodic:
+        tv = tv + np.abs(rho[..., 0] - rho[..., -1])
+    return deviation, eps * tv
 
 
 # ---------------------------------------------------------------------------
@@ -145,12 +153,25 @@ class BumpTestFunction:
 
 
 class EntropyProjector:
-    """The entropy residual of one run, fed a snapshot at a time.
+    """The entropy residuals of an ensemble of runs, fed a snapshot at a time.
 
     Built from the grid and the snapshot times, it runs every check of
     ``entropy_residual`` before any density arrives.  ``add`` then takes
-    the snapshot densities in time order and projects each one at once, so
-    no field is held; ``finish`` returns R(phi) for each phi.
+    each snapshot's (M, N) densities, one row per member, in time order
+    and projects them at once, so no field is held; ``finish`` returns
+    R(phi) for each phi, one list per member.
+
+    eta and psi are evaluated once per snapshot on the whole (M, N) array
+    (for a custom law, one psi quadrature for all members), and each row
+    is projected by its own matrix-vector product, so every member's
+    residuals are bit for bit those of a one-member projector.
+
+    A snapshot is dead when every time midpoint next to it has zero width
+    or lies outside every phi's time support (|theta| >= 1), so that
+    ``finish`` weighs its projections by zero.  eta and psi are never
+    evaluated on a dead snapshot; its projections are stored as exact
+    zeros.  The residuals are the same, except that a psi that is not
+    finite on a dead snapshot no longer turns them into NaN.
     """
 
     def __init__(self, grid, times, fe, phis):
@@ -181,42 +202,62 @@ class EntropyProjector:
         self._fe = fe
         self._times = times
         self._dx = grid.dx
-        self._center_t = np.array([phi.center_t for phi in phis])
         self._radius_t = np.array([phi.radius_t for phi in phis])
+        center_t = np.array([phi.center_t for phi in phis])
         center_x = np.array([phi.center_x for phi in phis])
         radius_x = np.array([phi.radius_x for phi in phis])
         xi = (grid.cell_centers()[:, None] - center_x) / radius_x
         self._space = BumpTestFunction._s(xi)                 # (N, n_phi)
         self._space_dx = BumpTestFunction._ds(xi) / radius_x
-        self._eta = np.empty((times.size, len(phis)))
-        self._psi = np.empty((times.size, len(phis)))
+        t_mid = 0.5 * (times[:-1] + times[1:])
+        self._theta = (t_mid[:, None] - center_t) / self._radius_t
+        weighted = (dt > 0) & np.any(np.abs(self._theta) < 1.0, axis=1)
+        self._live = np.zeros(times.size, dtype=bool)
+        self._live[:-1] |= weighted
+        self._live[1:] |= weighted
+        self._eta = self._psi = None          # (M, n_snap, n_phi)
         self._count = 0
 
     def add(self, rho: np.ndarray):
-        """Project the density of the next snapshot."""
+        """Project the (M, N) densities of the next snapshot."""
         n = self._count
         if n == self._times.size:
             raise InsufficientDataError(
                 f"all {n} snapshots were already added")
-        self._eta[n] = self._fe.eta(rho) @ self._space
-        self._psi[n] = self._fe.psi(rho) @ self._space_dx
+        if np.ndim(rho) != 2:
+            raise ShapeError(
+                f"expected (M, N) densities, got shape {np.shape(rho)}")
+        if self._eta is None:
+            shape = (len(rho), self._times.size, self._space.shape[1])
+            self._eta, self._psi = np.zeros(shape), np.zeros(shape)
+        elif len(rho) != len(self._eta):
+            raise ShapeError(f"expected {len(self._eta)} members, "
+                             f"got {len(rho)}")
+        if self._live[n]:
+            eta, psi = self._fe.eta(rho), self._fe.psi(rho)
+            for m in range(len(rho)):
+                self._eta[m, n] = eta[m] @ self._space
+                self._psi[m, n] = psi[m] @ self._space_dx
         self._count = n + 1
 
-    def finish(self) -> list[float]:
-        """R(phi) for each phi, once every snapshot has been added."""
+    def finish(self) -> list[list[float]]:
+        """R(phi) for each member and phi, once every snapshot is added."""
         if self._count != self._times.size:
             raise InsufficientDataError(
                 f"{self._count} of {self._times.size} snapshots added")
-        times, dt = self._times, np.diff(self._times)
+        dt = np.diff(self._times)
         keep = dt > 0
-        t_mid = 0.5 * (times[:-1] + times[1:])[keep]
-        eta_mid = 0.5 * (self._eta[:-1] + self._eta[1:])[keep]
-        psi_mid = 0.5 * (self._psi[:-1] + self._psi[1:])[keep]
-        theta = (t_mid[:, None] - self._center_t) / self._radius_t
-        integrand = (eta_mid * (BumpTestFunction._ds(theta) / self._radius_t)
-                     + psi_mid * BumpTestFunction._s(theta))
-        acc = (dt[keep] @ integrand) * self._dx
-        return [-float(a) for a in acc]
+        theta = self._theta[keep]
+        weight_eta = BumpTestFunction._ds(theta) / self._radius_t
+        weight_psi = BumpTestFunction._s(theta)
+        residuals = []
+        for eta, psi in zip(self._eta, self._psi):
+            eta_mid = 0.5 * (eta[:-1] + eta[1:])[keep]
+            psi_mid = 0.5 * (psi[:-1] + psi[1:])[keep]
+            integrand = eta_mid * weight_eta + psi_mid * weight_psi
+            acc = (dt[keep] @ integrand) * self._dx
+            residuals.append([-float(a) for a in acc])
+        return residuals
 
 
 def entropy_residual(traj, fe, phis) -> list[float]:
@@ -235,17 +276,18 @@ def entropy_residual(traj, fe, phis) -> list[float]:
 
     The sum is evaluated separably, since phi = s(theta) s(xi): each
     snapshot's eta and psi are projected onto the space factors s(xi) and
-    s'(xi)/radius_x as it is read (``EntropyProjector``), and the midpoint
-    average and the time weights s'(theta)/radius_t, s(theta) act on those
-    projections.  Extra memory is O(n_snap * n_phi + N * n_phi), never
-    O(n_snap * N).
+    s'(xi)/radius_x as it is read, and the midpoint average and the time
+    weights s'(theta)/radius_t, s(theta) act on those projections.  This
+    is the one-member case of ``EntropyProjector``, so snapshots outside
+    every phi's time support are not evaluated at all.  Extra memory is
+    O(n_snap * n_phi + N * n_phi), never O(n_snap * N).
     """
     snaps = traj.snapshots
     projector = EntropyProjector(snaps[0].rho.grid, [s.t for s in snaps],
                                  fe, phis)
     for snap in snaps:
-        projector.add(snap.rho.values)
-    return projector.finish()
+        projector.add(snap.rho.values[None])
+    return projector.finish()[0]
 
 
 # ---------------------------------------------------------------------------

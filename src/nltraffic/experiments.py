@@ -320,11 +320,13 @@ def _sweep_rows(config: ExperimentConfig, eps_values, initial: DensityField,
                 solver: SolverConfig) -> list[SweepRow]:
     """Rows for eps_values from one ensemble march over all of them.
 
-    Observers reduce each snapshot as it arrives: the kernel-deviation
-    margin and the entropy projections per member, and a copy of the
-    final densities; no history is held.  Each row's runtime is the
-    march's wall time, observers and row summaries included, split evenly
-    over its members.
+    Observers reduce each snapshot as it arrives, all members at once: one
+    kernel-deviation call for every member's margin, one
+    ``EntropyProjector`` call for every member's projections (none on a
+    snapshot that no test function weighs), and a copy of the final
+    densities; no history is held.  Each row's runtime is the march's wall
+    time, observers and row summaries included, split evenly over its
+    members.
     """
     grid = config.grid
     rho_min0 = float(np.min(initial.values))
@@ -333,16 +335,15 @@ def _sweep_rows(config: ExperimentConfig, eps_values, initial: DensityField,
     fe = FluxEntropyModel(config.model)
     start = time.perf_counter()
     times = solver.emission_times()
-    projectors = [EntropyProjector(grid, times, fe, phis) for _ in eps_values]
-    margins = [[] for _ in eps_values]
+    projector = EntropyProjector(grid, times, fe, phis)
+    widths = np.array(eps_values)
+    margins = []
     final = np.empty((len(eps_values), grid.n_cells))
 
     def observe(t: float, rho: np.ndarray, q: np.ndarray):
-        for m, eps_value in enumerate(eps_values):
-            dev, bound = kernel_deviation_values(rho[m], q[m], grid,
-                                                 eps_value)
-            margins[m].append(bound - dev)
-            projectors[m].add(rho[m])
+        dev, bound = kernel_deviation_values(rho, q, grid, widths)
+        margins.append(bound - dev)
+        projector.add(rho)
         if t == times[-1]:
             final[:] = rho
 
@@ -350,16 +351,19 @@ def _sweep_rows(config: ExperimentConfig, eps_values, initial: DensityField,
                            [KernelScale(e) for e in eps_values], solver,
                            observe)
     tv_bound = (rho_max0 / rho_min0) * tv0
+    kdev_margins = np.min(margins, axis=0)
+    residuals = projector.finish()
     rows = []
     for m, eps_value in enumerate(eps_values):
         final_rho = DensityField(grid, final[m])
         maxp = min(float(stats.rho_min_seen[m]) - rho_min0,
                    rho_max0 - float(stats.rho_max_seen[m]))
-        per_phi = tuple(max(r, 0.0) for r in projectors[m].finish())
+        per_phi = tuple(max(r, 0.0) for r in residuals[m])
         rows.append(SweepRow(
             eps_value, l1_distance(final_rho, reference_final),
-            total_variation(final_rho), tv_bound, maxp, min(margins[m]),
-            max(per_phi), 0.0, entropy_pos_per_phi=per_phi))
+            total_variation(final_rho), tv_bound, maxp,
+            float(kdev_margins[m]), max(per_phi), 0.0,
+            entropy_pos_per_phi=per_phi))
     runtime = (time.perf_counter() - start) / len(eps_values)
     return [replace(row, runtime_seconds=runtime) for row in rows]
 
@@ -575,18 +579,33 @@ def emit_report(report, fmt: str) -> str:
 # top-level experiment driver
 # ---------------------------------------------------------------------------
 
+def _csv_body(columns) -> str:
+    """Lines of comma-joined strings, one per row of the columns, each
+    ended by a newline; joined by ``str.join`` rather than per value."""
+    return "\n".join(map(",".join, zip(*columns))) + "\n"
+
+
+def _columns_csv(columns: dict) -> str:
+    """A header of the column names, then a line of float reprs per row."""
+    return ",".join(columns) + "\n" + _csv_body(
+        map(repr, col.tolist()) for col in columns.values())
+
+
 def _write_trajectory_csv(traj, path: Path):
-    """``t,x,rho,q`` long format, written one snapshot at a time."""
+    """``t,x,rho,q`` long format, written one snapshot at a time.
+
+    Every value is the ``repr`` of a float from ``tolist()``; the x
+    column's reprs are built once per file.
+    """
+    x = list(map(repr, traj.snapshots[0].rho.grid.cell_centers().tolist()))
     with open(path, "w") as fh:
         fh.write("t,x,rho,q\n")
         for snap in traj.snapshots:
-            x = snap.rho.grid.cell_centers()
-            q = snap.q.values if snap.q is not None else np.full(x.size,
+            q = snap.q.values if snap.q is not None else np.full(len(x),
                                                                  np.nan)
-            t_repr = repr(float(snap.t))
-            fh.write("".join(
-                f"{t_repr},{float(xi)!r},{float(ri)!r},{float(qi)!r}\n"
-                for xi, ri, qi in zip(x, snap.rho.values, q)))
+            fh.write(_csv_body([[repr(float(snap.t))] * len(x), x,
+                                map(repr, snap.rho.values.tolist()),
+                                map(repr, q.tolist())]))
 
 
 def _run_kind(config: ExperimentConfig, out: Path, seed: int | None) -> dict:
@@ -649,11 +668,7 @@ def _compare_kind(config: ExperimentConfig, out: Path, seed: int | None) -> dict
         payload["relaxation"] = {
             "newton_iterations_max": rt.newton_iterations_max,
             "bisection_cells": rt.bisection_cells}
-    header = ",".join(columns)
-    body = "\n".join(
-        ",".join(repr(float(col[i])) for col in columns.values())
-        for i in range(x.size))
-    (out / "fields.csv").write_text(header + "\n" + body + "\n")
+    (out / "fields.csv").write_text(_columns_csv(columns))
     payload["distances"] = distances
     (out / "compare.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -156,17 +156,20 @@ def godunov_flux(rho_left: float, rho_right: float,
     return float(fe.f(godunov_state(rho_left, rho_right, fe)))
 
 
-def _interface_flux_concave(fe: FluxEntropyModel, left: np.ndarray,
-                            right: np.ndarray, crit: float) -> np.ndarray:
-    """Vectorized Godunov flux for a concave f whose maximiser on
-    [0, rho_jam] is crit.
+def _interface_flux_concave(fe: FluxEntropyModel, cells: np.ndarray,
+                            crit: float) -> np.ndarray:
+    """Vectorized Godunov flux at the interfaces between neighbouring
+    ``cells``, for a concave f whose maximiser on [0, rho_jam] is crit.
 
     Equals godunov_flux pairwise: concavity puts minima at the endpoints
-    and maxima at the critical point clamped into the interval.
+    and maxima at the critical point clamped into the interval.  f is
+    evaluated once per cell; both sides of a shock read those values.  A
+    caller with separate pairs passes [L1, R1, L2, R2, ...] and reads
+    every second interface.
     """
-    f_left = fe.f(left)
-    f_right = fe.f(right)
-    shock = np.minimum(f_left, f_right)
+    left, right = cells[:-1], cells[1:]
+    f_cells = fe.f(cells)
+    shock = np.minimum(f_cells[:-1], f_cells[1:])
     fan = fe.f(np.clip(crit, right, left))
     return np.where(left <= right, shock, fan)
 
@@ -203,18 +206,12 @@ def _critical_density(fe: FluxEntropyModel) -> float | None:
     return lo if abs(df_lo) < abs(df_hi) else hi
 
 
-def _interface_flux(fe: FluxEntropyModel, left: np.ndarray,
-                    right: np.ndarray, crit: float | None) -> np.ndarray:
+def _interface_flux(fe: FluxEntropyModel, cells: np.ndarray,
+                    crit: float | None) -> np.ndarray:
     if crit is None:
         return np.array([godunov_flux(float(a), float(b), fe)
-                         for a, b in zip(left, right)])
-    return _interface_flux_concave(fe, left, right, crit)
-
-
-def _with_ghosts(values: np.ndarray, periodic: bool) -> np.ndarray:
-    if periodic:
-        return np.concatenate([values[-1:], values, values[:1]])
-    return np.concatenate([values[:1], values, values[-1:]])
+                         for a, b in zip(cells[:-1], cells[1:])])
+    return _interface_flux_concave(fe, cells, crit)
 
 
 def solve_local(initial: DensityField, fe: FluxEntropyModel,
@@ -229,7 +226,7 @@ def solve_local(initial: DensityField, fe: FluxEntropyModel,
     When f is concave (every affine law, and custom laws with
     2 v' + rho v'' <= 0 at every sample of [0, rho_jam]) the critical
     density is found once and the flux is evaluated for all interfaces at
-    once.  Otherwise each interface runs the scalar ``godunov_flux``, whose
+    once, from one evaluation of f per cell.  Otherwise each interface runs the scalar ``godunov_flux``, whose
     bounded optimiser can be misled where f is not unimodal.
     """
     grid = initial.grid
@@ -243,15 +240,21 @@ def solve_local(initial: DensityField, fe: FluxEntropyModel,
     speed = fe.max_wave_speed()
     dt_cfl = config.cfl * grid.dx / speed if speed > 0 else config.t_final
 
-    rho = initial.values.copy()
+    # the cells between one ghost cell at each end, stepped in place
+    padded = np.empty(grid.n_cells + 2)
+    rho = padded[1:-1]
+    rho[:] = initial.values
     snapshots = []
     seen_min, seen_max = lo, hi
 
     def advance(dt: float) -> bool:
-        nonlocal rho, seen_min, seen_max
-        padded = _with_ghosts(rho, grid.periodic)
-        flux = _interface_flux(fe, padded[:-1], padded[1:], crit)
-        rho = rho - (dt / grid.dx) * (flux[1:] - flux[:-1])
+        nonlocal seen_min, seen_max
+        if grid.periodic:
+            padded[0], padded[-1] = rho[-1], rho[0]
+        else:
+            padded[0], padded[-1] = rho[0], rho[-1]
+        flux = _interface_flux(fe, padded, crit)
+        rho[:] -= (dt / grid.dx) * (flux[1:] - flux[:-1])
         if not np.all(np.isfinite(rho)):
             return False
         seen_min = min(seen_min, float(np.min(rho)))

@@ -240,8 +240,10 @@ def picard_oracle(initial: DensityField, model: VelocityModel,
     one floor and two gathers from the node values and their forward
     differences, with the index wrapped on periodic grids and the point
     clamped to the table under constant extension.  Center (rho) nodes sit
-    half a cell right of the edge (q) nodes.  A sweep takes O(levels * N)
-    time and the tables O(levels * N) memory.
+    half a cell right of the edge (q) nodes.  Row l is traced back
+    through l levels, so a sweep over m levels visits m (m + 1) / 2
+    row-levels and takes O(levels^2 * N) time (2775 row-levels of N cells
+    at 74 levels); the tables take O(levels * N) memory.
 
     The transform contracts only for short horizons on Lipschitz,
     uniformly positive data; that is the intended regime: divergence raises

@@ -102,18 +102,15 @@ def _entropy_positive_parts(n_cells: int, eps_values) -> np.ndarray:
     config = SolverConfig(t_final=10.0, cfl=0.5, snapshot_times=snaps)
     initial = make_initial(grid, Riemann(0.8, 0.2, 0.0))
     # all widths step as one ensemble; at N = 4096 the narrowest kernel
-    # (h N ~ 1120) scans as two rows beside the one-row members
-    projectors = [EntropyProjector(grid, config.emission_times(), FE,
-                                   ENTROPY_PHIS) for _ in eps_values]
-
-    def project(t, rho, q):
-        for projector, row in zip(projectors, rho):
-            projector.add(row)
-
+    # (h N ~ 1120) scans as two rows beside the one-row members.  One
+    # projector takes every member's snapshot at once and skips the 243 of
+    # 321 snapshots, those outside [6.6875, 9.09375], that no bump weighs.
+    projector = EntropyProjector(grid, config.emission_times(), FE,
+                                 ENTROPY_PHIS)
     march_nonlocal([initial] * len(eps_values), MODEL,
-                   [KernelScale(eps) for eps in eps_values], config, project)
-    return np.array([[max(r, 0.0) for r in projector.finish()]
-                     for projector in projectors])
+                   [KernelScale(eps) for eps in eps_values], config,
+                   lambda t, rho, q: projector.add(rho))
+    return np.maximum(np.array(projector.finish()), 0.0)
 
 
 @pytest.fixture(scope="module")

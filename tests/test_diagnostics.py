@@ -14,8 +14,10 @@ from nltraffic import (BumpTestFunction, DensityField, DomainError,
                        make_initial, shifted_product_check, solve_local,
                        solve_nonlocal, stability_gap, symmetric_rearrangement,
                        total_variation)
-from nltraffic.diagnostics import (DiagnosticsReport, InsufficientDataError,
-                                   SupportError, max_permuted_product)
+from nltraffic.diagnostics import (DiagnosticsReport, EntropyProjector,
+                                   InsufficientDataError, SupportError,
+                                   kernel_deviation_values,
+                                   max_permuted_product)
 
 from conftest import quadratic_model, random_bv_field
 
@@ -234,6 +236,160 @@ class TestEntropyResidualEquivalence:
     def test_no_bumps(self):
         traj, fe = _equivalence_case("affine", "nonlocal")
         assert entropy_residual(traj, fe, []) == []
+
+
+def projector_loop(grid, times, fe, phis, rows):
+    """One member's residuals with every snapshot projected (test oracle).
+
+    ``rows`` holds the member's (n_snap, N) densities.  Each snapshot's
+    eta and psi are projected on its own, dead or not, the way a
+    one-member ``EntropyProjector`` did before it skipped snapshots that
+    no phi weighs.
+    """
+    x = grid.cell_centers()
+    space = np.stack([BumpTestFunction._s((x - p.center_x) / p.radius_x)
+                      for p in phis], axis=1)
+    space_dx = np.stack([BumpTestFunction._ds((x - p.center_x) / p.radius_x)
+                         / p.radius_x for p in phis], axis=1)
+    eta = np.stack([fe.eta(row) @ space for row in rows])
+    psi = np.stack([fe.psi(row) @ space_dx for row in rows])
+    center_t = np.array([p.center_t for p in phis])
+    radius_t = np.array([p.radius_t for p in phis])
+    dt = np.diff(times)
+    keep = dt > 0
+    t_mid = 0.5 * (times[:-1] + times[1:])[keep]
+    eta_mid = 0.5 * (eta[:-1] + eta[1:])[keep]
+    psi_mid = 0.5 * (psi[:-1] + psi[1:])[keep]
+    theta = (t_mid[:, None] - center_t) / radius_t
+    integrand = (eta_mid * (BumpTestFunction._ds(theta) / radius_t)
+                 + psi_mid * BumpTestFunction._s(theta))
+    return [-float(a) for a in (dt[keep] @ integrand) * grid.dx]
+
+
+def kernel_deviation_loop(rho, q, grid, eps):
+    """One row's (deviation, bound) as Python floats (test oracle)."""
+    deviation = float(np.sum(np.abs(q - rho))) * grid.dx
+    tv = float(np.sum(np.abs(np.diff(rho))))
+    if grid.periodic:
+        tv += abs(float(rho[0] - rho[-1]))
+    return deviation, eps * tv
+
+
+T_ENSEMBLE = 1.0
+N_ENSEMBLE_SNAPS = 200   # spacing 0.005 needs radius_t >= 0.08
+# phi time windows: one inside [0.08, 0.37], one inside [0.58, 0.87]
+ENSEMBLE_WINDOWS = ((0.2, 0.25), (0.7, 0.75))
+
+
+@st.composite
+def windowed_bumps(draw):
+    """Two or three bumps whose time supports fall in two separate
+    windows of [0, 1], so that dead snapshots lie before, between and
+    after them."""
+    windows = list(ENSEMBLE_WINDOWS) + draw(
+        st.lists(st.sampled_from(ENSEMBLE_WINDOWS), max_size=1))
+    phis = []
+    for lo, hi in windows:
+        radius_x = draw(st.floats(0.05, 1.0))
+        phis.append(BumpTestFunction(
+            draw(st.floats(-1.0 + radius_x, 1.0 - radius_x)),
+            draw(st.floats(lo, hi)), radius_x, draw(st.floats(0.1, 0.12))))
+    return phis
+
+
+class TestEnsembleProjector:
+    """The ensemble observers against member-by-member evaluation, bit for
+    bit: the projector against one-member projectors and against the
+    projection of every snapshot, and the batched kernel-deviation
+    margins against the per-row formula."""
+
+    @given(law=st.sampled_from(["affine", "quadratic"]),
+           boundary=st.sampled_from(["periodic", "constant_extension"]),
+           n_cells=st.sampled_from([40, 300]),
+           members=st.integers(1, 5),
+           phis=windowed_bumps(),
+           duplicates=st.lists(st.integers(0, N_ENSEMBLE_SNAPS),
+                               max_size=4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_member(self, law, boundary, n_cells, members,
+                                phis, duplicates, seed):
+        model = (quadratic_model() if law == "quadratic"
+                 else VelocityModel.affine(1.0, 1.0))
+        fe = FluxEntropyModel(model)
+        grid = Grid(-1.0, 1.0, n_cells, boundary)
+        base = np.linspace(0.0, T_ENSEMBLE, N_ENSEMBLE_SNAPS + 1)
+        # a duplicated time is a zero-width pair of snapshots
+        times = np.sort(np.concatenate([base, base[duplicates]]))
+        rng = np.random.default_rng(seed)
+        rho = rng.uniform(0.0, 1.0, (times.size, members, n_cells))
+        q = rng.uniform(0.0, 1.0, rho.shape)
+        widths = rng.uniform(0.01, 0.5, members)
+
+        ensemble = EntropyProjector(grid, times, fe, phis)
+        lone = [EntropyProjector(grid, times, fe, phis)
+                for _ in range(members)]
+        for snap_rho, snap_q in zip(rho, q):
+            ensemble.add(snap_rho)
+            for m, projector in enumerate(lone):
+                projector.add(snap_rho[m:m + 1])
+            dev, bound = kernel_deviation_values(snap_rho, snap_q, grid,
+                                                 widths)
+            for m in range(members):
+                assert (dev[m], bound[m]) == kernel_deviation_loop(
+                    snap_rho[m], snap_q[m], grid, widths[m])
+        residuals = ensemble.finish()
+        assert residuals == [p.finish()[0] for p in lone]
+        assert residuals == [projector_loop(grid, times, fe, phis, rho[:, m])
+                             for m in range(members)]
+
+    def test_psi_never_sees_a_dead_snapshot(self):
+        base = np.linspace(0.0, T_ENSEMBLE, N_ENSEMBLE_SNAPS + 1)
+        # twins at t = 0.2 (live) and t = 0.5 (dead)
+        times = np.sort(np.concatenate([base, [0.2, 0.5]]))
+        # windows [0.11, 0.33] and [0.61, 0.83]; every midpoint lies
+        # 0.0025 or more from their ends
+        phis = [BumpTestFunction(0.0, 0.22, 0.5, 0.11),
+                BumpTestFunction(0.3, 0.72, 0.5, 0.11)]
+        t_mid = 0.5 * (times[:-1] + times[1:])
+        weighed = (np.diff(times) > 0) & (
+            (np.abs(t_mid - 0.22) < 0.11) | (np.abs(t_mid - 0.72) < 0.11))
+        live = [n for n in range(times.size)
+                if (n > 0 and weighed[n - 1])
+                or (n < times.size - 1 and weighed[n])]
+        assert live[0] > 0 and live[-1] < times.size - 1
+        assert len(live) < live[-1] - live[0] + 1      # a gap between
+        seen = []
+
+        class CountingModel(FluxEntropyModel):
+            def psi(self, rho):
+                # snapshot n holds the density (n + 1) / (n_snap + 1)
+                seen.append(round(float(np.ravel(rho)[0]) * (times.size + 1)) - 1)
+                return super().psi(rho)
+
+        fe = CountingModel(quadratic_model())
+        rho = np.repeat((np.arange(times.size) + 1.0) / (times.size + 1),
+                        3 * 16).reshape(times.size, 3, 16)
+        grid = Grid(-1.0, 1.0, 16, "constant_extension")
+        projector = EntropyProjector(grid, times, fe, phis)
+        for snap in rho:
+            projector.add(snap)
+        assert seen == live
+        assert projector.finish() == [projector_loop(grid, times, fe, phis, rho[:, m])
+                             for m in range(3)]
+
+    def test_rows_must_keep_their_shape(self):
+        grid = Grid(-1.0, 1.0, 16, "periodic")
+        projector = EntropyProjector(grid, [0.0, 0.1],
+                                     FluxEntropyModel(
+                                         VelocityModel.affine(1.0, 1.0)), [])
+        with pytest.raises(ShapeError, match="expected"):
+            projector.add(np.full(16, 0.5))
+        projector.add(np.full((2, 16), 0.5))
+        with pytest.raises(ShapeError, match="expected 2 members, got 3"):
+            projector.add(np.full((3, 16), 0.5))
+        projector.add(np.full((2, 16), 0.5))
+        assert projector.finish() == [[], []]
 
 
 class TestEntropyResidualErrors:

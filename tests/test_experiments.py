@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nltraffic import DensityField, Grid, KernelScale, VelocityModel
+from nltraffic import (DensityField, FluxEntropyModel, Grid, KernelScale,
+                       Riemann, SolverConfig, VelocityModel, make_initial,
+                       solve_local, solve_nonlocal)
 from nltraffic.cli import main
 from nltraffic.core import NumericsError
 from nltraffic.diagnostics import DiagnosticsReport
@@ -256,6 +258,61 @@ initial.x0 = 0.0
 relaxation.K = 4.0
 solver.t_final = 0.0
 """
+
+
+def trajectory_csv_loop(traj, path):
+    """The per-value ``t,x,rho,q`` writer the joined one replaced (test
+    oracle)."""
+    with open(path, "w") as fh:
+        fh.write("t,x,rho,q\n")
+        for snap in traj.snapshots:
+            x = snap.rho.grid.cell_centers()
+            q = snap.q.values if snap.q is not None else np.full(x.size,
+                                                                 np.nan)
+            t_repr = repr(float(snap.t))
+            fh.write("".join(
+                f"{t_repr},{float(xi)!r},{float(ri)!r},{float(qi)!r}\n"
+                for xi, ri, qi in zip(x, snap.rho.values, q)))
+
+
+def columns_csv_loop(columns) -> str:
+    """The per-value ``fields.csv`` writer the joined one replaced (test
+    oracle)."""
+    n = len(next(iter(columns.values())))
+    body = "\n".join(
+        ",".join(repr(float(col[i])) for col in columns.values())
+        for i in range(n))
+    return ",".join(columns) + "\n" + body + "\n"
+
+
+class TestCsvWriters:
+    """The joined writers against the per-value ones, byte for byte."""
+
+    @pytest.mark.parametrize("solver", ["nonlocal", "local"])
+    def test_trajectory_csv(self, solver, tmp_path):
+        model = VelocityModel.affine(1.0, 1.0)
+        initial = make_initial(Grid(-1.0, 1.0, 96, "constant_extension"),
+                               Riemann(0.2, 0.8, 0.1))
+        config = SolverConfig(t_final=0.1, snapshot_times=(0.03, 0.07))
+        if solver == "nonlocal":
+            traj = solve_nonlocal(initial, model, KernelScale(0.05), config)
+        else:   # local snapshots carry no q: a column of nan
+            traj = solve_local(initial, FluxEntropyModel(model), config)
+        experiments._write_trajectory_csv(traj, tmp_path / "joined.csv")
+        trajectory_csv_loop(traj, tmp_path / "loop.csv")
+        joined = (tmp_path / "joined.csv").read_bytes()
+        assert joined == (tmp_path / "loop.csv").read_bytes()
+        assert joined.count(b"\n") == 1 + 4 * 96
+        if solver == "local":
+            assert joined.endswith(b",nan\n")
+
+    def test_columns_csv(self):
+        rng = np.random.default_rng(7)
+        odd = np.array([0.0, -0.0, 1e-300, -2.5e17, 1.0 / 3.0, np.nan,
+                        np.inf, 5e-324])
+        columns = {"x": np.linspace(-3.0, 3.0, odd.size),
+                   "a": odd, "b": rng.standard_normal(odd.size)}
+        assert experiments._columns_csv(columns) == columns_csv_loop(columns)
 
 
 class TestRunExperiment:

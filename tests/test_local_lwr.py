@@ -34,6 +34,13 @@ EDGE_PAIRS = [(0.0, 0.0), (1.0, 1.0), (0.4, 0.4), (0.9, 0.1), (1.0, 0.0),
 FLUX_ULP_TOL = 4.0
 
 
+def _pair_flux(fe, left, right, crit):
+    """The cell-wise concave flux on separate (left, right) pairs: fed the
+    cells [L1, R1, L2, R2, ...], its every second interface is a pair's."""
+    cells = np.column_stack([left, right]).ravel()
+    return _interface_flux_concave(fe, cells, crit)[::2]
+
+
 def _affine_formula(fe, left, right):
     # the affine-only vectorized flux that predates the concave one
     crit = fe.model.a / (2.0 * fe.model.b)
@@ -169,7 +176,7 @@ class TestGodunovFlux:
         rng = np.random.default_rng(5)
         left = rng.uniform(0.0, 1.0, 200)
         right = rng.uniform(0.0, 1.0, 200)
-        fast = _interface_flux_concave(fe, left, right, _critical_density(fe))
+        fast = _pair_flux(fe, left, right, _critical_density(fe))
         slow = np.array([godunov_flux(a, b, fe) for a, b in zip(left, right)])
         assert np.max(np.abs(fast - slow)) < 1e-15
 
@@ -191,7 +198,7 @@ class TestConcaveFastPath:
     def test_matches_scalar_godunov_flux(self, name, pairs):
         fe = FluxEntropyModel(CONCAVE_LAWS[name])
         left, right = np.array(pairs + EDGE_PAIRS).T
-        fast = _interface_flux_concave(fe, left, right, _critical_density(fe))
+        fast = _pair_flux(fe, left, right, _critical_density(fe))
         slow = np.array([godunov_flux(a, b, fe) for a, b in zip(left, right)])
         assert np.all(np.abs(fast - slow)
                       <= FLUX_ULP_TOL * np.spacing(np.abs(slow)))
@@ -202,7 +209,7 @@ class TestConcaveFastPath:
         fe = FluxEntropyModel(VelocityModel.affine(1.0, 1.0))
         left, right = np.array(pairs + EDGE_PAIRS).T
         assert np.array_equal(
-            _interface_flux_concave(fe, left, right, _critical_density(fe)),
+            _pair_flux(fe, left, right, _critical_density(fe)),
             _affine_formula(fe, left, right))
 
     @pytest.mark.parametrize("name", sorted(CONCAVE_LAWS))
@@ -246,7 +253,7 @@ class TestConcaveFastPath:
         assert _critical_density(fe) == crest
         left, right = np.array(EDGE_PAIRS).T
         slow = np.array([godunov_flux(a, b, fe) for a, b in zip(left, right)])
-        fast = _interface_flux_concave(fe, left, right, crest)
+        fast = _pair_flux(fe, left, right, crest)
         assert np.all(np.abs(fast - slow)
                       <= FLUX_ULP_TOL * np.spacing(np.abs(slow)))
 
@@ -259,6 +266,38 @@ class TestConcaveFastPath:
                            SolverConfig(t_final=0.1))
         assert traj.step_count > 0
         assert calls == []
+
+    @pytest.mark.parametrize("boundary", ["periodic", "constant_extension"])
+    @pytest.mark.parametrize("name", sorted(CONCAVE_LAWS))
+    def test_step_flux_equals_pairwise_flux(self, name, boundary,
+                                            monkeypatch):
+        # every flux solve_local steps with, read from one f per cell,
+        # equals the flux that evaluates f(L) and f(R) per interface; the
+        # data cluster at the crest, where a rounding gap would show
+        fe = FluxEntropyModel(CONCAVE_LAWS[name])
+        crit = _critical_density(fe)
+        real = local_lwr._interface_flux
+        steps = []
+
+        def checked(fe_, cells, crit_):
+            left, right = cells[:-1], cells[1:]
+            pairwise = np.where(left <= right,
+                                np.minimum(fe.f(left), fe.f(right)),
+                                fe.f(np.clip(crit, right, left)))
+            flux = real(fe_, cells, crit_)
+            assert np.array_equal(flux, pairwise)
+            steps.append(cells.size)
+            return flux
+
+        monkeypatch.setattr(local_lwr, "_interface_flux", checked)
+        rng = np.random.default_rng(3)
+        values = rng.uniform(0.05, 0.95, 128)
+        values[::2] = np.clip(crit + rng.choice([-1.0, 1.0], 64)
+                              * 10.0 ** rng.uniform(-16, -2, 64), 0.0, 1.0)
+        g = Grid(-1.0, 1.0, 128, boundary)
+        traj = solve_local(DensityField(g, values), fe,
+                           SolverConfig(t_final=0.05))
+        assert steps == [130] * traj.step_count
 
     def test_non_concave_law_takes_scalar_path(self, monkeypatch):
         # v = (1 - rho)^2: f = rho (1 - rho)^2 is convex above rho = 2/3
