@@ -259,10 +259,10 @@ def validate_model(model: VelocityModel, n_samples: int) -> ModelValidationRepor
     The sup norm of v'' over the samples is reported for use by the
     relaxation-side condition checks, and the sup of the flux curvature
     2 v' + rho v'' (``flux_curvature_sup``) tells whether the flux is
-    concave on the samples.  Concavity is reported, not checked: the
-    paper does not assume it, only the local Godunov solver's fast path
-    does.  Admissibility is verified, not enforced: a failing model is
-    returned with failing entries rather than rejected.
+    concave on the samples.  Concavity is reported, not checked: neither
+    the paper nor the local Godunov solver assumes it.  Admissibility is
+    verified, not enforced: a failing model is returned with failing
+    entries rather than rejected.
     """
     if n_samples < 2:
         raise DomainError(f"need n_samples >= 2, got {n_samples}")

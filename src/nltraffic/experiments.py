@@ -13,7 +13,7 @@ import hashlib
 import json
 import platform
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -254,12 +254,6 @@ class SweepRow:
     runtime_seconds: float
     entropy_pos_per_phi: tuple[float, ...] = ()
     error: str | None = None
-
-    def csv_values(self) -> list[str]:
-        vals = [self.epsilon, self.l1_to_reference, self.tv_final,
-                self.tv_bound, self.maxp_margin, self.kdev_margin,
-                self.entropy_pos_part, self.runtime_seconds]
-        return [repr(float(v)) for v in vals]
 
 
 @dataclass(frozen=True)
@@ -512,10 +506,12 @@ def domain_coverage(initial: DensityField, eps_value: float,
 # ---------------------------------------------------------------------------
 
 def sweep_csv(report: SweepReport) -> str:
-    lines = [",".join(SWEEP_CSV_COLUMNS)]
-    for row in report.rows:
-        lines.append(",".join(row.csv_values()))
-    return "\n".join(lines) + "\n"
+    if not report.rows:   # _csv_body would add an empty line
+        return ",".join(SWEEP_CSV_COLUMNS) + "\n"
+    return _columns_csv({
+        name: np.array([getattr(row, name) for row in report.rows],
+                       dtype=float)
+        for name in SWEEP_CSV_COLUMNS})
 
 
 def _json_metadata(config: ExperimentConfig, seed: int | None) -> dict:
@@ -536,14 +532,7 @@ def _json_metadata(config: ExperimentConfig, seed: int | None) -> dict:
 def _sweep_payload(report: SweepReport) -> dict:
     """Rows and slopes of a sweep, shared by sweep.json and emit_report."""
     return {
-        "rows": [
-            {"epsilon": r.epsilon, "l1_to_reference": r.l1_to_reference,
-             "tv_final": r.tv_final, "tv_bound": r.tv_bound,
-             "maxp_margin": r.maxp_margin, "kdev_margin": r.kdev_margin,
-             "entropy_pos_part": r.entropy_pos_part,
-             "entropy_pos_per_phi": list(r.entropy_pos_per_phi),
-             "runtime_seconds": r.runtime_seconds, "error": r.error}
-            for r in report.rows],
+        "rows": [asdict(row) for row in report.rows],
         "slopes": {"l1_vs_epsilon": report.slope_l1,
                    "entropy_pos_vs_epsilon": report.slope_entropy}}
 

@@ -9,12 +9,12 @@ reference in convergence sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 
 import numpy as np
 
-from .core import (DensityField, DomainError, SolverConfig, VelocityModel,
-                   flux_curvature_sup)
+from .core import (DensityField, DomainError, ModelEvaluationError,
+                   SolverConfig, VelocityModel)
 from .trajectory import Snapshot, Trajectory, march
 
 
@@ -52,9 +52,8 @@ def _gauss_legendre_32() -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-# samples of [0, rho_jam] on which a custom law's flux must be concave for
-# solve_local's vectorized step; the same count as max_wave_speed's
-_CONCAVITY_SAMPLES = 257
+# samples of [0, rho_jam] on which solve_local reads f' and f'' per solve
+_FLUX_SAMPLES = 257
 
 
 @dataclass(frozen=True)
@@ -67,11 +66,8 @@ class FluxEntropyModel:
     32-point Gauss-Legendre quadrature of rho f'(rho) from zero, all cells
     at once on a (cells x 32) node array.
 
-    ``solve_local`` steps every interface at once when f is concave: always
-    for affine v, and for custom v when 2 v' + rho v'' <= 0 at every sample
-    (``core.flux_curvature_sup``).  A non-concave custom law runs the scalar
-    ``godunov_flux`` at each interface on every step; that bounded
-    optimiser is the only part of the solver that loads ``scipy.optimize``.
+    ``solve_local`` steps all interfaces at once for every law; the scalar
+    ``godunov_flux`` (the only code loading ``scipy.optimize``) is its oracle.
     """
 
     model: VelocityModel
@@ -83,6 +79,10 @@ class FluxEntropyModel:
     def df(self, rho) -> np.ndarray:
         rho = np.asarray(rho, dtype=float)
         return self.model.v(rho) + rho * self.model.dv(rho)
+
+    def d2f(self, rho) -> np.ndarray:
+        rho = np.asarray(rho, dtype=float)
+        return 2.0 * self.model.dv(rho) + rho * self.model.d2v(rho)
 
     def eta(self, rho) -> np.ndarray:
         rho = np.asarray(rho, dtype=float)
@@ -101,11 +101,6 @@ class FluxEntropyModel:
         integrand = y * self.df(y.ravel()).reshape(y.shape)
         out = flat / 2.0 * np.sum(weights * integrand, axis=-1)
         return out.reshape(np.shape(rho)) if np.ndim(rho) else float(out[0])
-
-    def max_wave_speed(self, n_samples: int = 257) -> float:
-        """max |f'| over [0, rho_jam], sampled."""
-        rho = np.linspace(0.0, self.model.rho_jam, n_samples)
-        return float(np.max(np.abs(self.df(rho))))
 
 
 def _check_band(value: float, rho_jam: float, name: str):
@@ -156,62 +151,81 @@ def godunov_flux(rho_left: float, rho_right: float,
     return float(fe.f(godunov_state(rho_left, rho_right, fe)))
 
 
-def _interface_flux_concave(fe: FluxEntropyModel, cells: np.ndarray,
-                            crit: float) -> np.ndarray:
-    """Vectorized Godunov flux at the interfaces between neighbouring
-    ``cells``, for a concave f whose maximiser on [0, rho_jam] is crit.
+def _root(g, lo: float, hi: float) -> float:
+    """Where g falls through zero on [lo, hi]: lo if g(lo) <= 0, hi if
+    g(hi) >= 0, else of the adjacent floats that bisection (a NaN counting
+    as <= 0) leaves around the sign change, the one with smaller |g|."""
+    g_lo, g_hi = g(lo), g(hi)
+    if g_lo <= 0.0:
+        return lo
+    if g_hi >= 0.0:
+        return hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        g_mid = g(mid)
+        if g_mid > 0.0:
+            lo, g_lo = mid, g_mid
+        else:
+            hi, g_hi = mid, g_mid
+    return lo if abs(g_lo) < abs(g_hi) else hi
 
-    Equals godunov_flux pairwise: concavity puts minima at the endpoints
-    and maxima at the critical point clamped into the interval.  f is
-    evaluated once per cell; both sides of a shock read those values.  A
-    caller with separate pairs passes [L1, R1, L2, R2, ...] and reads
-    every second interface.
-    """
-    left, right = cells[:-1], cells[1:]
-    f_cells = fe.f(cells)
-    shock = np.minimum(f_cells[:-1], f_cells[1:])
-    fan = fe.f(np.clip(crit, right, left))
-    return np.where(left <= right, shock, fan)
 
+def _flux_shape(fe: FluxEntropyModel):
+    """max |f'| over the samples, and the states ``(low, high)`` at which
+    f, clipped into an interface's interval, attains its min or its max.
 
-def _critical_density(fe: FluxEntropyModel) -> float | None:
-    """Maximiser of f on [0, rho_jam] when f is concave, else None.
-
-    Affine laws give the exact a / (2 b).  Custom laws count as concave
-    when 2 v' + rho v'' <= 0 at every sample of ``flux_curvature_sup``;
-    their crest is an end of the range when f is monotone there, else the
-    root of f', bisected on the sign of f' (non-increasing for a concave
-    f) until the two ends are adjacent floats.  Of those two it returns
-    the one with the smaller |f'|.  A law that is non-concave only between
-    samples is taken as concave.
+    The sampled sign changes of f'', bisected to adjacent floats, split
+    [0, rho_jam] into concave pieces, whose min lies at their ends and max
+    at their crest (an affine law's exact a / (2 b)), and convex pieces,
+    whose max lies at their ends and min at their trough.  A sign change
+    between samples is not seen; a non-finite sample of f' or f'' raises
+    ``ModelEvaluationError``.
     """
     model = fe.model
-    if model.is_affine:
-        return model.a / (2.0 * model.b)
-    if not flux_curvature_sup(model, _CONCAVITY_SAMPLES) <= 0.0:
-        return None
-    lo, hi = 0.0, model.rho_jam
-    df_lo, df_hi = float(fe.df(lo)), float(fe.df(hi))
-    if df_lo <= 0.0:
-        return lo
-    if df_hi >= 0.0:
-        return hi
-    # f'(lo) > 0 >= f'(hi) throughout; a NaN f' counts as <= 0
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        df_mid = float(fe.df(mid))
-        if df_mid > 0.0:
-            lo, df_lo = mid, df_mid
-        else:
-            hi, df_hi = mid, df_mid
-    return lo if abs(df_lo) < abs(df_hi) else hi
+    rho = np.linspace(0.0, model.rho_jam, _FLUX_SAMPLES)
+    df, d2f = fe.df(rho), fe.d2f(rho)
+    bad = rho[~(np.isfinite(df) & np.isfinite(d2f))]
+    if bad.size:
+        raise ModelEvaluationError(f"f' or f'' not finite at rho = {bad[0]}")
+    convex = d2f > 0.0
+    cuts = np.flatnonzero(convex[1:] != convex[:-1]).tolist()
+    kinds = convex[[0] + [i + 1 for i in cuts]].tolist()
+    samples, ends = rho.tolist(), [0.0, model.rho_jam]
+    for i, kind in zip(cuts, kinds):
+        sign = 1.0 if kind else -1.0   # f'' falls from a convex piece
+        ends.insert(-1, _root(lambda r: sign * float(fe.d2f(r)),
+                              samples[i], samples[i + 1]))
+    low, high = set(), set()
+    for lo, hi, kind in zip(ends[:-1], ends[1:], kinds):
+        sign = -1.0 if kind else 1.0   # f' falls at a crest, rises at a trough
+        (high if kind else low).update((lo, hi))
+        (low if kind else high).add(
+            model.a / (2.0 * model.b) if model.is_affine
+            else _root(lambda r: sign * float(fe.df(r)), lo, hi))
+    return float(np.max(np.abs(df))), (tuple(sorted(low)),
+                                        tuple(sorted(high)))
+
+
+def _extremum(fe, pick, states, lo, hi, f_lo, f_hi) -> np.ndarray:
+    """``pick`` (np.minimum or np.maximum) of f at the states clipped into
+    [lo, hi]; a state at an end of [0, rho_jam] is read as f_lo or f_hi."""
+    return reduce(pick, [f_lo if s <= 0.0 else f_hi if s >= fe.model.rho_jam
+                         else fe.f(np.clip(s, lo, hi)) for s in states])
 
 
 def _interface_flux(fe: FluxEntropyModel, cells: np.ndarray,
-                    crit: float | None) -> np.ndarray:
-    if crit is None:
-        return np.array([godunov_flux(float(a), float(b), fe)
-                         for a, b in zip(cells[:-1], cells[1:])])
-    return _interface_flux_concave(fe, cells, crit)
+                    states) -> np.ndarray:
+    """Godunov flux between neighbouring ``cells``: the min of f over
+    [L, R] where L <= R, else the max over [R, L], at the ``_flux_shape``
+    states (concave law: min(f_L, f_R) or f(clip(crest, R, L))), from one
+    f per cell.  A caller with separate pairs passes [L1, R1, L2, R2, ...]
+    and reads every second interface."""
+    (low, high), left, right = states, cells[:-1], cells[1:]
+    f_cells = fe.f(cells)
+    f_left, f_right = f_cells[:-1], f_cells[1:]
+    return np.where(
+        left <= right,
+        _extremum(fe, np.minimum, low, left, right, f_left, f_right),
+        _extremum(fe, np.maximum, high, right, left, f_right, f_left))
 
 
 def solve_local(initial: DensityField, fe: FluxEntropyModel,
@@ -223,11 +237,8 @@ def solve_local(initial: DensityField, fe: FluxEntropyModel,
     The scheme is total-variation diminishing and respects the range of the
     initial data.
 
-    When f is concave (every affine law, and custom laws with
-    2 v' + rho v'' <= 0 at every sample of [0, rho_jam]) the critical
-    density is found once and the flux is evaluated for all interfaces at
-    once, from one evaluation of f per cell.  Otherwise each interface runs the scalar ``godunov_flux``, whose
-    bounded optimiser can be misled where f is not unimodal.
+    The wave speed and the flux's states come from ``_flux_shape`` once
+    per solve; all interfaces are stepped at once.
     """
     grid = initial.grid
     model = fe.model
@@ -236,8 +247,7 @@ def solve_local(initial: DensityField, fe: FluxEntropyModel,
         raise DomainError(
             f"initial density range [{lo}, {hi}] outside [0, {model.rho_jam}]")
 
-    crit = _critical_density(fe)
-    speed = fe.max_wave_speed()
+    speed, states = _flux_shape(fe)
     dt_cfl = config.cfl * grid.dx / speed if speed > 0 else config.t_final
 
     # the cells between one ghost cell at each end, stepped in place
@@ -253,7 +263,7 @@ def solve_local(initial: DensityField, fe: FluxEntropyModel,
             padded[0], padded[-1] = rho[-1], rho[0]
         else:
             padded[0], padded[-1] = rho[0], rho[-1]
-        flux = _interface_flux(fe, padded, crit)
+        flux = _interface_flux(fe, padded, states)
         rho[:] -= (dt / grid.dx) * (flux[1:] - flux[:-1])
         if not np.all(np.isfinite(rho)):
             return False
