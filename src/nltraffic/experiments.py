@@ -17,7 +17,6 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .core import (Bump, DensityField, DomainError, Grid, KernelScale,
@@ -515,6 +514,8 @@ def sweep_csv(report: SweepReport) -> str:
 
 
 def _json_metadata(config: ExperimentConfig, seed: int | None) -> dict:
+    import scipy   # only for its version: importing the CLI loads numpy alone
+
     return {
         "config_hash": config.config_hash,
         "seed": seed,
@@ -574,27 +575,49 @@ def _csv_body(columns) -> str:
     return "\n".join(map(",".join, zip(*columns))) + "\n"
 
 
+def _float_reprs(column: np.ndarray) -> list[str]:
+    """``repr`` of every value of a float64 column, in order.
+
+    ``repr`` runs once per distinct 64-bit pattern: the column's ``int64``
+    view is reduced by ``np.unique`` and the strings are gathered back
+    through the inverse index.  Keying on bits rather than values keeps
+    ``-0.0`` apart from ``0.0`` and every NaN payload apart, so the result
+    equals ``list(map(repr, column.tolist()))``.  Anything but a 1-d
+    float64 array is rejected rather than coerced (an int ``3`` would
+    come out as ``'3.0'``).
+    """
+    if (not isinstance(column, np.ndarray) or column.dtype != np.float64
+            or column.ndim != 1):
+        raise TypeError("_float_reprs takes a 1-d float64 array, got "
+                        f"{getattr(column, 'dtype', type(column).__name__)}"
+                        f" of shape {np.shape(column)}")
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    reprs = np.array(list(map(repr, bits.view(np.float64).tolist())),
+                     dtype=object)
+    return reprs[inverse].tolist()
+
+
 def _columns_csv(columns: dict) -> str:
     """A header of the column names, then a line of float reprs per row."""
     return ",".join(columns) + "\n" + _csv_body(
-        map(repr, col.tolist()) for col in columns.values())
+        _float_reprs(col) for col in columns.values())
 
 
 def _write_trajectory_csv(traj, path: Path):
     """``t,x,rho,q`` long format, written one snapshot at a time.
 
-    Every value is the ``repr`` of a float from ``tolist()``; the x
-    column's reprs are built once per file.
+    Every value is a float ``repr``, built once per distinct value of its
+    column; the x column's reprs are built once per file.
     """
-    x = list(map(repr, traj.snapshots[0].rho.grid.cell_centers().tolist()))
+    x = _float_reprs(traj.snapshots[0].rho.grid.cell_centers())
     with open(path, "w") as fh:
         fh.write("t,x,rho,q\n")
         for snap in traj.snapshots:
             q = snap.q.values if snap.q is not None else np.full(len(x),
                                                                  np.nan)
             fh.write(_csv_body([[repr(float(snap.t))] * len(x), x,
-                                map(repr, snap.rho.values.tolist()),
-                                map(repr, q.tolist())]))
+                                _float_reprs(snap.rho.values),
+                                _float_reprs(q)]))
 
 
 def _run_kind(config: ExperimentConfig, out: Path, seed: int | None) -> dict:

@@ -11,10 +11,11 @@ import time
 import numpy as np
 import pytest
 
-from nltraffic import (Bump, BumpTestFunction, DensityField,
+from nltraffic import (AveragedField, Bump, BumpTestFunction, DensityField,
                        FluxEntropyModel, Grid, KernelScale, MonotoneRamp,
-                       RelaxationFrame, Riemann, SolverConfig, VelocityModel,
-                       average, check_subcharacteristic,
+                       RelaxationFrame, Riemann, Snapshot, SolverConfig,
+                       Trajectory, VelocityModel, average,
+                       check_subcharacteristic,
                        equilibrium_speed, kernel_deviation, l1_distance,
                        make_initial, march_nonlocal, ode_residual,
                        picard_oracle, shifted_product_check, solve_local,
@@ -40,21 +41,59 @@ def _report(criterion: int, detail: str):
 # shared expensive runs
 # ---------------------------------------------------------------------------
 
+RANDOMIZED_CONFIG = SolverConfig(
+    t_final=1.0, cfl=0.5, snapshot_times=tuple(np.linspace(0.0, 1.0, 9)[1:-1]))
+
+
 @pytest.fixture(scope="module")
 def randomized_runs():
-    """Ten randomized positive-data runs: v = 1 - rho, N = 1024, T = 1."""
+    """Ten randomized positive-data runs: v = 1 - rho, N = 1024, T = 1.
+
+    Five seeds times two kernel widths step together as one ensemble; each
+    member's trajectory is rebuilt from the snapshots its observer copied
+    and the ensemble's step summary and extrema.
+    """
     grid = Grid(-1.0, 1.0, 1024, "periodic")
-    snaps = tuple(np.linspace(0.0, 1.0, 9)[1:-1])
-    config = SolverConfig(t_final=1.0, cfl=0.5, snapshot_times=snaps)
-    runs = []
     start = time.perf_counter()
-    for seed in range(5):
-        initial = random_bv_field(grid, np.random.default_rng(seed),
-                                  lo=0.1, hi=0.9)
-        for eps in (0.05, 0.2):
-            traj = solve_nonlocal(initial, MODEL, KernelScale(eps), config)
-            runs.append((initial, eps, traj))
+    members = [(random_bv_field(grid, np.random.default_rng(seed),
+                                lo=0.1, hi=0.9), eps)
+               for seed in range(5) for eps in (0.05, 0.2)]
+    scales = [KernelScale(eps) for _, eps in members]
+    snapshots = []
+
+    def record(t, rho, q):
+        snapshots.append((t, rho.copy(), q.copy()))
+
+    stats = march_nonlocal([initial for initial, _ in members], MODEL,
+                           scales, RANDOMIZED_CONFIG, record)
+    runs = []
+    for m, ((initial, eps), scale) in enumerate(zip(members, scales)):
+        traj = Trajectory(
+            model=MODEL, eps=scale,
+            snapshots=tuple(Snapshot(t=t, rho=DensityField(grid, rho[m]),
+                                     q=AveragedField(grid, q[m], scale))
+                            for t, rho, q in snapshots),
+            dt_summary=stats.dt_summary,
+            rho_min_seen=float(stats.rho_min_seen[m]),
+            rho_max_seen=float(stats.rho_max_seen[m]))
+        runs.append((initial, eps, traj))
     return runs, time.perf_counter() - start
+
+
+def test_randomized_runs_member_equals_lone_run(randomized_runs):
+    """The ensemble fixture's members are bit for bit their lone runs."""
+    runs, _ = randomized_runs
+    initial, eps, traj = runs[7]
+    lone = solve_nonlocal(initial, MODEL, KernelScale(eps),
+                          RANDOMIZED_CONFIG)
+    assert len(traj.snapshots) == len(lone.snapshots)
+    for snap, lone_snap in zip(traj.snapshots, lone.snapshots):
+        assert snap.t == lone_snap.t
+        assert np.array_equal(snap.rho.values, lone_snap.rho.values)
+        assert np.array_equal(snap.q.values, lone_snap.q.values)
+    assert traj.rho_min_seen == lone.rho_min_seen
+    assert traj.rho_max_seen == lone.rho_max_seen
+    assert traj.step_count == lone.step_count
 
 
 @pytest.fixture(scope="module")

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nltraffic import (DensityField, FluxEntropyModel, Grid, KernelScale,
                        Riemann, SolverConfig, VelocityModel, make_initial,
@@ -333,6 +334,135 @@ class TestCsvWriters:
         assert experiments._columns_csv(columns) == columns_csv_loop(columns)
 
 
+# bit patterns: +-0, +-inf, quiet and signalling NaNs with several payloads
+# and signs, the extreme subnormals and the largest finite double
+SPECIAL_BITS = (0x0, 0x8000000000000000, 0x7FF0000000000000,
+                0xFFF0000000000000, 0x7FF8000000000000, 0xFFF8000000000000,
+                0x7FF0000000000001, 0x7FF8000000000ABC, 0xFFFFFFFFFFFFFFFF,
+                0x1, 0x8000000000000001, 0x000FFFFFFFFFFFFF,
+                0x7FEFFFFFFFFFFFFF)
+bit_patterns = st.one_of(st.integers(0, 2 ** 64 - 1),
+                         st.sampled_from(SPECIAL_BITS))
+
+
+@st.composite
+def float64_columns(draw):
+    """1-d float64 arrays: distinct patterns or a few heavily repeated
+    ones, possibly strided or reversed, possibly read-only."""
+    if draw(st.booleans()):
+        bits = draw(st.lists(bit_patterns, max_size=60))
+    else:
+        pool = draw(st.lists(bit_patterns, min_size=1, max_size=5))
+        bits = draw(st.lists(st.sampled_from(pool), max_size=300))
+    column = np.array(bits, dtype=np.uint64).view(np.float64)
+    column = column[::draw(st.sampled_from((1, 2, -1, -3)))]
+    if draw(st.booleans()):
+        column.flags.writeable = False
+    return column
+
+
+class TestFloatReprs:
+    """``_float_reprs`` against ``repr`` of every value."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(float64_columns())
+    @example(np.array(SPECIAL_BITS + SPECIAL_BITS[::-1],
+                      dtype=np.uint64).view(np.float64))
+    def test_equals_repr_of_every_value(self, column):
+        assert (experiments._float_reprs(column)
+                == list(map(repr, column.tolist())))
+
+    @pytest.mark.parametrize("column", [
+        np.arange(3), np.arange(3, dtype=np.int32), np.ones(3, np.float32),
+        np.ones(3, np.complex128), np.ones(3, bool),
+        np.array([1.0, 2.0], dtype=object), np.ones(3, ">f8"),
+        np.ones((2, 2)), np.float64(3.0), [1.0, 2.0]],
+        ids=["int64", "int32", "float32", "complex", "bool", "object",
+             "big_endian", "2d", "scalar", "list"])
+    def test_rejects_rather_than_coerces(self, column):
+        with pytest.raises(TypeError, match="float64"):
+            experiments._float_reprs(column)
+
+
+def columns_csv_tolist(columns) -> str:
+    """The ``fields.csv``/``sweep.csv`` writer that repr'd every value of
+    ``tolist()`` (test oracle)."""
+    return ",".join(columns) + "\n" + "\n".join(map(",".join, zip(
+        *(map(repr, col.tolist()) for col in columns.values())))) + "\n"
+
+
+def trajectory_csv_tolist(traj, path):
+    """The ``trajectory.csv`` writer that repr'd every value of
+    ``tolist()`` (test oracle)."""
+    x = list(map(repr, traj.snapshots[0].rho.grid.cell_centers().tolist()))
+    with open(path, "w") as fh:
+        fh.write("t,x,rho,q\n")
+        for snap in traj.snapshots:
+            q = snap.q.values if snap.q is not None else np.full(len(x),
+                                                                 np.nan)
+            fh.write("\n".join(map(",".join, zip(
+                [repr(float(snap.t))] * len(x), x,
+                map(repr, snap.rho.values.tolist()),
+                map(repr, q.tolist())))) + "\n")
+
+
+def _shipped_config(name: str, n_cells: int) -> str:
+    text = (Path(__file__).resolve().parents[1] / "configs"
+            / f"{name}.cfg").read_text()
+    return "\n".join(f"grid.n_cells = {n_cells}"
+                     if line.startswith("grid.n_cells") else line
+                     for line in text.splitlines()) + "\n"
+
+
+def _record_calls(monkeypatch, name: str) -> list:
+    """Wrap experiments.<name> so each call's arguments are kept."""
+    calls = []
+    real = getattr(experiments, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(experiments, name, recorded)
+    return calls
+
+
+class TestCsvWritersOnSolves:
+    """Each CSV of the shipped configs (at a smaller N) against the writer
+    that repr'd every value, on the very objects the writer was given."""
+
+    def test_run_trajectory_csv(self, tmp_path, monkeypatch):
+        calls = _record_calls(monkeypatch, "_write_trajectory_csv")
+        run_experiment(parse_config(_shipped_config("run_shock", 128)),
+                       out_dir=tmp_path / "run")
+        (traj, path), = calls
+        trajectory_csv_tolist(traj, tmp_path / "oracle.csv")
+        assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        # the Riemann plateaus repeat values: the bytes above were built
+        # from fewer reprs than values
+        rho = traj.snapshots[0].rho.values
+        assert np.unique(rho.view(np.int64)).size < rho.size / 2
+
+    def test_compare_fields_csv_with_relaxation(self, tmp_path, monkeypatch):
+        calls = _record_calls(monkeypatch, "_columns_csv")
+        run_experiment(parse_config(_shipped_config("compare_bump", 128)),
+                       out_dir=tmp_path)
+        (columns,), = calls
+        assert list(columns) == ["x", "rho_nonlocal", "rho_local",
+                                 "rho_relaxation", "rho_nonlocal_slice"]
+        assert ((tmp_path / "fields.csv").read_bytes()
+                == columns_csv_tolist(columns).encode())
+
+    def test_sweep_csv(self):
+        report = run_sweep(parse_config(_shipped_config("sweep_rarefaction",
+                                                        128)))
+        columns = {name: np.array([getattr(row, name) for row in report.rows],
+                                  dtype=float)
+                   for name in SWEEP_CSV_COLUMNS}
+        assert sweep_csv(report).encode() == columns_csv_tolist(
+            columns).encode()
+
+
 class TestRunExperiment:
     def test_compare_with_relaxation(self, tmp_path):
         run_experiment(parse_config(COMPARE), out_dir=tmp_path)
@@ -409,13 +539,16 @@ class TestCli:
         assert json.loads(capsys.readouterr().out)["config_hash"]
 
     def test_affine_run_imports_no_scipy_submodules(self, tmp_path):
-        # importing the package, an affine CLI run and custom laws, concave
-        # or not, stay on numpy; only the scalar Godunov oracle loads
+        # importing the CLI loads no scipy at all (run.json reads its
+        # version on demand); an affine CLI run and custom laws, concave or
+        # not, stay on numpy; only the scalar Godunov oracle loads
         # scipy.optimize, which itself imports scipy.special
         path = self._write(tmp_path, MINIMAL)
         sweep = SWEEP.replace("grid.n_cells = 256", "grid.n_cells = 64")
         script = f"""
 import dataclasses, json, sys
+import nltraffic.cli
+scipy_on_import = "scipy" in sys.modules
 import numpy as np
 from nltraffic import FluxEntropyModel, SolverConfig, make_initial
 from nltraffic import Grid, Riemann, cli, solve_local
@@ -436,7 +569,12 @@ report = run_sweep(dataclasses.replace(parse_config({sweep!r}),
 after_sweep = loaded()
 other = solve_local(initial, FluxEntropyModel(non_concave_model()),
                     SolverConfig(t_final=0.1))
-print(json.dumps({{"code": code, "after_run": after_run,
+import scipy
+with open({str(tmp_path / "o" / "run.json")!r}) as fh:
+    scipy_in_run_json = json.load(fh)["versions"]["scipy"]
+print(json.dumps({{"code": code, "scipy_on_import": scipy_on_import,
+                  "scipy_version_ok": scipy_in_run_json == scipy.__version__,
+                  "after_run": after_run,
                   "after_local": after_local, "after_sweep": after_sweep,
                   "after_non_concave": loaded(),
                   "steps": [traj.step_count, other.step_count],
@@ -451,6 +589,8 @@ print(json.dumps({{"code": code, "after_run": after_run,
         assert done.returncode == 0, done.stderr
         report = json.loads(done.stdout.strip().splitlines()[-1])
         assert report["code"] == 0
+        assert report["scipy_on_import"] is False
+        assert report["scipy_version_ok"] is True
         assert report["after_run"] == []
         assert report["after_local"] == []
         assert report["after_sweep"] == []
