@@ -191,32 +191,33 @@ def _slopes(values: np.ndarray, grid) -> np.ndarray:
     return np.diff(values, axis=-1, append=last)
 
 
-def _lerp(values: np.ndarray, slopes: np.ndarray, x: np.ndarray,
-          shift: float, grid) -> np.ndarray:
-    """Linear interpolation at x of node values at x_min + (k + shift) dx.
+def _lerp(values: np.ndarray, slopes: np.ndarray, s: np.ndarray,
+          grid) -> np.ndarray:
+    """Linear interpolation at node-unit positions s of node values.
 
-    With s = (x - x_min)/dx - shift, node j = floor(s) and weight w = s - j
-    give values[j] + w slopes[j].  Periodic grids wrap j; constant extension
-    clamps s to the table.  A non-finite x raises BlowupError.
+    Node k sits at s = k, so node j = floor(s) and weight w = s - j give
+    values[j] + w slopes[j].  Periodic grids wrap j; constant extension
+    clamps s to the table.  s itself is not written.  A non-finite s
+    raises BlowupError.
     """
     n = grid.n_cells
-    s = x - grid.x_min
-    s /= grid.dx
-    s -= shift
-    if not grid.periodic:
-        np.clip(s, 0.0, n - 1, out=s)
-    j = np.floor(s)
-    w = np.subtract(s, j, out=s)
+    if grid.periodic:
+        j = np.floor(s)
+        w = s - j
+    else:
+        w = np.minimum(np.maximum(s, 0.0), n - 1)
+        j = np.floor(w)
+        w -= j
     # "wrap" mode moves an index by n per pass, so far indices are reduced
     # first, while still floats; a NaN fails the test and is caught here
     if not (j.min() >= -n and j.max() < 2 * n):
         if not np.isfinite(j).all():
             raise BlowupError("non-finite traced position")
         np.mod(j, n, out=j)
-    j = j.astype(np.intp)
-    out = np.take(slopes, j, mode="wrap")
+    idx = j.astype(np.intp)
+    out = np.take(slopes, idx, mode="wrap")
     out *= w
-    out += np.take(values, j, mode="wrap")
+    out += np.take(values, idx, mode="wrap", out=w)
     return out
 
 
@@ -236,11 +237,14 @@ def picard_oracle(initial: DensityField, model: VelocityModel,
     initial datum times that exponential.  Sweeps repeat until successive
     histories agree to ``iteration_tolerance`` in the max norm.
 
-    The interpolation in x uses that the nodes are uniform: a point costs
-    one floor and two gathers from the node values and their forward
-    differences, with the index wrapped on periodic grids and the point
-    clamped to the table under constant extension.  Center (rho) nodes sit
-    half a cell right of the edge (q) nodes.  Row l is traced back
+    Traced positions are carried in cell units, s = (x - x_min)/dx, and
+    they and the exponent are updated in place.  The edge (q) nodes sit
+    at integer s and the center (rho) nodes half a cell right, so a
+    midpoint reads q at s_half and rho at s_half - 1/2.  The interpolation
+    uses that the nodes are uniform: a point costs one floor and two
+    gathers from the node values and their forward differences, with the
+    index wrapped on periodic grids and the point clamped to the table
+    under constant extension.  Row l is traced back
     through l levels, so a sweep over m levels visits m (m + 1) / 2
     row-levels and takes O(levels^2 * N) time (2775 row-levels of N cells
     at 74 levels); the tables take O(levels * N) memory.
@@ -273,7 +277,7 @@ def picard_oracle(initial: DensityField, model: VelocityModel,
         n_levels = max(3, int(np.ceil(t0 / (0.35 * grid.dx / max(v0, 1e-30)))))
     m = n_levels
     dt = t0 / m
-    centers = grid.cell_centers()
+    cells_per_dt = dt / grid.dx
     n = grid.n_cells
     eps_val = eps.epsilon
     hs = (grid.dx / eps_val,) * (m + 1)
@@ -281,6 +285,11 @@ def picard_oracle(initial: DensityField, model: VelocityModel,
     # history[l] holds the guess at time l*dt; level 0 is pinned to the data
     history = np.tile(initial.values, (m + 1, 1))
     init_slopes = _slopes(initial.values, grid)
+    # traced positions in cell units, rows 1..m (index shifted by one),
+    # starting at the cell centers
+    start = np.arange(n) + 0.5
+    pos = np.empty((m, n))
+    expo = np.empty((m, n))
     tracker = _ContractionTracker()
     deltas: list[float] = []
 
@@ -294,31 +303,37 @@ def picard_oracle(initial: DensityField, model: VelocityModel,
         rm_slopes = _slopes(rho_mid_levels, grid)
 
         # ensemble backward trace: row l targets time l*dt
-        pos = np.tile(centers, (m, 1))  # rows 1..m, index shifted by one
-        expo = np.zeros((m, n))
+        pos[:] = start
+        expo.fill(0.0)
         try:
             for level in range(m, 0, -1):
                 # rows with target >= current level
                 active = slice(level - 1, m)
-                x = pos[active]
-                q_here = _lerp(q_levels[level], q_slopes[level], x, 0.0, grid)
-                k1 = model.v(q_here)
-                x_half = x - 0.5 * dt * k1
+                s = pos[active]
+                k1 = model.v(_lerp(q_levels[level], q_slopes[level], s, grid))
+                s_half = np.multiply(k1, -0.5 * cells_per_dt)
+                s_half += s
                 q_mid = _lerp(q_mid_levels[level - 1], qm_slopes[level - 1],
-                              x_half, 0.0, grid)
-                rho_mid = _lerp(rho_mid_levels[level - 1],
-                                rm_slopes[level - 1], x_half, 0.5, grid)
-                qx_mid = (q_mid - rho_mid) / eps_val
-                expo[active] += dt * (-model.dv(q_mid) * qx_mid)
-                pos[active] = x - dt * model.v(q_mid)
-
-            foot = _lerp(initial.values, init_slopes, pos, 0.5, grid)
+                              s_half, grid)
+                s_half -= 0.5  # center (rho) nodes
+                gain = _lerp(rho_mid_levels[level - 1], rm_slopes[level - 1],
+                             s_half, grid)
+                # -v'(q) q_x dt with q_x = (q - rho)/eps
+                gain -= q_mid
+                gain *= model.dv(q_mid)
+                gain *= dt / eps_val
+                expo[active] += gain
+                drift = np.multiply(model.v(q_mid), cells_per_dt)
+                s -= drift  # s is a view: this moves pos[active]
+            pos -= 0.5
+            foot = _lerp(initial.values, init_slopes, pos, grid)
         except BlowupError as err:
             raise BlowupError(f"{err} at sweep {sweep}") from None
 
         new_history = np.empty_like(history)
         new_history[0] = initial.values
-        new_history[1:] = foot * np.exp(expo)
+        np.exp(expo, out=new_history[1:])
+        new_history[1:] *= foot
 
         delta = float(np.max(np.abs(new_history - history)))
         if not np.isfinite(delta):

@@ -326,22 +326,40 @@ def lambda_source(u: float, z: float,
     return lam, float(equilibrium_z(u, frame))
 
 
-def _source_partials(u: np.ndarray, z: np.ndarray, frame: RelaxationFrame
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Lambda, Lambda_u, Lambda_z) evaluated cellwise, closed form."""
+def _source_line(U: np.ndarray, total: np.ndarray, frame: RelaxationFrame
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Lambda(U, total - U) and its slope Lambda_u - Lambda_z along the
+    source line u + z = total, cellwise, in closed form.
+
+    With the shared factor r = v'(q)/(K - v(q)) and e = e^z/(K - v(q)):
+    Lambda = (rho - q) r, Lambda_u = rho r and
+    -Lambda_z = Lambda_q e^z / v' = (Lambda - 1) e + (rho - q) v'' e / v'.
+    The last term is absent for affine laws; where v'(q) = 0 it is not
+    finite, and neither is the slope.
+    """
     model = frame.model
-    ez = np.exp(z)
-    q = np.clip(model.v_inverse(frame.K - ez), 0.0, model.rho_jam)
-    vq = model.v(q)
+    ez = np.subtract(total, U)
+    np.exp(ez, out=ez)
+    q = np.maximum(model.v_inverse(frame.K - ez), 0.0)
+    np.minimum(q, model.rho_jam, out=q)
+    denom = frame.K - model.v(q)
     dvq = model.dv(q)
-    d2vq = model.d2v(q)
-    denom = frame.K - vq
-    rho = np.exp(u)
-    lam = (rho - q) * dvq / denom
-    lam_u = rho * dvq / denom
-    lam_q = ((rho - q) * (d2vq + dvq * dvq / denom) - dvq) / denom
-    lam_z = lam_q * (-ez / dvq)
-    return lam, lam_u, lam_z
+    r = dvq / denom
+    rho = np.exp(U)
+    gap = rho - q
+    lam = gap * r
+    ez /= denom
+    slope = lam - 1.0
+    slope *= ez
+    if not model.is_affine:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gap *= model.d2v(q)
+            gap *= ez
+            gap /= dvq
+        slope += gap
+    rho *= r
+    slope += rho
+    return lam, slope
 
 
 # ---------------------------------------------------------------------------
@@ -439,58 +457,103 @@ def _implicit_source(u_star: np.ndarray, total: np.ndarray, c: float,
     """Solve U = u_star + c*Lambda(U, total - U) cellwise.
 
     The source moves (u, z) along lines of constant u + z, so the solve is
-    scalar per cell.  Newton with iterates clamped to the band, then
-    bisection for any stragglers; the residual derivative is
-    1 - c (Lambda_u - Lambda_z) >= 1 whenever the sign conditions hold,
-    which keeps Newton safe even for c >> 1.  Returns U, the Newton
+    scalar per cell.  Newton runs with iterates clamped to the band; the
+    residual derivative is 1 - c (Lambda_u - Lambda_z) >= 1 whenever the
+    sign conditions hold, which keeps Newton safe even for c >> 1.  Only
+    open cells are evaluated: a cell whose residual falls below ``tol``
+    takes that iteration's step and then freezes.  A cell whose slope is
+    not finite (v'(q) = 0 at the band edge) takes no step.  Cells still
+    open after ``max_iter`` iterations whose residual at their last
+    iterate is not below ``tol`` go to ``_bisect``.  Returns U, the Newton
     iterations run and the number of cells handed to bisection.
     """
     lo = total - math.log(frame.K)
     hi = total - math.log(frame.K - frame.model.v_max)
-    U = np.clip(u_star, lo, hi)
-    iterations = 0
+    U = np.minimum(np.maximum(u_star, lo), hi)
+    # the open cells, their iterates and data; at first all of them, with
+    # U itself as the iterate
+    cells, Ua, us, tot, lo_a, hi_a = None, U, u_star, total, lo, hi
     for iterations in range(1, max_iter + 1):
-        lam, lam_u, lam_z = _source_partials(U, total - U, frame)
-        resid = U - u_star - c * lam
-        slope = 1.0 - c * (lam_u - lam_z)
-        step = resid / slope
-        U = np.clip(U - step, lo, hi)
-        if float(np.max(np.abs(resid))) < tol:
+        lam, slope = _source_line(Ua, tot, frame)
+        resid = Ua - us
+        resid -= c * lam
+        slope *= -c
+        slope += 1.0
+        step = np.divide(resid, slope, out=slope)
+        step[np.isnan(step)] = 0.0
+        Ua -= step
+        np.maximum(Ua, lo_a, out=Ua)
+        np.minimum(Ua, hi_a, out=Ua)
+        if cells is not None:
+            U[cells] = Ua
+        # NaN residuals stay open
+        keep = ~(np.abs(resid) < tol)
+        if not keep.any():
             return U, iterations, 0
+        cells = np.flatnonzero(keep) if cells is None else cells[keep]
+        Ua, us, tot, lo_a, hi_a = (a[keep] for a in (Ua, us, tot, lo_a, hi_a))
 
-    lam, _, _ = _source_partials(U, total - U, frame)
-    resid = U - u_star - c * lam
-    bad = np.nonzero(np.abs(resid) >= tol)[0]
-    for i in bad:
-        U[i] = _bisect_cell(float(u_star[i]), float(total[i]), c, frame,
-                            float(lo[i]), float(hi[i]), tol, i)
-    return U, max_iter, int(bad.size)
+    if cells is None:
+        cells = np.arange(U.size)
+    resid = Ua - us - c * _source_value(Ua, tot - Ua, frame)
+    bad = ~(np.abs(resid) < tol)
+    if bad.any():
+        U[cells[bad]] = _bisect(us[bad], tot[bad], c, frame, lo_a[bad],
+                                hi_a[bad], tol, cells[bad])
+    return U, max_iter, int(np.count_nonzero(bad))
 
 
-def _bisect_cell(u_star: float, total: float, c: float,
-                 frame: RelaxationFrame, lo: float, hi: float,
-                 tol: float, cell: int) -> float:
-    def resid(val: float) -> float:
-        lam = float(_source_value(val, total - val, frame))
-        return val - u_star - c * lam
+def _bisect(u_star: np.ndarray, total: np.ndarray, c: float,
+            frame: RelaxationFrame, lo: np.ndarray, hi: np.ndarray,
+            tol: float, cells: np.ndarray) -> np.ndarray:
+    """Bisect U - u_star - c*Lambda(U, total - U) on [lo, hi] cellwise.
 
-    r_lo, r_hi = resid(lo), resid(hi)
-    if r_lo > 0.0 or r_hi < 0.0:
+    A cell ends at the first midpoint whose residual is below ``tol``, or
+    once its bracket is two adjacent floats, at the end with the smaller
+    |residual| (very stiff sources jump by more than ``tol`` between
+    adjacent floats).  StiffSourceError names the first cell (an entry of
+    ``cells``) whose residual has no sign change on the band or is not
+    finite.
+    """
+    def resid(val, us, tot):
+        return val - us - c * _source_value(val, tot - val, frame)
+
+    def fail(i: int, what: str):
         raise StiffSourceError(
-            f"source solve failed in cell {cell}: no sign change on the "
-            f"band, residuals ({r_lo:.3e}, {r_hi:.3e})")
-    for _ in range(200):
+            f"source solve failed in cell {cells[i]}: {what}")
+
+    r_lo, r_hi = resid(lo, u_star, total), resid(hi, u_star, total)
+    finite = np.isfinite(r_lo) & np.isfinite(r_hi)
+    if not finite.all():
+        fail(np.argmin(finite), "non-finite residual")
+    wrong = (r_lo > 0.0) | (r_hi < 0.0)
+    if wrong.any():
+        i = np.argmax(wrong)
+        fail(i, f"no sign change on the band, residuals "
+                f"({r_lo[i]:.3e}, {r_hi[i]:.3e})")
+    out = np.empty_like(r_lo)
+    todo = np.arange(out.size)   # entries of out still open
+    lo, hi = lo.copy(), hi.copy()
+    while todo.size:
         mid = 0.5 * (lo + hi)
-        r_mid = resid(mid)
-        if abs(r_mid) < tol:
-            return mid
-        if r_mid > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    raise StiffSourceError(
-        f"source solve failed in cell {cell}: bisection stalled at "
-        f"residual {r_mid:.3e}")
+        r_mid = resid(mid, u_star, total)
+        finite = np.isfinite(r_mid)
+        if not finite.all():
+            fail(todo[np.argmin(finite)], "non-finite residual")
+        adjacent = (mid == lo) | (mid == hi)
+        done = np.abs(r_mid) < tol
+        # an open cell's entry is overwritten by a later pass
+        out[todo] = np.where(
+            adjacent, np.where(np.abs(r_lo) < np.abs(r_hi), lo, hi), mid)
+        up = r_mid > 0.0
+        np.copyto(hi, mid, where=up)
+        np.copyto(r_hi, r_mid, where=up)
+        np.copyto(lo, mid, where=~up)
+        np.copyto(r_lo, r_mid, where=~up)
+        keep = ~(adjacent | done)
+        todo, lo, hi, r_lo, r_hi, u_star, total = (
+            a[keep] for a in (todo, lo, hi, r_lo, r_hi, u_star, total))
+    return out
 
 
 def solve_relaxation(initial: UZFields, frame: RelaxationFrame,
@@ -502,10 +565,16 @@ def solve_relaxation(initial: UZFields, frame: RelaxationFrame,
     K(K e^{-z} - 1) >= 0 (fed from the left), z moves left with speed K
     (fed from the right).  The stiff source is implicit Euler; u + z is
     invariant under the source, reducing it to a per-cell scalar solve.
-    dtau obeys the CFL bound on max(K, transport speed) and lands exactly
-    on requested snapshot times.  The trajectory reports the most Newton
-    iterations any step needed and how many cells, summed over steps, fell
-    back to bisection.
+    Newton iterates only on the cells whose residual is still at or above
+    ``newton_tol``; a cell whose residual has fallen below it takes that
+    iteration's step and then freezes.  Cells still open after
+    ``newton_max_iter`` iterations are bisected together, each until a
+    residual falls below ``newton_tol`` or its bracket is two adjacent
+    floats.  dtau obeys the CFL bound on max(K, transport speed) and lands
+    exactly on requested snapshot times.  The trajectory reports the most
+    Newton iterations any step needed and how many cells, summed over
+    steps, fell back to bisection.  A source solve with no sign change on
+    the band, or with a non-finite residual, raises StiffSourceError.
     """
     grid = initial.grid
     lo, hi = frame.z_band

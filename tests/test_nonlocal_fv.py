@@ -347,7 +347,9 @@ def test_lerp_matches_np_interp(boundary, n, x_min, length, centered, seed):
         grid.x_max + rng.uniform(0.0, reach, 64),
     ])
     slopes = _slopes(fp, grid)
-    got = _lerp(fp, slopes, x, 0.5 if centered else 0.0, grid)
+    # node-unit positions of x; node k sits at x_min + (k + shift) dx
+    s = (x - x_min) / dx - (0.5 if centered else 0.0)
+    got = _lerp(fp, slopes, s, grid)
     want = _interp(x, xp, fp, grid)
 
     # this interpolant rounds within ~u (|x - x0|/dx + 1) max|dfp|;

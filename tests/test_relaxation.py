@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nltraffic import (DensityField, DomainError, Grid, KernelScale,
                        MonotoneRamp, PositivityError, RelaxationFrame,
@@ -14,14 +14,92 @@ from nltraffic.core import TimeStepCollapse
 from nltraffic.diagnostics import InsufficientDataError
 from nltraffic.kernel import edge_to_center
 from nltraffic.relaxation import (FrameError, SliceGatherer,
-                                  SourceBandError, _source_partials)
+                                  SourceBandError, StiffSourceError, _bisect,
+                                  _implicit_source, _source_line,
+                                  _source_value)
 
 from conftest import cubic_model, quadratic_model
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 LAWS = {"affine": VelocityModel.affine(1.0, 1.0),
         "wide": VelocityModel.affine(2.0, 0.5),
         "quadratic": quadratic_model(),
         "cubic": cubic_model()}
+
+
+# ---------------------------------------------------------------------------
+# oracles of the source solve: full-width Newton on the closed-form partials
+# and a scalar bisection per cell
+# ---------------------------------------------------------------------------
+
+def _source_partials(u, z, frame):
+    """(Lambda, Lambda_u, Lambda_z) evaluated cellwise, closed form."""
+    model = frame.model
+    ez = np.exp(z)
+    q = np.clip(model.v_inverse(frame.K - ez), 0.0, model.rho_jam)
+    vq = model.v(q)
+    dvq = model.dv(q)
+    d2vq = model.d2v(q)
+    denom = frame.K - vq
+    rho = np.exp(u)
+    lam = (rho - q) * dvq / denom
+    lam_u = rho * dvq / denom
+    lam_q = ((rho - q) * (d2vq + dvq * dvq / denom) - dvq) / denom
+    lam_z = lam_q * (-ez / dvq)
+    return lam, lam_u, lam_z
+
+
+def _scalar_residual(val, u_star, total, c, frame):
+    return val - u_star - c * float(_source_value(val, total - val, frame))
+
+
+def _bisect_cell(u_star, total, c, frame, lo, hi, tol, cell):
+    def resid(val):
+        return _scalar_residual(val, u_star, total, c, frame)
+
+    r_lo, r_hi = resid(lo), resid(hi)
+    if r_lo > 0.0 or r_hi < 0.0:
+        raise StiffSourceError(
+            f"source solve failed in cell {cell}: no sign change on the "
+            f"band, residuals ({r_lo:.3e}, {r_hi:.3e})")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        r_mid = resid(mid)
+        if abs(r_mid) < tol:
+            return mid
+        if r_mid > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    raise StiffSourceError(
+        f"source solve failed in cell {cell}: bisection stalled at "
+        f"residual {r_mid:.3e}")
+
+
+def _newton_full_width(u_star, total, c, frame, tol, max_iter):
+    """Newton on every cell until all residuals are below tol, then the
+    scalar bisection for the stragglers: the source solve as it was before
+    the active set.  An iterate clamped to the band's top end, where
+    v'(q) = 0, divides by zero here, and 0 * inf makes it NaN."""
+    lo = total - np.log(frame.K)
+    hi = total - np.log(frame.K - frame.model.v_max)
+    U = np.clip(u_star, lo, hi)
+    for iterations in range(1, max_iter + 1):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam, lam_u, lam_z = _source_partials(U, total - U, frame)
+        resid = U - u_star - c * lam
+        slope = 1.0 - c * (lam_u - lam_z)
+        U = np.clip(U - resid / slope, lo, hi)
+        if float(np.max(np.abs(resid))) < tol:
+            return U, iterations, 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam, _, _ = _source_partials(U, total - U, frame)
+    bad = np.nonzero(np.abs(U - u_star - c * lam) >= tol)[0]
+    for i in bad:
+        U[i] = _bisect_cell(float(u_star[i]), float(total[i]), c, frame,
+                            float(lo[i]), float(hi[i]), tol, i)
+    return U, max_iter, int(bad.size)
 
 
 @pytest.fixture
@@ -206,25 +284,83 @@ class TestSource:
         assert np.all(lam_z > 0.0)
 
 
-class TestSolveRelaxation:
-    def test_equilibrium_is_stationary(self, frame):
-        g = Grid(-1.0, 1.0, 64, "periodic")
-        u0 = np.full(64, np.log(0.5))
-        uz0 = UZFields(g, u0, equilibrium_z(u0, frame))
-        out = solve_relaxation(uz0, frame, SolverConfig(t_final=0.05))
-        assert out.step_count > 0
-        assert np.max(np.abs(out.final.fields.u - u0)) < 1e-12 * out.step_count
+#: the laws besides the affine fixture, over which TestSolveRelaxation's
+#: fixture cases run again
+OTHER_LAWS = sorted(set(LAWS) - {"affine"})
 
-    def test_source_conserves_u_plus_z(self, frame):
-        # constant in y: transport is inert, only the source acts
-        g = Grid(-1.0, 1.0, 64, "periodic")
-        u0 = np.full(64, np.log(0.5))
-        z0 = np.full(64, np.log(1.7))   # off equilibrium
-        out = solve_relaxation(UZFields(g, u0, z0), frame,
-                               SolverConfig(t_final=0.02))
-        total0 = u0 + z0
-        total1 = out.final.fields.u + out.final.fields.z
-        assert np.max(np.abs(total1 - total0)) < 1e-13
+
+def _law_frame(model, eps):
+    """The tilt K = 2 v(0): K = 2 for the affine fixture."""
+    return RelaxationFrame(2.0 * model.v_max, KernelScale(eps), model)
+
+
+def _uniform_uz(frame, n, q_frac):
+    """u = ln(rho_jam / 2) and z = ln(K - v(q_frac rho_jam)) on n periodic
+    cells; z = ln 1.7 at q_frac = 0.7 and ln 1.9 at 0.9 for the fixture."""
+    model = frame.model
+    g = Grid(-1.0, 1.0, n, "periodic")
+    u0 = np.full(n, np.log(0.5 * model.rho_jam))
+    z0 = np.full(n, np.log(frame.K - model.v(q_frac * model.rho_jam)))
+    return UZFields(g, u0, z0)
+
+
+def _check_stationary(model):
+    frame = _law_frame(model, 0.1)
+    g = Grid(-1.0, 1.0, 64, "periodic")
+    u0 = np.full(64, np.log(0.5 * model.rho_jam))
+    uz0 = UZFields(g, u0, equilibrium_z(u0, frame))
+    out = solve_relaxation(uz0, frame, SolverConfig(t_final=0.05))
+    assert out.step_count > 0
+    assert np.max(np.abs(out.final.fields.u - u0)) < 1e-12 * out.step_count
+
+
+def _check_u_plus_z(model):
+    # constant in y: transport is inert, only the source acts
+    frame = _law_frame(model, 0.1)
+    uz0 = _uniform_uz(frame, 64, 0.7)   # off equilibrium
+    out = solve_relaxation(uz0, frame, SolverConfig(t_final=0.02))
+    total0 = uz0.u + uz0.z
+    total1 = out.final.fields.u + out.final.fields.z
+    assert np.max(np.abs(total1 - total0)) < 1e-13
+
+
+#: dx of the 32-cell grid on [-1, 1]
+DX_32 = 2.0 / 32
+
+
+def _check_very_stiff(model):
+    frame = _law_frame(model, 1e-4 * DX_32 * 2.0)
+    out = solve_relaxation(_uniform_uz(frame, 32, 0.9), frame,
+                           SolverConfig(t_final=0.2))
+    gap = np.max(np.abs(out.final.fields.z
+                        - equilibrium_z(out.final.fields.u, frame)))
+    assert gap < 1e-10
+    assert out.newton_iterations_max <= 50
+    assert out.bisection_cells == 0
+
+
+def _check_bisection_fallback(model):
+    # one Newton iteration cannot close the stiff solve: the stragglers
+    # go to bisection and are counted (64 cells over the first steps)
+    frame = _law_frame(model, 2e-4 * DX_32)
+    uz = _uniform_uz(frame, 32, 0.9)
+    config = SolverConfig(t_final=0.05)
+    capped = solve_relaxation(uz, frame, config, newton_max_iter=1)
+    full = solve_relaxation(uz, frame, config)
+    assert 0 < capped.bisection_cells <= 32 * capped.step_count
+    assert capped.newton_iterations_max == 1
+    assert full.bisection_cells == 0
+    gap = np.max(np.abs(capped.final.fields.z
+                        - equilibrium_z(capped.final.fields.u, frame)))
+    assert gap < 1e-10
+
+
+class TestSolveRelaxation:
+    def test_equilibrium_is_stationary(self, model):
+        _check_stationary(model)
+
+    def test_source_conserves_u_plus_z(self, model):
+        _check_u_plus_z(model)
 
     def test_relaxes_to_equilibrium_monotonically(self, model):
         eps = 1e-4
@@ -255,34 +391,26 @@ class TestSolveRelaxation:
         assert max(measured) <= bound * 2.0
 
     def test_very_stiff_source_converges(self, model):
-        g = Grid(-1.0, 1.0, 32, "periodic")
-        eps = 1e-4 * g.dx * 2.0
-        frame = RelaxationFrame(2.0, KernelScale(eps), model)
-        u0 = np.full(32, np.log(0.5))
-        z0 = np.full(32, np.log(1.9))
-        out = solve_relaxation(UZFields(g, u0, z0), frame,
-                               SolverConfig(t_final=0.2))
-        gap = np.max(np.abs(out.final.fields.z
-                            - equilibrium_z(out.final.fields.u, frame)))
-        assert gap < 1e-10
-        assert out.newton_iterations_max <= 50
-        assert out.bisection_cells == 0
+        _check_very_stiff(model)
 
     def test_bisection_fallback_counted(self, model):
-        # one Newton iteration cannot close the stiff solve: the stragglers
-        # go to bisection and are counted (64 cells over the first steps)
-        g = Grid(-1.0, 1.0, 32, "periodic")
-        frame = RelaxationFrame(2.0, KernelScale(2e-4 * g.dx), model)
-        uz = UZFields(g, np.full(32, np.log(0.5)), np.full(32, np.log(1.9)))
-        config = SolverConfig(t_final=0.05)
-        capped = solve_relaxation(uz, frame, config, newton_max_iter=1)
-        full = solve_relaxation(uz, frame, config)
-        assert 0 < capped.bisection_cells <= 32 * capped.step_count
-        assert capped.newton_iterations_max == 1
-        assert full.bisection_cells == 0
-        gap = np.max(np.abs(capped.final.fields.z
-                            - equilibrium_z(capped.final.fields.u, frame)))
-        assert gap < 1e-10
+        _check_bisection_fallback(model)
+
+    @pytest.mark.parametrize("name", OTHER_LAWS)
+    def test_equilibrium_is_stationary_over_laws(self, name):
+        _check_stationary(LAWS[name])
+
+    @pytest.mark.parametrize("name", OTHER_LAWS)
+    def test_source_conserves_u_plus_z_over_laws(self, name):
+        _check_u_plus_z(LAWS[name])
+
+    @pytest.mark.parametrize("name", OTHER_LAWS)
+    def test_very_stiff_source_converges_over_laws(self, name):
+        _check_very_stiff(LAWS[name])
+
+    @pytest.mark.parametrize("name", OTHER_LAWS)
+    def test_bisection_fallback_counted_over_laws(self, name):
+        _check_bisection_fallback(LAWS[name])
 
     def test_band_validated(self, frame):
         g = Grid(-1.0, 1.0, 8)
@@ -298,6 +426,137 @@ class TestSolveRelaxation:
         with pytest.raises(TimeStepCollapse):
             solve_relaxation(UZFields(g, u0, equilibrium_z(u0, frame)),
                              frame, SolverConfig(t_final=0.1))
+
+
+def _source_problem(name, seed, n, c_max):
+    """Random cells of the source solve for law ``name``: u_star from rho
+    in (0.05, 0.95) rho_jam, z_star in the band, and c up to c_max."""
+    model = LAWS[name]
+    frame = _law_frame(model, 0.1)
+    rng = np.random.default_rng(seed)
+    u_star = np.log(rng.uniform(0.05, 0.95, n) * model.rho_jam)
+    lo, hi = frame.z_band
+    total = u_star + rng.uniform(lo, hi, n)
+    c = float(10.0 ** rng.uniform(-3.0, np.log10(c_max)))
+    return frame, u_star, total, c
+
+
+class TestSourceSolve:
+    @pytest.mark.parametrize("name", sorted(LAWS))
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 64))
+    @settings(max_examples=40, deadline=None)
+    def test_source_line_matches_partials(self, name, seed, n):
+        frame, u_star, total, _ = _source_problem(name, seed, n, 1.0)
+        lam, slope = _source_line(u_star, total, frame)
+        ref, lam_u, lam_z = _source_partials(u_star, total - u_star, frame)
+        scale = np.abs(lam_u) + np.abs(lam_z)
+        assert np.all(np.abs(lam - ref) <= 1e-15 * (1.0 + np.abs(ref)))
+        assert np.all(np.abs(slope - (lam_u - lam_z)) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("name", sorted(LAWS))
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 64),
+           max_iter=st.sampled_from([1, 2, 50]))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_full_width_newton(self, name, seed, n, max_iter):
+        # a cell that freezes skips only sub-tolerance steps
+        frame, u_star, total, c = _source_problem(name, seed, n, 100.0)
+        tol = 1e-12
+        got, its, bisected = _implicit_source(u_star, total, c, frame, tol,
+                                              max_iter)
+        ref, ref_its, ref_bisected = _newton_full_width(
+            u_star, total, c, frame, tol, max_iter)
+        assume(np.all(np.isfinite(ref)))
+        assert np.max(np.abs(got - ref)) <= tol
+        assert bisected == ref_bisected
+        if name == "cubic":
+            assert its <= ref_its
+        else:
+            assert its == ref_its
+
+    @pytest.mark.parametrize("name", sorted(LAWS))
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 32),
+           log_c=st.floats(-3.0, 6.0))
+    @settings(max_examples=25, deadline=None)
+    def test_bisection_matches_scalar(self, name, seed, n, log_c):
+        frame, u_star, total, _ = _source_problem(name, seed, n, 1.0)
+        c = 10.0 ** log_c
+        tol = 1e-12
+        lo = total - np.log(frame.K)
+        hi = total - np.log(frame.K - frame.model.v_max)
+        got = _bisect(u_star, total, c, frame, lo, hi, tol, np.arange(n))
+        for i in range(n):
+            args = (float(u_star[i]), float(total[i]), c, frame)
+            try:
+                want = _bisect_cell(*args, float(lo[i]), float(hi[i]), tol, i)
+            except StiffSourceError:
+                # stalled: the root lies between got and an adjacent float
+                # whose residual is no smaller
+                r = _scalar_residual(got[i], *args)
+                assert any(
+                    r * r_nb <= 0.0 and abs(r) <= abs(r_nb)
+                    for r_nb in (_scalar_residual(nb, *args) for nb in (
+                        np.nextafter(got[i], -np.inf),
+                        np.nextafter(got[i], np.inf))))
+                continue
+            assert got[i] == want
+
+    @pytest.mark.parametrize("name", ["cubic", "quadratic"])
+    def test_band_edge_where_v_prime_vanishes(self, name):
+        # z at the lower band edge puts q at 0, where v'(0) = 0: the slope
+        # is not finite there, and the cell, already at its root, takes no
+        # Newton step
+        frame = RelaxationFrame(2.0, KernelScale(0.1), LAWS[name])
+        g = Grid(-1.0, 1.0, 32, "periodic")
+        uz0 = UZFields(g, np.full(32, np.log(0.5)),
+                       np.full(32, frame.z_band[0]))
+        out = solve_relaxation(uz0, frame, SolverConfig(t_final=0.05))
+        assert out.bisection_cells == 0
+        assert np.array_equal(out.final.fields.u, uz0.u)
+        assert np.array_equal(out.final.fields.z, uz0.z)
+
+    def test_very_stiff_source_bisects_to_adjacent_floats(self, model):
+        # at c = dtau K / eps ~ 1.7e4 the residual moves by more than
+        # newton_tol between adjacent floats: Newton runs out, and bisection
+        # ends on the adjacent floats around the root; at eps = 1e-4 dx
+        # each cell freezes once its residual has dipped below newton_tol
+        g = Grid(-1.0, 1.0, 64, "periodic")
+        rng = np.random.default_rng(0)
+        uz0 = UZFields(g, np.log(rng.uniform(0.2, 0.8, 64)),
+                       np.log(rng.uniform(1.05, 1.95, 64)))
+        runs, gaps = [], []
+        for eps in (3e-5 * g.dx, 1e-4 * g.dx):
+            frame = RelaxationFrame(2.0, KernelScale(eps), model)
+            out = solve_relaxation(uz0, frame, SolverConfig(t_final=0.05))
+            runs.append(out)
+            gaps.append(np.max(np.abs(
+                out.final.fields.z - equilibrium_z(out.final.fields.u,
+                                                   frame))))
+        stiff, milder = runs
+        assert stiff.newton_iterations_max == 50
+        assert stiff.bisection_cells > 0
+        assert milder.newton_iterations_max < 50
+        assert milder.bisection_cells == 0
+        # transport keeps the state O(eps) off equilibrium
+        assert 0.2 < gaps[0] / gaps[1] < 0.5
+
+    def test_no_sign_change_raises(self, model):
+        # rho at jam and z within the admitted slack above the band: the
+        # root lies past the band's top end (rho > rho_jam)
+        g = Grid(-1.0, 1.0, 8, "periodic")
+        frame = RelaxationFrame(2.0, KernelScale(0.1), model)
+        uz0 = UZFields(g, np.zeros(8), np.full(8, np.log(2.0) + 5e-10))
+        with pytest.raises(StiffSourceError,
+                           match="cell 0: no sign change on the band"):
+            solve_relaxation(uz0, frame, SolverConfig(t_final=0.01))
+
+    def test_non_finite_residual_raises(self, frame):
+        total = np.array([0.0, np.nan])
+        lo = total - np.log(frame.K)
+        hi = total - np.log(frame.K - frame.model.v_max)
+        with pytest.raises(StiffSourceError,
+                           match="cell 7: non-finite residual"):
+            _bisect(np.full(2, -0.5), total, 1.0, frame, lo, hi, 1e-12,
+                    np.array([3, 7]))
 
 
 class TestTransformedTV:
