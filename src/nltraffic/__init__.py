@@ -20,10 +20,9 @@ from .relaxation import (BVConditionReport, RelaxationFrame,
                          equilibrium_z, from_uz, lambda_source,
                          physical_slice, solve_relaxation, speeds, to_uz,
                          transformed_tv)
-from .diagnostics import (BumpTestFunction, DiagnosticsReport,
-                          entropy_residual, hardy_littlewood_gap,
-                          kernel_deviation, l1_distance,
-                          shifted_product_check, stability_gap,
+from .diagnostics import (BumpTestFunction, entropy_residual,
+                          hardy_littlewood_gap, kernel_deviation,
+                          l1_distance, shifted_product_check, stability_gap,
                           symmetric_rearrangement, total_variation)
 
 __version__ = "0.1.0"

@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands mirror the experiment kinds: run, sweep, compare, check.
+One subcommand per experiment kind (``experiments.EXPERIMENT_KINDS``).
 Each takes --config pointing at a key = value document; the
 experiment.kind in the document must match the subcommand.
 
@@ -16,7 +16,8 @@ import sys
 from pathlib import Path
 
 from .core import DomainError, NumericsError
-from .experiments import ConfigError, parse_config, run_experiment
+from .experiments import (EXPERIMENT_KINDS, ConfigError, parse_config,
+                          run_experiment)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -30,20 +31,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Finite-volume experiments for traffic flow with a "
                     "forward-looking averaged speed law.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, desc in (
-            ("run", "single solve, trajectory to CSV"),
-            ("sweep", "epsilon sweep against the local reference"),
-            ("compare", "side-by-side nonlocal / local / relaxation fields"),
-            ("check", "model and relaxation condition checks")):
-        cmd = sub.add_parser(name, help=desc)
+    for name, kind in EXPERIMENT_KINDS.items():
+        cmd = sub.add_parser(name, help=kind.help)
         cmd.add_argument("--config", required=True,
                          help="path to the config document")
         cmd.add_argument("--out", default=None,
                          help="output directory (default: output.dir "
                               "from the config, or ./out)")
-        cmd.add_argument("--jobs", type=int, default=1,
-                         help="accepted and ignored: a sweep steps all "
-                              "its widths together as one ensemble")
         cmd.add_argument("--seed", type=int, default=0,
                          help="seed recorded in report metadata, for "
                               "randomized property suites built on top")

@@ -435,8 +435,8 @@ def make_initial(grid: Grid, preset: Preset, rho_jam: float = 1.0) -> DensityFie
 class SolverConfig:
     """Time-stepping parameters shared by all solvers.
 
-    ``snapshot_times`` must be sorted and lie in [0, t_final]; solvers land
-    exactly on each one.  The initial state and the final time are always
+    ``t_final`` must be finite and ``snapshot_times`` must be sorted and lie
+    in [0, t_final]; solvers land exactly on each one.  The initial state and the final time are always
     recorded even when not listed.
     """
 
@@ -447,9 +447,13 @@ class SolverConfig:
     def __post_init__(self):
         if not (0.0 < self.cfl <= 1.0):
             raise DomainError(f"cfl must be in (0, 1], got {self.cfl}")
+        if not np.isfinite(self.t_final):
+            raise DomainError(f"t_final must be finite, got {self.t_final}")
         if self.t_final < 0.0:
             raise DomainError(f"t_final must be >= 0, got {self.t_final}")
         times = tuple(float(t) for t in self.snapshot_times)
+        if not np.all(np.isfinite(times)):
+            raise DomainError(f"snapshot_times must be finite, got {times}")
         if list(times) != sorted(times):
             raise DomainError("snapshot_times must be sorted")
         if times and (times[0] < 0.0 or times[-1] > self.t_final):

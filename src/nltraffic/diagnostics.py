@@ -8,7 +8,7 @@ feeds back into the solvers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
@@ -395,26 +395,3 @@ def stability_gap(traj1, traj2) -> tuple[float, np.ndarray, np.ndarray]:
                        for a, b in zip(s1, s2)])
     return float(np.max(ratios)), t1, ratios
 
-
-# ---------------------------------------------------------------------------
-# named metric bundles
-# ---------------------------------------------------------------------------
-
-@dataclass
-class DiagnosticsReport:
-    """Named scalar metrics with a short provenance string for each."""
-
-    metrics: dict[str, float] = field(default_factory=dict)
-    provenance: dict[str, str] = field(default_factory=dict)
-
-    def add(self, name: str, value: float, provenance: str = ""):
-        value = float(value)
-        if not np.isfinite(value):
-            raise DomainError(f"metric {name!r} is not finite: {value}")
-        self.metrics[name] = value
-        if provenance:
-            self.provenance[name] = provenance
-
-    def as_dict(self) -> dict:
-        return {"metrics": dict(self.metrics),
-                "provenance": dict(self.provenance)}

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import platform
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -22,9 +24,9 @@ from . import __version__
 from .core import (Bump, DensityField, DomainError, Grid, KernelScale,
                    MonotoneRamp, NumericsError, Riemann, Sine, SolverConfig,
                    VelocityModel, make_initial, validate_model)
-from .diagnostics import (BumpTestFunction, DiagnosticsReport,
-                          EntropyProjector, kernel_deviation_values,
-                          l1_distance, total_variation)
+from .diagnostics import (BumpTestFunction, EntropyProjector,
+                          kernel_deviation_values, l1_distance,
+                          total_variation)
 from .kernel import TRUNCATION_WIDTHS
 from .local_lwr import FluxEntropyModel, solve_local
 from .nonlocal_fv import march_nonlocal, solve_nonlocal
@@ -45,19 +47,19 @@ class ConfigError(ValueError):
 # config parsing
 # ---------------------------------------------------------------------------
 
-_KINDS = ("run", "sweep", "compare", "check")
-_PRESETS = ("riemann", "bump", "sine", "monotone_ramp")
+#: initial.preset name -> preset class; each field of the class, in
+#: order, is read from the key initial.<field name>
+_PRESETS = {"riemann": Riemann, "bump": Bump, "sine": Sine,
+            "monotone_ramp": MonotoneRamp}
 
 _KNOWN_KEYS = {
     "experiment.kind", "model.kind", "model.a", "model.b",
     "grid.x_min", "grid.x_max", "grid.n_cells", "grid.boundary",
-    "initial.preset", "initial.rho_left", "initial.rho_right",
-    "initial.x0", "initial.x1", "initial.base", "initial.amplitude",
-    "initial.center", "initial.width", "initial.mean", "initial.wavelength",
-    "kernel.epsilon", "sweep.epsilons", "solver.cfl", "solver.t_final",
-    "solver.snapshots", "relaxation.K", "compare.with_relaxation",
-    "output.dir",
-}
+    "initial.preset", "kernel.epsilon", "sweep.epsilons", "solver.cfl",
+    "solver.t_final", "solver.snapshots", "relaxation.K",
+    "compare.with_relaxation", "output.dir",
+} | {f"initial.{f.name}" for preset in _PRESETS.values()
+     for f in fields(preset)}
 
 _REQUIRED_KEYS = ("experiment.kind", "model.kind", "grid.x_min",
                   "grid.x_max", "grid.n_cells", "initial.preset",
@@ -81,44 +83,45 @@ def _parse_pairs(text: str) -> dict[str, str]:
     return pairs
 
 
-def _get_float(pairs, key, default=None) -> float:
+def _number(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"{token!r} is not finite")
+    return value
+
+
+def _numbers(token: str) -> tuple[float, ...]:
+    return tuple(_number(tok) for tok in token.split(",") if tok.strip())
+
+
+def _boolean(token: str) -> bool:
+    token = token.lower()
+    if token not in ("true", "yes", "1", "false", "no", "0"):
+        raise ValueError(f"{token!r} is not a boolean")
+    return token in ("true", "yes", "1")
+
+
+_PARSE_ERRORS = {_number: "not a number", int: "not an integer",
+                 _numbers: "not a number list", _boolean: "not a boolean"}
+_REQUIRED = object()
+
+
+def _value(pairs, key, parse, default=_REQUIRED):
+    """``parse(pairs[key])``, or ``default`` when the key is absent.
+
+    A missing key without a default, and a value that ``parse`` rejects
+    with ``ValueError`` (a number that is not finite among them), raise
+    ``ConfigError`` naming the key.
+    """
     if key not in pairs:
-        if default is None:
+        if default is _REQUIRED:
             raise ConfigError(f"missing required key {key!r}")
         return default
     try:
-        return float(pairs[key])
+        return parse(pairs[key])
     except ValueError as exc:
-        raise ConfigError(f"key {key!r}: not a number: {pairs[key]!r}") from exc
-
-
-def _get_int(pairs, key) -> int:
-    if key not in pairs:
-        raise ConfigError(f"missing required key {key!r}")
-    try:
-        return int(pairs[key])
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: not an integer: {pairs[key]!r}") from exc
-
-
-def _get_floats(pairs, key) -> tuple[float, ...]:
-    if key not in pairs:
-        raise ConfigError(f"missing required key {key!r}")
-    try:
-        return tuple(float(tok) for tok in pairs[key].split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: not a number list: {pairs[key]!r}") from exc
-
-
-def _get_bool(pairs, key, default: bool) -> bool:
-    if key not in pairs:
-        return default
-    token = pairs[key].lower()
-    if token in ("true", "yes", "1"):
-        return True
-    if token in ("false", "no", "0"):
-        return False
-    raise ConfigError(f"key {key!r}: not a boolean: {pairs[key]!r}")
+        raise ConfigError(
+            f"key {key!r}: {_PARSE_ERRORS[parse]}: {pairs[key]!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -140,36 +143,13 @@ class ExperimentConfig:
         return make_initial(self.grid, self.preset, rho_jam=self.model.rho_jam)
 
 
-def _build_preset(pairs) -> object:
-    name = pairs.get("initial.preset")
-    if name not in _PRESETS:
-        raise ConfigError(
-            f"initial.preset must be one of {_PRESETS}, got {name!r}")
-    if name == "riemann":
-        return Riemann(_get_float(pairs, "initial.rho_left"),
-                       _get_float(pairs, "initial.rho_right"),
-                       _get_float(pairs, "initial.x0"))
-    if name == "bump":
-        return Bump(_get_float(pairs, "initial.base"),
-                    _get_float(pairs, "initial.amplitude"),
-                    _get_float(pairs, "initial.center"),
-                    _get_float(pairs, "initial.width"))
-    if name == "sine":
-        return Sine(_get_float(pairs, "initial.mean"),
-                    _get_float(pairs, "initial.amplitude"),
-                    _get_float(pairs, "initial.wavelength"))
-    return MonotoneRamp(_get_float(pairs, "initial.rho_left"),
-                        _get_float(pairs, "initial.rho_right"),
-                        _get_float(pairs, "initial.x0"),
-                        _get_float(pairs, "initial.x1"))
-
-
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and fully validate a config document.
 
-    Unknown keys, missing keys, out-of-domain values and inconsistent
-    combinations (non-decreasing sweep epsilons, K <= v(0) with relaxation
-    diagnostics requested) are all rejected here, before any computation.
+    Unknown keys, missing keys, non-finite numbers, out-of-domain values
+    and inconsistent combinations (non-decreasing sweep epsilons, K <= v(0)
+    with relaxation diagnostics requested) are all rejected here, before
+    any computation.
     """
     pairs = _parse_pairs(text)
     for key in _REQUIRED_KEYS:
@@ -177,51 +157,58 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"missing required key {key!r}")
 
     kind = pairs["experiment.kind"]
-    if kind not in _KINDS:
-        raise ConfigError(
-            f"experiment.kind must be one of {_KINDS}, got {kind!r}")
+    if kind not in EXPERIMENT_KINDS:
+        raise ConfigError(f"experiment.kind must be one of "
+                          f"{tuple(EXPERIMENT_KINDS)}, got {kind!r}")
+    needs = EXPERIMENT_KINDS[kind].needs
 
     if pairs["model.kind"] != "affine":
         raise ConfigError(
             "config documents support model.kind = affine only; custom "
             "models are available through the library API")
-    model = VelocityModel.affine(_get_float(pairs, "model.a", 1.0),
-                                 _get_float(pairs, "model.b", 1.0))
+    model = VelocityModel.affine(_value(pairs, "model.a", _number, 1.0),
+                                 _value(pairs, "model.b", _number, 1.0))
 
     try:
-        grid = Grid(_get_float(pairs, "grid.x_min"),
-                    _get_float(pairs, "grid.x_max"),
-                    _get_int(pairs, "grid.n_cells"),
+        grid = Grid(_value(pairs, "grid.x_min", _number),
+                    _value(pairs, "grid.x_max", _number),
+                    _value(pairs, "grid.n_cells", int),
                     pairs.get("grid.boundary", "periodic"))
-        preset = _build_preset(pairs)
+        preset_class = _PRESETS.get(pairs["initial.preset"])
+        if preset_class is None:
+            raise ConfigError(
+                f"initial.preset must be one of {tuple(_PRESETS)}, "
+                f"got {pairs['initial.preset']!r}")
+        preset = preset_class(*(_value(pairs, f"initial.{f.name}", _number)
+                                for f in fields(preset_class)))
         solver = SolverConfig(
-            t_final=_get_float(pairs, "solver.t_final"),
-            cfl=_get_float(pairs, "solver.cfl", 0.5),
-            snapshot_times=_get_floats(pairs, "solver.snapshots")
-            if "solver.snapshots" in pairs else ())
+            t_final=_value(pairs, "solver.t_final", _number),
+            cfl=_value(pairs, "solver.cfl", _number, 0.5),
+            snapshot_times=_value(pairs, "solver.snapshots", _numbers, ()))
         make_initial(grid, preset, rho_jam=model.rho_jam)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
 
-    epsilon = (_get_float(pairs, "kernel.epsilon")
-               if "kernel.epsilon" in pairs else None)
+    epsilon = _value(pairs, "kernel.epsilon", _number, None)
     epsilons: tuple[float, ...] = ()
-    if kind == "sweep":
-        epsilons = _get_floats(pairs, "sweep.epsilons")
+    if "sweep.epsilons" in needs:
+        epsilons = _value(pairs, "sweep.epsilons", _numbers)
         if not epsilons:
             raise ConfigError("sweep.epsilons must not be empty")
         if any(e <= 0 for e in epsilons):
             raise ConfigError("sweep.epsilons must be strictly positive")
         if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
             raise ConfigError("sweep.epsilons must be strictly decreasing")
-    elif kind in ("run", "compare") and epsilon is None:
+    elif "kernel.epsilon" in needs and epsilon is None:
         raise ConfigError(f"kind {kind!r} needs kernel.epsilon")
     if epsilon is not None and epsilon <= 0:
         raise ConfigError("kernel.epsilon must be positive")
 
-    relaxation_k = _get_float(pairs, "relaxation.K", 2.0 * model.v_max)
-    with_relaxation = _get_bool(pairs, "compare.with_relaxation", False)
-    if (kind == "check" or with_relaxation) and relaxation_k <= model.v_max:
+    relaxation_k = _value(pairs, "relaxation.K", _number, 2.0 * model.v_max)
+    with_relaxation = _value(pairs, "compare.with_relaxation", _boolean,
+                             False)
+    if (("relaxation.K" in needs or with_relaxation)
+            and relaxation_k <= model.v_max):
         raise ConfigError(
             f"relaxation.K = {relaxation_k} must strictly exceed "
             f"v(0) = {model.v_max}")
@@ -504,75 +491,8 @@ def domain_coverage(initial: DensityField, eps_value: float,
 # report serialization
 # ---------------------------------------------------------------------------
 
-def sweep_csv(report: SweepReport) -> str:
-    if not report.rows:   # _csv_body would add an empty line
-        return ",".join(SWEEP_CSV_COLUMNS) + "\n"
-    return _columns_csv({
-        name: np.array([getattr(row, name) for row in report.rows],
-                       dtype=float)
-        for name in SWEEP_CSV_COLUMNS})
-
-
-def _json_metadata(config: ExperimentConfig, seed: int | None) -> dict:
-    import scipy   # only for its version: importing the CLI loads numpy alone
-
-    return {
-        "config_hash": config.config_hash,
-        "seed": seed,
-        "grid": {"x_min": config.grid.x_min, "x_max": config.grid.x_max,
-                 "n_cells": config.grid.n_cells,
-                 "boundary_mode": config.grid.boundary_mode,
-                 "dx": config.grid.dx},
-        "versions": {"nltraffic": __version__,
-                     "numpy": np.__version__,
-                     "scipy": scipy.__version__,
-                     "python": platform.python_version()},
-    }
-
-
-def _sweep_payload(report: SweepReport) -> dict:
-    """Rows and slopes of a sweep, shared by sweep.json and emit_report."""
-    return {
-        "rows": [asdict(row) for row in report.rows],
-        "slopes": {"l1_vs_epsilon": report.slope_l1,
-                   "entropy_pos_vs_epsilon": report.slope_entropy}}
-
-
-def sweep_json(report: SweepReport, config: ExperimentConfig,
-               seed: int | None = None) -> str:
-    payload = _json_metadata(config, seed)
-    payload.update(_sweep_payload(report))
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n"
-
-
-def emit_report(report, fmt: str) -> str:
-    """Serialize a SweepReport or DiagnosticsReport to CSV or JSON text."""
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"unknown report format {fmt!r}")
-    if isinstance(report, SweepReport):
-        if fmt == "csv":
-            return sweep_csv(report)
-        return json.dumps(_sweep_payload(report), indent=2,
-                          sort_keys=True) + "\n"
-    if isinstance(report, DiagnosticsReport):
-        if fmt == "json":
-            return json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
-        lines = ["metric,value,provenance"]
-        for name in sorted(report.metrics):
-            prov = report.provenance.get(name, "").replace(",", ";")
-            lines.append(f"{name},{report.metrics[name]!r},{prov}")
-        return "\n".join(lines) + "\n"
-    raise ConfigError(f"cannot serialize report of type {type(report).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# top-level experiment driver
-# ---------------------------------------------------------------------------
-
-def _csv_body(columns) -> str:
-    """Lines of comma-joined strings, one per row of the columns, each
-    ended by a newline; joined by ``str.join`` rather than per value."""
-    return "\n".join(map(",".join, zip(*columns))) + "\n"
+#: rows per string handed to a CSV file: a file is never held whole
+CSV_BLOCK_ROWS = 4096
 
 
 def _float_reprs(column: np.ndarray) -> list[str]:
@@ -597,17 +517,30 @@ def _float_reprs(column: np.ndarray) -> list[str]:
     return reprs[inverse].tolist()
 
 
-def _columns_csv(columns: dict) -> str:
+def _csv_body(columns: list) -> Iterator[str]:
+    """The rows of equally long columns, ``CSV_BLOCK_ROWS`` lines per string.
+
+    A column is a float64 array, written as the ``_float_reprs`` of each
+    block of it, or a list of strings, written as they are.  Each line
+    joins its row's values by commas and ends with a newline.
+    """
+    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        block = slice(start, start + CSV_BLOCK_ROWS)
+        yield "\n".join(map(",".join, zip(*(
+            col[block] if isinstance(col, list) else _float_reprs(col[block])
+            for col in columns)))) + "\n"
+
+
+def _columns_csv(columns: dict) -> Iterator[str]:
     """A header of the column names, then a line of float reprs per row."""
-    return ",".join(columns) + "\n" + _csv_body(
-        _float_reprs(col) for col in columns.values())
+    yield ",".join(columns) + "\n"
+    yield from _csv_body(list(columns.values()))
 
 
 def _write_trajectory_csv(traj, path: Path):
-    """``t,x,rho,q`` long format, written one snapshot at a time.
+    """``t,x,rho,q`` long format, written one block of rows at a time.
 
-    Every value is a float ``repr``, built once per distinct value of its
-    column; the x column's reprs are built once per file.
+    The x column's reprs are built once per file.
     """
     x = _float_reprs(traj.snapshots[0].rho.grid.cell_centers())
     with open(path, "w") as fh:
@@ -615,47 +548,88 @@ def _write_trajectory_csv(traj, path: Path):
         for snap in traj.snapshots:
             q = snap.q.values if snap.q is not None else np.full(len(x),
                                                                  np.nan)
-            fh.write(_csv_body([[repr(float(snap.t))] * len(x), x,
-                                _float_reprs(snap.rho.values),
-                                _float_reprs(q)]))
+            fh.writelines(_csv_body([[repr(float(snap.t))] * len(x), x,
+                                     snap.rho.values, q]))
 
 
-def _run_kind(config: ExperimentConfig, out: Path, seed: int | None) -> dict:
+def sweep_csv(report: SweepReport) -> str:
+    return "".join(_columns_csv({
+        name: np.array([getattr(row, name) for row in report.rows],
+                       dtype=float)
+        for name in SWEEP_CSV_COLUMNS}))
+
+
+def _json_document(config: ExperimentConfig, seed: int | None,
+                   payload: dict) -> str:
+    """The text of ``<kind>.json``: the payload next to the config hash,
+    seed, grid and package versions, keys sorted."""
+    import scipy   # only for its version: importing the CLI loads numpy alone
+
+    return json.dumps({
+        "config_hash": config.config_hash,
+        "seed": seed,
+        "grid": {"x_min": config.grid.x_min, "x_max": config.grid.x_max,
+                 "n_cells": config.grid.n_cells,
+                 "boundary_mode": config.grid.boundary_mode,
+                 "dx": config.grid.dx},
+        "versions": {"nltraffic": __version__,
+                     "numpy": np.__version__,
+                     "scipy": scipy.__version__,
+                     "python": platform.python_version()},
+        **payload}, indent=2, sort_keys=True) + "\n"
+
+
+def sweep_json(report: SweepReport, config: ExperimentConfig,
+               seed: int | None = None) -> str:
+    return _json_document(config, seed, {
+        "rows": [asdict(row) for row in report.rows],
+        "slopes": {"l1_vs_epsilon": report.slope_l1,
+                   "entropy_pos_vs_epsilon": report.slope_entropy}})
+
+
+# ---------------------------------------------------------------------------
+# top-level experiment driver
+# ---------------------------------------------------------------------------
+#
+# Each kind writes its other files under ``out`` and returns the text of
+# its ``<kind>.json`` with a summary dict; ``run_experiment`` writes the
+# JSON document last.
+
+def _run_kind(config: ExperimentConfig, out: Path,
+              seed: int | None) -> tuple[str, dict]:
     initial = config.initial_field()
     eps = KernelScale(config.epsilon)
     traj = solve_nonlocal(initial, config.model, eps, config.solver)
     _write_trajectory_csv(traj, out / "trajectory.csv")
-    report = DiagnosticsReport()
-    report.add("mass_drift",
-               traj.final.rho.total_mass() - initial.total_mass(),
-               "conservation of the cell-average integral")
-    report.add("maxp_margin",
-               min(traj.rho_min_seen - float(np.min(initial.values)),
-                   float(np.max(initial.values)) - traj.rho_max_seen),
-               "solution stays inside the initial range")
-    report.add("tv_final", total_variation(traj.final.rho),
-               "total variation at t_final")
-    payload = _json_metadata(config, seed)
-    payload["diagnostics"] = report.as_dict()
-    payload["domain_coverage"] = domain_coverage(
-        initial, config.epsilon, config.solver.t_final, config.model.v_max)
-    payload["step_count"] = traj.step_count
-    (out / "run.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return {"files": ["trajectory.csv", "run.json"]}
+    metrics = {
+        "mass_drift": traj.final.rho.total_mass() - initial.total_mass(),
+        "maxp_margin": min(traj.rho_min_seen - float(np.min(initial.values)),
+                           float(np.max(initial.values)) - traj.rho_max_seen),
+        "tv_final": total_variation(traj.final.rho)}
+    provenance = {
+        "mass_drift": "conservation of the cell-average integral",
+        "maxp_margin": "solution stays inside the initial range",
+        "tv_final": "total variation at t_final"}
+    return _json_document(config, seed, {
+        "diagnostics": {"metrics": {k: float(v) for k, v in metrics.items()},
+                        "provenance": provenance},
+        "domain_coverage": domain_coverage(
+            initial, config.epsilon, config.solver.t_final,
+            config.model.v_max),
+        "step_count": traj.step_count}), {"files": ["trajectory.csv"]}
 
 
 def _sweep_kind(config: ExperimentConfig, out: Path,
-                seed: int | None) -> dict:
+                seed: int | None) -> tuple[str, dict]:
     report = run_sweep(config)
     (out / "sweep.csv").write_text(sweep_csv(report))
-    (out / "sweep.json").write_text(sweep_json(report, config, seed))
-    return {"files": ["sweep.csv", "sweep.json"],
-            "rows": len(report.rows),
-            "failed_rows": sum(r.error is not None for r in report.rows)}
+    return sweep_json(report, config, seed), {
+        "files": ["sweep.csv"], "rows": len(report.rows),
+        "failed_rows": sum(r.error is not None for r in report.rows)}
 
 
-def _compare_kind(config: ExperimentConfig, out: Path, seed: int | None) -> dict:
+def _compare_kind(config: ExperimentConfig, out: Path,
+                  seed: int | None) -> tuple[str, dict]:
     initial = config.initial_field()
     eps = KernelScale(config.epsilon)
     fe = FluxEntropyModel(config.model)
@@ -667,7 +641,7 @@ def _compare_kind(config: ExperimentConfig, out: Path, seed: int | None) -> dict
                "rho_local": traj_loc.final.rho.values}
     distances = {"l1_nonlocal_local":
                  l1_distance(traj_nl.final.rho, traj_loc.final.rho)}
-    payload = _json_metadata(config, seed)
+    payload = {"distances": distances}
     if config.with_relaxation:
         rt = relaxation_roundtrip(initial, config.model, eps,
                                   config.relaxation_K,
@@ -680,46 +654,67 @@ def _compare_kind(config: ExperimentConfig, out: Path, seed: int | None) -> dict
         payload["relaxation"] = {
             "newton_iterations_max": rt.newton_iterations_max,
             "bisection_cells": rt.bisection_cells}
-    (out / "fields.csv").write_text(_columns_csv(columns))
-    payload["distances"] = distances
-    (out / "compare.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return {"files": ["fields.csv", "compare.json"], "distances": distances}
+    with open(out / "fields.csv", "w") as fh:
+        fh.writelines(_columns_csv(columns))
+    return _json_document(config, seed, payload), {
+        "files": ["fields.csv"], "distances": distances}
 
 
-def _check_kind(config: ExperimentConfig, out: Path, seed: int | None) -> dict:
+def _check_kind(config: ExperimentConfig, out: Path,
+                seed: int | None) -> tuple[str, dict]:
     model_report = validate_model(config.model, 1001)
     frame = RelaxationFrame(config.relaxation_K, KernelScale(1.0),
                             config.model)
     sub = check_subcharacteristic(frame, 1000)
     bv = check_bv_conditions(frame, (0.0, config.model.rho_jam))
-    payload = _json_metadata(config, seed)
-    payload["model"] = {
-        "passed": model_report.passed,
-        "vjam_residual": model_report.vjam_residual,
-        "delta_star": model_report.delta_star,
-        "d2v_sup": model_report.d2v_sup,
-        "inverse_roundtrip_error": model_report.inverse_roundtrip_error,
-        "flux_curvature_sup": model_report.flux_curvature_sup,
-        "checks": [{"name": c.name, "passed": c.passed, "margin": c.margin,
-                    "detail": c.detail} for c in model_report.checks]}
-    payload["subcharacteristic"] = {
-        "passed": sub.passed,
-        "min_margin_lower": sub.min_margin_lower,
-        "min_margin_upper": sub.min_margin_upper}
-    payload["bv_conditions"] = {
-        "passed": bv.passed,
-        "range_margin": bv.range_margin,
-        "uniform_margin": bv.uniform_margin,
-        "min_K_affine": bv.min_K_affine,
-        "lambda_u_max": bv.lambda_u_max,
-        "lambda_z_min": bv.lambda_z_min,
-        "checks": [{"name": c.name, "passed": c.passed, "margin": c.margin,
-                    "detail": c.detail} for c in bv.checks]}
-    payload["passed"] = bool(model_report.passed and sub.passed and bv.passed)
-    (out / "check.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return {"files": ["check.json"], "passed": payload["passed"]}
+    passed = bool(model_report.passed and sub.passed and bv.passed)
+    return _json_document(config, seed, {
+        "model": {
+            "passed": model_report.passed,
+            "vjam_residual": model_report.vjam_residual,
+            "delta_star": model_report.delta_star,
+            "d2v_sup": model_report.d2v_sup,
+            "inverse_roundtrip_error": model_report.inverse_roundtrip_error,
+            "flux_curvature_sup": model_report.flux_curvature_sup,
+            "checks": [asdict(c) for c in model_report.checks]},
+        "subcharacteristic": {
+            "passed": sub.passed,
+            "min_margin_lower": sub.min_margin_lower,
+            "min_margin_upper": sub.min_margin_upper},
+        "bv_conditions": {
+            "passed": bv.passed,
+            "range_margin": bv.range_margin,
+            "uniform_margin": bv.uniform_margin,
+            "min_K_affine": bv.min_K_affine,
+            "lambda_u_max": bv.lambda_u_max,
+            "lambda_z_min": bv.lambda_z_min,
+            "checks": [asdict(c) for c in bv.checks]},
+        "passed": passed}), {"files": [], "passed": passed}
+
+
+class ExperimentKind(NamedTuple):
+    """What the config parser, the CLI and run_experiment know of a kind."""
+
+    help: str
+    #: kind-specific keys that parse_config validates: kernel.epsilon and
+    #: sweep.epsilons must be present, relaxation.K must exceed v(0)
+    needs: tuple[str, ...]
+    write: Callable[[ExperimentConfig, Path, int | None], tuple[str, dict]]
+
+
+#: every experiment kind, in CLI order: the value of experiment.kind, the
+#: CLI subcommand and the stem of the JSON report
+EXPERIMENT_KINDS = {
+    "run": ExperimentKind("single solve, trajectory to CSV",
+                          ("kernel.epsilon",), _run_kind),
+    "sweep": ExperimentKind("epsilon sweep against the local reference",
+                            ("sweep.epsilons",), _sweep_kind),
+    "compare": ExperimentKind(
+        "side-by-side nonlocal / local / relaxation fields",
+        ("kernel.epsilon",), _compare_kind),
+    "check": ExperimentKind("model and relaxation condition checks",
+                            ("relaxation.K",), _check_kind),
+}
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
@@ -732,14 +727,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
     """
     out = Path(out_dir) if out_dir is not None else Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if config.kind == "run":
-        result = _run_kind(config, out, seed)
-    elif config.kind == "sweep":
-        result = _sweep_kind(config, out, seed)
-    elif config.kind == "compare":
-        result = _compare_kind(config, out, seed)
-    else:
-        result = _check_kind(config, out, seed)
+    document, result = EXPERIMENT_KINDS[config.kind].write(config, out, seed)
+    name = f"{config.kind}.json"
+    (out / name).write_text(document)
+    result["files"].append(name)
     result["out_dir"] = str(out)
     result["config_hash"] = config.config_hash
     return result

@@ -10,6 +10,8 @@ from nltraffic.core import ModelEvaluationError
 
 from conftest import cubic_model, non_concave_model, quadratic_model
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 class TestGrid:
     def test_cell_centers_equally_spaced(self):
@@ -216,3 +218,14 @@ class TestSolverConfig:
     def test_snapshots_within_horizon(self):
         with pytest.raises(DomainError):
             SolverConfig(t_final=1.0, snapshot_times=(1.5,))
+
+    @pytest.mark.parametrize("t_final, snapshots", [
+        (float("nan"), ()), (float("inf"), ()), (-float("inf"), ()),
+        (1.0, (float("nan"),)), (1.0, (0.5, float("nan"))),
+        (float("inf"), (float("inf"),))])
+    def test_non_finite_times(self, t_final, snapshots):
+        with pytest.raises(DomainError, match="finite"):
+            SolverConfig(t_final=t_final, snapshot_times=snapshots)
+
+    def test_zero_horizon(self):
+        assert SolverConfig(t_final=0.0).emission_times() == [0.0]

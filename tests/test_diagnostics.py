@@ -14,9 +14,8 @@ from nltraffic import (BumpTestFunction, DensityField, DomainError,
                        make_initial, shifted_product_check, solve_local,
                        solve_nonlocal, stability_gap, symmetric_rearrangement,
                        total_variation)
-from nltraffic.diagnostics import (DiagnosticsReport, EntropyProjector,
-                                   InsufficientDataError, SupportError,
-                                   kernel_deviation_values,
+from nltraffic.diagnostics import (EntropyProjector, InsufficientDataError,
+                                   SupportError, kernel_deviation_values,
                                    max_permuted_product)
 
 from conftest import quadratic_model, random_bv_field
@@ -586,16 +585,3 @@ class TestStabilityGap:
         with pytest.raises(DomainError):
             stability_gap(a, a)
 
-
-class TestDiagnosticsReport:
-    def test_rejects_non_finite(self):
-        report = DiagnosticsReport()
-        with pytest.raises(DomainError):
-            report.add("bad", float("inf"))
-
-    def test_round_trip(self):
-        report = DiagnosticsReport()
-        report.add("mass", 1.25, "conservation")
-        data = report.as_dict()
-        assert data["metrics"]["mass"] == 1.25
-        assert data["provenance"]["mass"] == "conservation"

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,13 +15,13 @@ from nltraffic import (DensityField, FluxEntropyModel, Grid, KernelScale,
                        solve_local, solve_nonlocal)
 from nltraffic.cli import main
 from nltraffic.core import NumericsError
-from nltraffic.diagnostics import DiagnosticsReport
 from nltraffic.experiments import (ConfigError, SWEEP_CSV_COLUMNS, SweepReport,
-                                   SweepRow, domain_coverage, emit_report,
-                                   parse_config, relaxation_roundtrip,
-                                   run_experiment, run_sweep, sweep_csv,
-                                   sweep_json)
+                                   SweepRow, domain_coverage, parse_config,
+                                   relaxation_roundtrip, run_experiment,
+                                   run_sweep, sweep_csv, sweep_json)
 import nltraffic.experiments as experiments
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 MINIMAL = """
 experiment.kind = run
@@ -107,11 +108,28 @@ class TestParseConfig:
         config = parse_config("# leading comment\n\n" + MINIMAL)
         assert config.kind == "run"
 
+    @pytest.mark.parametrize("preset, given, first_missing", [
+        ("riemann", "", "initial.rho_left"),
+        ("bump", "initial.base = 0.3\n", "initial.amplitude"),
+        ("sine", "initial.mean = 0.5\ninitial.amplitude = 0.1\n",
+         "initial.wavelength"),
+        ("monotone_ramp", "initial.rho_left = 0.2\ninitial.rho_right = 0.8"
+                          "\ninitial.x0 = -0.5\n", "initial.x1")])
+    def test_preset_first_missing_key(self, preset, given, first_missing):
+        text = "".join(line + "\n" for line in MINIMAL.splitlines()
+                       if not line.startswith("initial."))
+        text += f"initial.preset = {preset}\n" + given
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert str(exc.value) == f"missing required key {first_missing!r}"
+
 
 class TestEmitReport:
+    """The sweep report writers, ``sweep_csv`` and ``sweep_json``."""
+
     def test_empty_sweep_header_only(self):
         report = SweepReport.from_rows([])
-        text = emit_report(report, "csv")
+        text = sweep_csv(report)
         assert text == ",".join(SWEEP_CSV_COLUMNS) + "\n"
 
     def test_sweep_csv_bytes_equal_per_row_writer(self):
@@ -134,7 +152,7 @@ class TestEmitReport:
 
     def test_single_row_layout(self):
         row = SweepRow(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
-        text = emit_report(SweepReport.from_rows([row]), "csv")
+        text = sweep_csv(SweepReport.from_rows([row]))
         lines = text.strip().split("\n")
         assert len(lines) == 2
         assert lines[0].split(",") == list(SWEEP_CSV_COLUMNS)
@@ -143,7 +161,7 @@ class TestEmitReport:
     def test_json_round_trip(self):
         row = SweepRow(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
         report = SweepReport.from_rows([row])
-        data = json.loads(emit_report(report, "json"))
+        data = json.loads(sweep_json(report, parse_config(SWEEP)))
         assert data["rows"][0]["l1_to_reference"] == 0.2
 
     def test_json_rows_equal_sweep_json_rows(self):
@@ -153,23 +171,17 @@ class TestEmitReport:
         failed = SweepRow(0.1, nan, nan, nan, nan, nan, nan, 0.9,
                           error="BlowupError: synthetic")
         report = SweepReport.from_rows([good, failed])
-        emitted = json.loads(emit_report(report, "json"))
         written = json.loads(sweep_json(report, parse_config(SWEEP)))
-        assert emitted["rows"][0]["entropy_pos_per_phi"] == [0.7, 0.0, 0.25]
-        # compared as text: nan != nan would fail a dict comparison
-        for key in ("rows", "slopes"):
-            assert (json.dumps(emitted[key], sort_keys=True)
-                    == json.dumps(written[key], sort_keys=True))
-
-    def test_diagnostics_formats(self):
-        report = DiagnosticsReport()
-        report.add("mass", 1.0, "conservation, exact")
-        assert "metric,value,provenance" in emit_report(report, "csv")
-        assert json.loads(emit_report(report, "json"))["metrics"]["mass"] == 1.0
-
-    def test_unknown_format(self):
-        with pytest.raises(ConfigError):
-            emit_report(SweepReport.from_rows([]), "yaml")
+        assert [set(row) for row in written["rows"]] == [
+            set(SweepRow.__dataclass_fields__)] * 2
+        assert written["rows"][0]["entropy_pos_per_phi"] == [0.7, 0.0, 0.25]
+        assert written["rows"][0]["error"] is None
+        assert written["rows"][1]["error"] == "BlowupError: synthetic"
+        assert written["rows"][1]["runtime_seconds"] == 0.9
+        assert all(math.isnan(written["rows"][1][name])
+                   for name in SWEEP_CSV_COLUMNS[1:-1])
+        # one good row: no slope can be fitted
+        assert all(math.isnan(v) for v in written["slopes"].values())
 
 
 def _strip_runtime(csv_text: str) -> str:
@@ -331,7 +343,29 @@ class TestCsvWriters:
                         np.inf, 5e-324])
         columns = {"x": np.linspace(-3.0, 3.0, odd.size),
                    "a": odd, "b": rng.standard_normal(odd.size)}
-        assert experiments._columns_csv(columns) == columns_csv_loop(columns)
+        assert ("".join(experiments._columns_csv(columns))
+                == columns_csv_loop(columns))
+
+    @pytest.mark.parametrize("block_rows", [1, 5, 96, 97])
+    def test_blocks_split_between_rows(self, block_rows, tmp_path,
+                                       monkeypatch):
+        monkeypatch.setattr(experiments, "CSV_BLOCK_ROWS", block_rows)
+        model = VelocityModel.affine(1.0, 1.0)
+        initial = make_initial(Grid(-1.0, 1.0, 96, "constant_extension"),
+                               Riemann(0.2, 0.8, 0.1))
+        traj = solve_nonlocal(initial, model, KernelScale(0.05),
+                              SolverConfig(t_final=0.1,
+                                           snapshot_times=(0.05,)))
+        experiments._write_trajectory_csv(traj, tmp_path / "joined.csv")
+        trajectory_csv_loop(traj, tmp_path / "loop.csv")
+        assert ((tmp_path / "joined.csv").read_bytes()
+                == (tmp_path / "loop.csv").read_bytes())
+        columns = {"x": initial.grid.cell_centers(),
+                   "rho": traj.final.rho.values}
+        blocks = list(experiments._columns_csv(columns))
+        assert len(blocks) == 1 + -(-96 // block_rows)
+        assert all(b.endswith("\n") for b in blocks)
+        assert "".join(blocks) == columns_csv_loop(columns)
 
 
 # bit patterns: +-0, +-inf, quiet and signalling NaNs with several payloads
@@ -412,6 +446,13 @@ def _shipped_config(name: str, n_cells: int) -> str:
     return "\n".join(f"grid.n_cells = {n_cells}"
                      if line.startswith("grid.n_cells") else line
                      for line in text.splitlines()) + "\n"
+
+
+def _with_value(text: str, key: str, value: str) -> str:
+    """The config text with the line that sets key setting value."""
+    return "".join(f"{key} = {value}\n"
+                   if line.split("=")[0].strip() == key else line + "\n"
+                   for line in text.splitlines())
 
 
 def _record_calls(monkeypatch, name: str) -> list:
@@ -609,10 +650,31 @@ print(json.dumps({{"code": code, "scipy_on_import": scipy_on_import,
         assert [str(w.message) for w in caught
                 if issubclass(w.category, ResourceWarning)] == []
 
-    def test_jobs_flag_still_accepted(self, tmp_path, capsys):
+    def test_jobs_flag_rejected(self, tmp_path, capsys):
         path = self._write(tmp_path, MINIMAL)
-        assert main(["run", "--config", path, "--jobs", "2",
-                     "--out", str(tmp_path / "o")]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", path, "--jobs", "2",
+                  "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("check_affine", "relaxation.K", "nan"),
+        ("run_shock", "solver.t_final", "nan"),
+        ("run_shock", "solver.t_final", "inf"),
+        ("check_affine", "relaxation.K", "inf")])
+    def test_non_finite_number_exit_two(self, name, key, value, tmp_path,
+                                        capsys):
+        text = _with_value(_shipped_config(name, 64), key, value)
+        path = self._write(tmp_path, text)
+        kind = parse_config(_shipped_config(name, 64)).kind
+        assert main([kind, "--config", path,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "config", "type": "ConfigError",
+            "message": f"key {key!r}: not a number: {value!r}"}
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config_is_io_error(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.cfg")])
@@ -639,3 +701,84 @@ print(json.dumps({{"code": code, "scipy_on_import": scipy_on_import,
         monkeypatch.setattr(cli, "run_experiment", boom)
         assert main(["run", "--config", path]) == 3
         assert json.loads(capsys.readouterr().err)["error"] == "numerical"
+
+
+def _key_tree(node):
+    """The keys of a JSON value, nested as in it, with None at the leaves;
+    a list becomes the one tree that all its elements share."""
+    if isinstance(node, dict):
+        return {key: _key_tree(value) for key, value in node.items()}
+    if isinstance(node, list):
+        trees = [_key_tree(value) for value in node]
+        assert all(tree == trees[0] for tree in trees)
+        return trees[:1]
+    return None
+
+
+def _leaves(*keys) -> dict:
+    return dict.fromkeys(keys)
+
+
+METADATA_TREE = {
+    "config_hash": None, "seed": None,
+    "grid": _leaves("x_min", "x_max", "n_cells", "boundary_mode", "dx"),
+    "versions": _leaves("nltraffic", "numpy", "scipy", "python")}
+CHECK_TREE = [_leaves("name", "passed", "margin", "detail")]
+RUN_METRICS = _leaves("mass_drift", "maxp_margin", "tv_final")
+
+# config -> (subcommand, CSV headers, JSON document key tree)
+SHIPPED_REPORTS = {
+    "run_shock": ("run", {"trajectory.csv": "t,x,rho,q"}, {
+        **METADATA_TREE,
+        "diagnostics": {"metrics": RUN_METRICS, "provenance": RUN_METRICS},
+        "domain_coverage": _leaves("applicable", "ok", "margin"),
+        "step_count": None}),
+    "sweep_rarefaction": (
+        "sweep", {"sweep.csv": ",".join(SWEEP_CSV_COLUMNS)}, {
+            **METADATA_TREE,
+            "rows": [{**_leaves(*SWEEP_CSV_COLUMNS, "error"),
+                      "entropy_pos_per_phi": [None]}],
+            "slopes": _leaves("l1_vs_epsilon", "entropy_pos_vs_epsilon")}),
+    "compare_bump": (
+        "compare", {"fields.csv": "x,rho_nonlocal,rho_local,"
+                                  "rho_relaxation,rho_nonlocal_slice"}, {
+            **METADATA_TREE,
+            "distances": _leaves("l1_nonlocal_local",
+                                 "l1_relaxation_roundtrip"),
+            "relaxation": _leaves("newton_iterations_max",
+                                  "bisection_cells")}),
+    "check_affine": ("check", {}, {
+        **METADATA_TREE,
+        "model": {**_leaves("passed", "vjam_residual", "delta_star",
+                            "d2v_sup", "inverse_roundtrip_error",
+                            "flux_curvature_sup"), "checks": CHECK_TREE},
+        "subcharacteristic": _leaves("passed", "min_margin_lower",
+                                     "min_margin_upper"),
+        "bv_conditions": {**_leaves("passed", "range_margin",
+                                    "uniform_margin", "min_K_affine",
+                                    "lambda_u_max", "lambda_z_min"),
+                          "checks": CHECK_TREE},
+        "passed": None}),
+}
+
+
+class TestShippedConfigs:
+    """Each shipped config (at a smaller N) through the CLI: the files it
+    lists, each CSV header and the JSON document's whole key tree."""
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_REPORTS))
+    def test_reports_layout(self, name, tmp_path, capsys):
+        kind, headers, tree = SHIPPED_REPORTS[name]
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(_shipped_config(name, 128))
+        out = tmp_path / "out"
+        assert main([kind, "--config", str(path), "--out", str(out)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["files"] == [*headers, f"{kind}.json"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            summary["files"])
+        for csv_name, header in headers.items():
+            with open(out / csv_name) as fh:
+                assert fh.readline() == header + "\n"
+        document = json.loads((out / f"{kind}.json").read_text())
+        assert _key_tree(document) == tree
