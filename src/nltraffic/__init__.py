@@ -8,9 +8,9 @@ from .core import (Bump, CheckResult, DensityField, DomainError, Grid,
                    SolverConfig, VelocityModel, flux_curvature_sup,
                    make_initial, validate_model)
 from .kernel import AveragedField, average, edge_to_center, ode_residual
-from .trajectory import Snapshot, Trajectory
-from .nonlocal_fv import (EnsembleStats, PicardResult, march_nonlocal,
-                          picard_oracle, solve_nonlocal)
+from .trajectory import RunStats, Snapshot, Trajectory
+from .nonlocal_fv import (PicardResult, march_nonlocal, picard_oracle,
+                          solve_nonlocal)
 from .local_lwr import (FluxEntropyModel, entropy_pair, godunov_flux,
                         godunov_state, solve_local)
 from .relaxation import (BVConditionReport, RelaxationFrame,

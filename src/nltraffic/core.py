@@ -129,6 +129,8 @@ class DensityField:
         return float(np.sum(self.values)) * self.grid.dx
 
     def with_values(self, values) -> "DensityField":
+        """The same grid with new values; no code in the package calls it,
+        but ``benchmarks/corruptions.py --self-check`` does."""
         return DensityField(self.grid, values)
 
 

@@ -116,12 +116,6 @@ class BumpTestFunction:
         inside = np.abs(r) < 1.0
         return np.where(inside, -6.0 * r * (1.0 - r * r) ** 2, 0.0)
 
-    @staticmethod
-    def _d2s(r: np.ndarray) -> np.ndarray:
-        inside = np.abs(r) < 1.0
-        rr = r * r
-        return np.where(inside, (1.0 - rr) * (30.0 * rr - 6.0), 0.0)
-
     def _scaled(self, t, x):
         theta = (np.asarray(t, dtype=float) - self.center_t) / self.radius_t
         xi = (np.asarray(x, dtype=float) - self.center_x) / self.radius_x
@@ -138,10 +132,6 @@ class BumpTestFunction:
     def phi_x(self, t, x) -> np.ndarray:
         theta, xi = self._scaled(t, x)
         return self._s(theta) * self._ds(xi) / self.radius_x
-
-    def phi_xx(self, t, x) -> np.ndarray:
-        theta, xi = self._scaled(t, x)
-        return self._s(theta) * self._d2s(xi) / self.radius_x ** 2
 
     @property
     def t_support(self) -> tuple[float, float]:

@@ -336,8 +336,8 @@ def _sweep_rows(config: ExperimentConfig, eps_values, initial: DensityField,
     rows = []
     for m, eps_value in enumerate(eps_values):
         final_rho = DensityField(grid, final[m])
-        maxp = min(float(stats.rho_min_seen[m]) - rho_min0,
-                   rho_max0 - float(stats.rho_max_seen[m]))
+        maxp = min(float(stats.low[m]) - rho_min0,
+                   rho_max0 - float(stats.high[m]))
         per_phi = tuple(max(r, 0.0) for r in residuals[m])
         rows.append(SweepRow(
             eps_value, l1_distance(final_rho, reference_final),
@@ -603,8 +603,9 @@ def _run_kind(config: ExperimentConfig, out: Path,
     _write_trajectory_csv(traj, out / "trajectory.csv")
     metrics = {
         "mass_drift": traj.final.rho.total_mass() - initial.total_mass(),
-        "maxp_margin": min(traj.rho_min_seen - float(np.min(initial.values)),
-                           float(np.max(initial.values)) - traj.rho_max_seen),
+        "maxp_margin": min(
+            float(traj.stats.low[0]) - float(np.min(initial.values)),
+            float(np.max(initial.values)) - float(traj.stats.high[0])),
         "tv_final": total_variation(traj.final.rho)}
     provenance = {
         "mass_drift": "conservation of the cell-average integral",
@@ -616,7 +617,7 @@ def _run_kind(config: ExperimentConfig, out: Path,
         "domain_coverage": domain_coverage(
             initial, config.epsilon, config.solver.t_final,
             config.model.v_max),
-        "step_count": traj.step_count}), {"files": ["trajectory.csv"]}
+        "step_count": traj.stats.steps}), {"files": ["trajectory.csv"]}
 
 
 def _sweep_kind(config: ExperimentConfig, out: Path,

@@ -250,34 +250,28 @@ def solve_local(initial: DensityField, fe: FluxEntropyModel,
     speed, states = _flux_shape(fe)
     dt_cfl = config.cfl * grid.dx / speed if speed > 0 else config.t_final
 
-    # the cells between one ghost cell at each end, stepped in place
+    # the cells between one ghost cell at each end, stepped in place and
+    # marched as one row
     padded = np.empty(grid.n_cells + 2)
     rho = padded[1:-1]
     rho[:] = initial.values
     snapshots = []
-    seen_min, seen_max = lo, hi
 
-    def advance(dt: float) -> bool:
-        nonlocal seen_min, seen_max
+    def advance(dt: float):
         if grid.periodic:
             padded[0], padded[-1] = rho[-1], rho[0]
         else:
             padded[0], padded[-1] = rho[0], rho[-1]
         flux = _interface_flux(fe, padded, states)
         rho[:] -= (dt / grid.dx) * (flux[1:] - flux[:-1])
-        if not np.all(np.isfinite(rho)):
-            return False
-        seen_min = min(seen_min, float(np.min(rho)))
-        seen_max = max(seen_max, float(np.max(rho)))
-        return True
 
     def record(t: float):
         snapshots.append(Snapshot(t=t, rho=DensityField(grid, rho), q=None))
 
-    summary = march(config.emission_times(), lambda: dt_cfl, advance, record)
-    return Trajectory(
-        model=model, eps=None, snapshots=tuple(snapshots),
-        dt_summary=summary, rho_min_seen=seen_min, rho_max_seen=seen_max)
+    stats = march(config.emission_times(), rho[np.newaxis],
+                  lambda: dt_cfl, advance, record)
+    return Trajectory(model=model, eps=None, snapshots=tuple(snapshots),
+                      stats=stats)
 
 
 def entropy_pair(rho: DensityField, fe: FluxEntropyModel

@@ -24,31 +24,17 @@ from .core import (BlowupError, DensityField, DomainError, KernelScale,
                    NumericsError, PositivityError, ShapeError, SolverConfig,
                    VelocityModel)
 from .kernel import AveragedField, _recursion
-from .trajectory import DtSummary, Snapshot, Trajectory, march
+from .trajectory import RunStats, Snapshot, Trajectory, march
 
 
 class ContractionFailure(NumericsError):
     """Fixed-point iterates moved apart instead of converging."""
 
 
-@dataclass(frozen=True)
-class EnsembleStats:
-    """Bookkeeping of one ensemble march: the step sequence all members
-    share, and each member's density extrema over every step taken."""
-
-    dt_summary: DtSummary
-    rho_min_seen: np.ndarray
-    rho_max_seen: np.ndarray
-
-    @property
-    def step_count(self) -> int:
-        return self.dt_summary.count
-
-
 def march_nonlocal(initial: Sequence[DensityField], model: VelocityModel,
                    eps: Sequence[KernelScale], config: SolverConfig,
                    observe: Callable[[float, np.ndarray, np.ndarray], None]
-                   ) -> EnsembleStats:
+                   ) -> RunStats:
     """March an ensemble of members to t_final on raw (M, N) arrays.
 
     Member m starts from initial[m] and averages with width eps[m]; all
@@ -58,7 +44,7 @@ def march_nonlocal(initial: Sequence[DensityField], model: VelocityModel,
     each emission time t (t = 0 included) the march calls
     ``observe(t, rho, q)`` with the (M, N) density and left-edge average;
     both arrays are reused by later steps, so an observer copies what it
-    keeps.
+    keeps.  The march's record has one row per member.
 
     For an admissible law v(q) <= v(0), so dt = cfl * dx / v(0) on every
     step for every member, and each member's fields, step count and
@@ -66,7 +52,9 @@ def march_nonlocal(initial: Sequence[DensityField], model: VelocityModel,
     somewhere gives every member the ensemble's smallest dt, so its
     members can differ from lone runs.  The custom-law evaluator sees one
     1-D array per step.  Periodic runs conserve each member's mass to
-    rounding.
+    rounding.  A step averages the stepped density before ``march`` checks
+    it, so a step that blows up pays one kernel call on a non-finite row
+    before BlowupError.
     """
     if len(initial) != len(eps) or not initial:
         raise ShapeError(
@@ -76,8 +64,7 @@ def march_nonlocal(initial: Sequence[DensityField], model: VelocityModel,
     if any(f.grid != grid for f in initial):
         raise ShapeError("ensemble members live on different grids")
     rho = np.stack([f.values for f in initial])
-    seen_min, seen_max = rho.min(axis=1), rho.max(axis=1)
-    lo, hi = float(seen_min.min()), float(seen_max.max())
+    lo, hi = float(rho.min()), float(rho.max())
     if lo < 0.0 or hi > model.rho_jam:
         raise DomainError(
             f"initial density range [{lo}, {hi}] outside [0, {model.rho_jam}]")
@@ -101,25 +88,17 @@ def march_nonlocal(initial: Sequence[DensityField], model: VelocityModel,
         v_iface = model.v(q_iface.reshape(-1)).reshape(m, n + 1)
         return config.cfl * grid.dx / max(v0, float(np.max(v_iface)))
 
-    def advance(dt: float) -> bool:
+    def advance(dt: float):
         nonlocal q
         np.multiply(rho, v_iface[:, 1:], out=flux[:, 1:])
         flux[:, 0] = rho[:, -1 if periodic else 0] * v_iface[:, 0]
         np.subtract(flux[:, 1:], flux[:, :-1], out=update)
         np.multiply(update, dt / grid.dx, out=update)
         np.subtract(rho, update, out=rho)
-        row_min, row_max = rho.min(axis=1), rho.max(axis=1)
-        if not (np.isfinite(row_min).all() and np.isfinite(row_max).all()):
-            return False
         q = _recursion(rho, hs, periodic)
-        np.minimum(seen_min, row_min, out=seen_min)
-        np.maximum(seen_max, row_max, out=seen_max)
-        return True
 
-    summary = march(config.emission_times(), stable_dt, advance,
-                    lambda t: observe(t, rho, q))
-    return EnsembleStats(dt_summary=summary, rho_min_seen=seen_min,
-                         rho_max_seen=seen_max)
+    return march(config.emission_times(), rho, stable_dt, advance,
+                 lambda t: observe(t, rho, q))
 
 
 def solve_nonlocal(initial: DensityField, model: VelocityModel,
@@ -137,11 +116,8 @@ def solve_nonlocal(initial: DensityField, model: VelocityModel,
                                   q=AveragedField(grid, q[0], eps)))
 
     stats = march_nonlocal((initial,), model, (eps,), config, record)
-    return Trajectory(
-        model=model, eps=eps, snapshots=tuple(snapshots),
-        dt_summary=stats.dt_summary,
-        rho_min_seen=float(stats.rho_min_seen[0]),
-        rho_max_seen=float(stats.rho_max_seen[0]))
+    return Trajectory(model=model, eps=eps, snapshots=tuple(snapshots),
+                      stats=stats)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .core import (BlowupError, DensityField, DomainError, KernelScale,
                    TimeStepCollapse, VelocityModel)
 from .kernel import AveragedField
@@ -18,24 +20,34 @@ class Snapshot:
 
 
 @dataclass(frozen=True)
-class DtSummary:
-    count: int
-    min: float
-    max: float
-    mean: float
+class RunStats:
+    """What ``march`` saw: the step count, the step sizes (all 0.0 when no
+    step was taken) and each state row's min and max over the initial
+    state and every step, not just the emission times."""
+
+    steps: int
+    dt_min: float
+    dt_max: float
+    dt_mean: float
+    low: np.ndarray
+    high: np.ndarray
 
 
-def march(emit: Sequence[float], stable_dt: Callable[[], float],
-          advance: Callable[[float], bool],
-          observe: Callable[[float], None]) -> DtSummary:
-    """Step from t = 0 through the increasing times ``emit`` (emit[0] = 0).
+def march(emit: Sequence[float], state: np.ndarray,
+          stable_dt: Callable[[], float], advance: Callable[[float], None],
+          observe: Callable[[float], None]) -> RunStats:
+    """Step the 2-D ``state`` from t = 0 through the increasing times
+    ``emit`` (emit[0] = 0).
 
     A step is ``stable_dt()`` clipped to the next emission time, which
     counts as reached within 1e-14 max(1, time); a clipped step below 1e-14
-    raises TimeStepCollapse.  ``advance(dt)`` steps the state and returns
-    whether it is finite, else BlowupError names the step.  ``observe(t)``
+    raises TimeStepCollapse.  ``advance(dt)`` steps ``state`` in place;
+    then each row's min and max are taken, a non-finite one (NaN or an
+    infinity anywhere in the row) raises BlowupError naming the step, and
+    the rest fold into the record's ``low`` / ``high``.  ``observe(t)``
     runs at t = 0 and at each emission time, never after a raise.
     """
+    low, high = state.min(axis=1), state.max(axis=1)
     observe(0.0)
     t, steps = 0.0, 0
     dt_min, dt_max, dt_sum = float("inf"), 0.0, 0.0
@@ -45,8 +57,12 @@ def march(emit: Sequence[float], stable_dt: Callable[[], float],
             if dt < 1e-14:
                 raise TimeStepCollapse(
                     f"time step {dt:.3e} at t = {t:.6g} (step {steps})")
-            if not advance(dt):
+            advance(dt)
+            row_min, row_max = state.min(axis=1), state.max(axis=1)
+            if not (np.isfinite(row_min).all() and np.isfinite(row_max).all()):
                 raise BlowupError(f"non-finite state at step {steps}")
+            np.minimum(low, row_min, out=low)
+            np.maximum(high, row_max, out=high)
             t += dt
             steps += 1
             dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
@@ -54,26 +70,22 @@ def march(emit: Sequence[float], stable_dt: Callable[[], float],
         t = target
         observe(t)
     if steps == 0:
-        return DtSummary(0, 0.0, 0.0, 0.0)
-    return DtSummary(steps, dt_min, dt_max, dt_sum / steps)
+        return RunStats(0, 0.0, 0.0, 0.0, low, high)
+    return RunStats(steps, dt_min, dt_max, dt_sum / steps, low, high)
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Snapshots of one solve, plus per-run bookkeeping.
-
-    ``rho_min_seen`` / ``rho_max_seen`` track the extrema over EVERY step
-    taken, not just the recorded snapshots, so range-preservation can be
-    checked without storing the whole history.  ``eps`` is None for the
-    local reference solver.
+    """Snapshots of one solve and its ``march`` record, whose one row is
+    the density: ``stats.low[0]`` / ``stats.high[0]`` are its extrema over
+    every step taken, so range preservation is checked without storing
+    the history.  ``eps`` is None for the local reference solver.
     """
 
     model: VelocityModel
     eps: KernelScale | None
     snapshots: tuple[Snapshot, ...]
-    dt_summary: DtSummary
-    rho_min_seen: float
-    rho_max_seen: float
+    stats: RunStats
 
     def __post_init__(self):
         times = [s.t for s in self.snapshots]
@@ -84,7 +96,8 @@ class Trajectory:
 
     @property
     def step_count(self) -> int:
-        return self.dt_summary.count
+        """``stats.steps``, under the name the benchmark's tracer reads."""
+        return self.stats.steps
 
     @property
     def times(self) -> list[float]:
@@ -93,9 +106,3 @@ class Trajectory:
     @property
     def final(self) -> Snapshot:
         return self.snapshots[-1]
-
-    def at_time(self, t: float, tol: float = 1e-12) -> Snapshot:
-        for snap in self.snapshots:
-            if abs(snap.t - t) <= tol:
-                return snap
-        raise DomainError(f"no snapshot at t = {t}")

@@ -51,7 +51,7 @@ def randomized_runs():
 
     Five seeds times two kernel widths step together as one ensemble; each
     member's trajectory is rebuilt from the snapshots its observer copied
-    and the ensemble's step summary and extrema.
+    and its row of the ensemble's record.
     """
     grid = Grid(-1.0, 1.0, 1024, "periodic")
     start = time.perf_counter()
@@ -73,9 +73,8 @@ def randomized_runs():
             snapshots=tuple(Snapshot(t=t, rho=DensityField(grid, rho[m]),
                                      q=AveragedField(grid, q[m], scale))
                             for t, rho, q in snapshots),
-            dt_summary=stats.dt_summary,
-            rho_min_seen=float(stats.rho_min_seen[m]),
-            rho_max_seen=float(stats.rho_max_seen[m]))
+            stats=dataclasses.replace(stats, low=stats.low[m:m + 1],
+                                      high=stats.high[m:m + 1]))
         runs.append((initial, eps, traj))
     return runs, time.perf_counter() - start
 
@@ -91,9 +90,9 @@ def test_randomized_runs_member_equals_lone_run(randomized_runs):
         assert snap.t == lone_snap.t
         assert np.array_equal(snap.rho.values, lone_snap.rho.values)
         assert np.array_equal(snap.q.values, lone_snap.q.values)
-    assert traj.rho_min_seen == lone.rho_min_seen
-    assert traj.rho_max_seen == lone.rho_max_seen
-    assert traj.step_count == lone.step_count
+    assert np.array_equal(traj.stats.low, lone.stats.low)
+    assert np.array_equal(traj.stats.high, lone.stats.high)
+    assert traj.stats.steps == lone.stats.steps
 
 
 @pytest.fixture(scope="module")
@@ -210,7 +209,7 @@ def test_criterion_03_max_principle(randomized_runs):
     for initial, eps, traj in runs:
         lo = float(np.min(initial.values))
         hi = float(np.max(initial.values))
-        worst = min(worst, traj.rho_min_seen - lo, hi - traj.rho_max_seen)
+        worst = min(worst, traj.stats.low[0] - lo, hi - traj.stats.high[0])
     assert worst >= -1e-12
     assert elapsed < 30.0
     _report(3, f"10 randomized runs stay in range, worst margin {worst:.2e} "

@@ -120,7 +120,6 @@ class TestBumpTestFunction:
         outside = (np.abs(tt - 0.5) >= 0.2) | (np.abs(xx) >= 0.4)
         assert np.all(vals[outside] == 0.0)
         assert np.all(phi.phi_x(tt, xx)[outside] == 0.0)
-        assert np.all(phi.phi_xx(tt, xx)[outside] == 0.0)
 
     def test_derivatives_match_finite_differences(self):
         phi = BumpTestFunction(0.1, 0.4, 0.5, 0.3)
@@ -130,11 +129,8 @@ class TestBumpTestFunction:
         h = 1e-6
         fd_t = (phi.phi(t + h, x) - phi.phi(t - h, x)) / (2 * h)
         fd_x = (phi.phi(t, x + h) - phi.phi(t, x - h)) / (2 * h)
-        fd_xx = (phi.phi(t, x + h) - 2 * phi.phi(t, x)
-                 + phi.phi(t, x - h)) / h ** 2
         assert np.max(np.abs(fd_t - phi.phi_t(t, x))) < 1e-6
         assert np.max(np.abs(fd_x - phi.phi_x(t, x))) < 1e-6
-        assert np.max(np.abs(fd_xx - phi.phi_xx(t, x))) < 1e-3
 
     def test_bad_radii(self):
         with pytest.raises(DomainError):

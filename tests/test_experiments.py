@@ -618,7 +618,7 @@ print(json.dumps({{"code": code, "scipy_on_import": scipy_on_import,
                   "after_run": after_run,
                   "after_local": after_local, "after_sweep": after_sweep,
                   "after_non_concave": loaded(),
-                  "steps": [traj.step_count, other.step_count],
+                  "steps": [traj.stats.steps, other.stats.steps],
                   "sweep_errors": [r.error for r in report.rows],
                   "finite": bool(np.all(np.isfinite(psi)))}}))
 """

@@ -301,7 +301,7 @@ class TestConcaveFastPath:
         traj = solve_local(make_initial(g, Riemann(0.8, 0.2, 0.0)),
                            FluxEntropyModel(CONCAVE_LAWS[name]),
                            SolverConfig(t_final=0.1))
-        assert traj.step_count > 0
+        assert traj.stats.steps > 0
         assert calls == []
 
     @pytest.mark.parametrize("boundary", ["periodic", "constant_extension"])
@@ -334,7 +334,7 @@ class TestConcaveFastPath:
         g = Grid(-1.0, 1.0, 128, boundary)
         traj = solve_local(DensityField(g, values), fe,
                            SolverConfig(t_final=0.05))
-        assert steps == [130] * traj.step_count
+        assert steps == [130] * traj.stats.steps
 
 
 class TestNonConcaveFlux:
@@ -411,7 +411,7 @@ class TestNonConcaveFlux:
         calls = _count_scalar_calls(monkeypatch)
         traj = solve_local(DensityField(g, values), fe,
                            SolverConfig(t_final=dt))
-        assert traj.step_count == 1
+        assert traj.stats.steps == 1
         assert calls == []
         ghosts = ((values[-1], values[0]) if boundary == "periodic"
                   else (values[0], values[-1]))
@@ -469,8 +469,8 @@ class TestSolveLocal:
         rng = np.random.default_rng(4)
         ic = DensityField(g, rng.uniform(0.2, 0.7, 256))
         traj = solve_local(ic, fe, SolverConfig(t_final=0.5))
-        assert traj.rho_min_seen >= float(np.min(ic.values)) - 1e-12
-        assert traj.rho_max_seen <= float(np.max(ic.values)) + 1e-12
+        assert traj.stats.low[0] >= float(np.min(ic.values)) - 1e-12
+        assert traj.stats.high[0] <= float(np.max(ic.values)) + 1e-12
 
     def test_shock_speed_rankine_hugoniot(self, fe):
         # 0.2 -> 0.7 jump: speed (f(0.7) - f(0.2)) / 0.5 = 0.1
@@ -487,8 +487,8 @@ class TestSolveLocal:
             f0, f1 = field.values[i - 1], field.values[i]
             return x[i - 1] + (0.45 - f0) / (f1 - f0) * g.dx
 
-        x1 = crossing(traj.at_time(0.5).rho)
-        x2 = crossing(traj.at_time(1.0).rho)
+        x1 = crossing(traj.snapshots[traj.times.index(0.5)].rho)
+        x2 = crossing(traj.snapshots[traj.times.index(1.0)].rho)
         speed = (x2 - x1) / 0.5
         assert speed == pytest.approx(0.1, abs=20 * g.dx)
 

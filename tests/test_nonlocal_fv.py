@@ -11,7 +11,7 @@ from nltraffic.core import BlowupError, TimeStepCollapse
 from nltraffic.kernel import average
 from nltraffic.nonlocal_fv import (ContractionFailure, PicardResult,
                                    _ContractionTracker, _lerp, _slopes)
-from nltraffic.trajectory import DtSummary, Snapshot
+from nltraffic.trajectory import RunStats, Snapshot
 
 from conftest import random_bv_field
 
@@ -43,8 +43,8 @@ class TestSolveNonlocal:
         g = Grid(-1.0, 1.0, 512, "constant_extension")
         ic = make_initial(g, Riemann(0.2, 0.8, 0.0))
         traj = _solve(ic, model, 0.05, t_final=0.5)
-        assert traj.rho_min_seen >= 0.2 - 1e-12
-        assert traj.rho_max_seen <= 0.8 + 1e-12
+        assert traj.stats.low[0] >= 0.2 - 1e-12
+        assert traj.stats.high[0] <= 0.8 + 1e-12
 
     def test_tv_bound_positive_data(self, model):
         g = Grid(-1.0, 1.0, 512, "constant_extension")
@@ -86,8 +86,8 @@ class TestSolveNonlocal:
         a = _solve(ic, model, 0.1, t_final=t_final,
                    snapshot_times=(0.125, 0.25))
         b = _solve(ic, model, 0.1, t_final=t_final, snapshot_times=(0.25,))
-        fa = a.at_time(0.25).rho.values
-        fb = b.at_time(0.25).rho.values
+        fa = a.snapshots[a.times.index(0.25)].rho.values
+        fb = b.snapshots[b.times.index(0.25)].rho.values
         assert np.array_equal(fa, fb)
         assert np.array_equal(a.final.rho.values, b.final.rho.values)
 
@@ -137,8 +137,8 @@ class TestTrajectoryInvariants:
         with pytest.raises(DomainError):
             Trajectory(model=model, eps=None,
                        snapshots=(Snapshot(t=0.5, rho=f),),
-                       dt_summary=DtSummary(0, 0, 0, 0),
-                       rho_min_seen=0.5, rho_max_seen=0.5)
+                       stats=RunStats(0, 0.0, 0.0, 0.0, np.full(1, 0.5),
+                                      np.full(1, 0.5)))
 
     def test_strictly_increasing_times(self, model):
         g = Grid(-1.0, 1.0, 8)
@@ -147,8 +147,8 @@ class TestTrajectoryInvariants:
             Trajectory(model=model, eps=None,
                        snapshots=(Snapshot(t=0.0, rho=f),
                                   Snapshot(t=0.0, rho=f)),
-                       dt_summary=DtSummary(0, 0, 0, 0),
-                       rho_min_seen=0.5, rho_max_seen=0.5)
+                       stats=RunStats(0, 0.0, 0.0, 0.0, np.full(1, 0.5),
+                                      np.full(1, 0.5)))
 
 
 def _one_d_only(fn):
@@ -220,9 +220,9 @@ class TestEnsembleMarch:
         for m, eps in enumerate(eps_values):
             lone = solve_nonlocal(initials[m], model, KernelScale(eps),
                                   config)
-            assert stats.step_count == lone.step_count
-            assert stats.rho_min_seen[m] == lone.rho_min_seen
-            assert stats.rho_max_seen[m] == lone.rho_max_seen
+            assert stats.steps == lone.stats.steps
+            assert stats.low[m] == lone.stats.low[0]
+            assert stats.high[m] == lone.stats.high[0]
             assert [t for t, _, _ in records[m]] == lone.times
             for (_, rho, q), snap in zip(records[m], lone.snapshots):
                 assert np.array_equal(rho, snap.rho.values)

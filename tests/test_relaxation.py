@@ -310,8 +310,8 @@ def _check_stationary(model):
     u0 = np.full(64, np.log(0.5 * model.rho_jam))
     uz0 = UZFields(g, u0, equilibrium_z(u0, frame))
     out = solve_relaxation(uz0, frame, SolverConfig(t_final=0.05))
-    assert out.step_count > 0
-    assert np.max(np.abs(out.final.fields.u - u0)) < 1e-12 * out.step_count
+    assert out.stats.steps > 0
+    assert np.max(np.abs(out.final.fields.u - u0)) < 1e-12 * out.stats.steps
 
 
 def _check_u_plus_z(model):
@@ -347,7 +347,7 @@ def _check_bisection_fallback(model):
     config = SolverConfig(t_final=0.05)
     capped = solve_relaxation(uz, frame, config, newton_max_iter=1)
     full = solve_relaxation(uz, frame, config)
-    assert 0 < capped.bisection_cells <= 32 * capped.step_count
+    assert 0 < capped.bisection_cells <= 32 * capped.stats.steps
     assert capped.newton_iterations_max == 1
     assert full.bisection_cells == 0
     gap = np.max(np.abs(capped.final.fields.z
@@ -384,7 +384,7 @@ class TestSolveRelaxation:
             out.final.fields.u, equilibrium_z(out.final.fields.u, frame),
             frame)
         margin = float(np.min(lam_z - lam_u))
-        dtau = out.dt_summary.max
+        dtau = out.stats.dt_max
         bound = 1.0 / (1.0 + dtau * frame.K / eps * margin)
         measured = [b / a for a, b in zip(gaps, gaps[1:]) if a > 1e-13]
         assert measured
@@ -504,7 +504,7 @@ class TestSourceSolve:
     def test_band_edge_where_v_prime_vanishes(self, name):
         # z at the lower band edge puts q at 0, where v'(0) = 0: the slope
         # is not finite there, and the cell, already at its root, takes no
-        # Newton step
+        # Newton step; z never leaves the edge on any step
         frame = RelaxationFrame(2.0, KernelScale(0.1), LAWS[name])
         g = Grid(-1.0, 1.0, 32, "periodic")
         uz0 = UZFields(g, np.full(32, np.log(0.5)),
@@ -513,6 +513,7 @@ class TestSourceSolve:
         assert out.bisection_cells == 0
         assert np.array_equal(out.final.fields.u, uz0.u)
         assert np.array_equal(out.final.fields.z, uz0.z)
+        assert out.stats.low[1] == out.stats.high[1] == frame.z_band[0]
 
     def test_very_stiff_source_bisects_to_adjacent_floats(self, model):
         # at c = dtau K / eps ~ 1.7e4 the residual moves by more than

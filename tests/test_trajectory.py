@@ -5,50 +5,72 @@ from nltraffic import (DensityField, FluxEntropyModel, Grid, KernelScale,
                        RelaxationFrame, SolverConfig, UZFields, equilibrium_z,
                        solve_local, solve_nonlocal, solve_relaxation)
 from nltraffic.core import BlowupError, TimeStepCollapse
-from nltraffic.trajectory import DtSummary, march
+from nltraffic.trajectory import RunStats, march
 
 
 class _Recorder:
-    """Driver callbacks: step k is dts[k] (the last one repeats), and the
-    ``fail_on``-th call of ``advance`` reports a non-finite state."""
+    """Driver callbacks on a (2, 2) state: step k is dts[k] (the last one
+    repeats), and step k writes each ``writes[k]`` (row, col, value) into
+    the state."""
 
-    def __init__(self, dts, fail_on=None):
+    def __init__(self, dts, writes=None):
         self.dts = list(dts)
-        self.fail_on = fail_on
+        self.writes = writes or {}
+        self.state = np.array([[0.5, 0.5], [1.0, 1.0]])
         self.taken = []
         self.observed = []
 
     def stable_dt(self) -> float:
         return self.dts[min(len(self.taken), len(self.dts) - 1)]
 
-    def advance(self, dt: float) -> bool:
+    def advance(self, dt: float):
+        for row, col, value in self.writes.get(len(self.taken), ()):
+            self.state[row, col] = value
         self.taken.append(dt)
-        return len(self.taken) != self.fail_on
 
     def observe(self, t: float):
-        self.observed.append(t)
+        self.observed.append((t, self.state.copy()))
 
-    def march(self, emit) -> DtSummary:
-        return march(emit, self.stable_dt, self.advance, self.observe)
+    @property
+    def observed_times(self) -> list[float]:
+        return [t for t, _ in self.observed]
+
+    def march(self, emit) -> RunStats:
+        return march(emit, self.state, self.stable_dt, self.advance,
+                     self.observe)
 
 
 class TestMarch:
     def test_observes_every_emission_time_exactly(self):
         config = SolverConfig(t_final=0.7, snapshot_times=(0.1, 0.25, 0.3))
         rec = _Recorder([0.03])
-        summary = rec.march(config.emission_times())
-        assert rec.observed == config.emission_times()
-        assert summary.count == len(rec.taken)
-        assert summary.max == 0.03
-        assert summary.min == min(rec.taken) < 0.03
-        assert summary.mean == pytest.approx(0.7 / summary.count)
+        stats = rec.march(config.emission_times())
+        assert rec.observed_times == config.emission_times()
+        assert stats.steps == len(rec.taken)
+        assert stats.dt_max == 0.03
+        assert stats.dt_min == min(rec.taken) < 0.03
+        assert stats.dt_mean == pytest.approx(0.7 / stats.steps)
 
     def test_zero_horizon_observes_once(self):
         rec = _Recorder([0.1])
-        summary = rec.march(SolverConfig(t_final=0.0).emission_times())
-        assert rec.observed == [0.0]
+        stats = rec.march(SolverConfig(t_final=0.0).emission_times())
+        assert rec.observed_times == [0.0]
         assert rec.taken == []
-        assert summary == DtSummary(0, 0.0, 0.0, 0.0)
+        assert (stats.steps, stats.dt_min, stats.dt_max,
+                stats.dt_mean) == (0, 0.0, 0.0, 0.0)
+        assert stats.low.tolist() == stats.high.tolist() == [0.5, 1.0]
+
+    def test_extrema_cover_every_step(self):
+        # row 1 dips before the first emission time and row 0 peaks after
+        # it; both are undone before the next observation
+        rec = _Recorder([0.1], writes={0: [(1, 0, 0.2)], 1: [(1, 0, 1.0)],
+                                       3: [(0, 1, 0.9)], 4: [(0, 1, 0.5)]})
+        stats = rec.march([0.0, 0.15, 1.0])
+        assert rec.observed_times == [0.0, 0.15, 1.0]
+        for _, state in rec.observed:
+            assert state.tolist() == [[0.5, 0.5], [1.0, 1.0]]
+        assert stats.low.tolist() == [0.5, 0.2]
+        assert stats.high.tolist() == [0.9, 1.0]
 
     def test_collapse_names_step_and_stops_observing(self):
         # three stable steps, then a step far below the collapse threshold
@@ -56,14 +78,15 @@ class TestMarch:
         with pytest.raises(TimeStepCollapse, match=r"\(step 3\)"):
             rec.march([0.0, 0.15, 1.0])
         assert len(rec.taken) == 3
-        assert rec.observed == [0.0, 0.15]
+        assert rec.observed_times == [0.0, 0.15]
 
-    def test_blowup_names_step_and_stops_observing(self):
-        rec = _Recorder([0.1], fail_on=3)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_blowup_names_step_and_stops_observing(self, bad):
+        rec = _Recorder([0.1], writes={2: [(1, 0, bad)]})
         with pytest.raises(BlowupError, match="at step 2$"):
             rec.march([0.0, 0.15, 1.0])
         assert len(rec.taken) == 3
-        assert rec.observed == [0.0, 0.15]
+        assert rec.observed_times == [0.0, 0.15]
 
 
 class TestSolversOnDriver:
@@ -74,8 +97,12 @@ class TestSolversOnDriver:
         u0 = np.log(ic.values)
         uz = UZFields(ic.grid, u0, equilibrium_z(u0, frame))
         relaxed = solve_relaxation(uz, frame, config)
-        times = [solve_nonlocal(ic, model, KernelScale(0.1), config).times,
-                 solve_local(ic, FluxEntropyModel(model), config).times,
+        nonlocal_ = solve_nonlocal(ic, model, KernelScale(0.1), config)
+        local = solve_local(ic, FluxEntropyModel(model), config)
+        times = [nonlocal_.times, local.times,
                  [s.tau for s in relaxed.snapshots]]
         assert times == [config.emission_times()] * 3
+        # the benchmark's tracer reads step_count
+        for out in (nonlocal_, local, relaxed):
+            assert out.step_count == out.stats.steps > 0
 
