@@ -101,6 +101,24 @@ class Grid:
     def periodic(self) -> bool:
         return self.boundary_mode == PERIODIC
 
+    def ghosts(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Views of the values one cell before the first cell and one
+        after the last, along the last axis: (last, first) on periodic
+        grids, (first, last) under constant extension."""
+        if self.periodic:
+            return values[..., -1], values[..., 0]
+        return values[..., 0], values[..., -1]
+
+
+def check_band(values, rho_jam: float, what: str):
+    """Raise DomainError unless every value (of a number or an array)
+    lies in [0, rho_jam]; a NaN does not."""
+    lo, hi = float(np.min(values)), float(np.max(values))
+    if not (lo >= 0.0 and hi <= rho_jam):
+        raise DomainError(
+            f"{what} range [{lo:.6g}, {hi:.6g}] leaves the admissible "
+            f"band [0, {rho_jam}]")
+
 
 def _as_readonly(values, n: int, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
@@ -193,6 +211,21 @@ class VelocityModel:
         return VelocityModel(kind="custom", rho_jam=rho_jam, v=v, dv=dv,
                              d2v=d2v, v_inverse=v_inverse)
 
+    def f(self, rho) -> np.ndarray:
+        """Flux f = rho v(rho)."""
+        rho = np.asarray(rho, dtype=float)
+        return rho * self.v(rho)
+
+    def df(self, rho) -> np.ndarray:
+        """f' = v + rho v'."""
+        rho = np.asarray(rho, dtype=float)
+        return self.v(rho) + rho * self.dv(rho)
+
+    def d2f(self, rho) -> np.ndarray:
+        """f'' = 2 v' + rho v''."""
+        rho = np.asarray(rho, dtype=float)
+        return 2.0 * self.dv(rho) + rho * self.d2v(rho)
+
     @property
     def v_max(self) -> float:
         """Free-flow speed v(0)."""
@@ -213,8 +246,7 @@ def flux_curvature_sup(model: VelocityModel, n_samples: int) -> float:
     if n_samples < 2:
         raise DomainError(f"need n_samples >= 2, got {n_samples}")
     rho = np.linspace(0.0, model.rho_jam, n_samples)
-    curvature = (2.0 * np.asarray(model.dv(rho), dtype=float)
-                 + rho * np.asarray(model.d2v(rho), dtype=float))
+    curvature = np.asarray(model.d2f(rho), dtype=float)
     if not np.all(np.isfinite(curvature)):
         return float("nan")
     return float(np.max(curvature))
@@ -421,11 +453,7 @@ def make_initial(grid: Grid, preset: Preset, rho_jam: float = 1.0) -> DensityFie
         edges = grid.cell_edges()
         values = np.diff(anti(preset, edges)) / grid.dx
 
-    lo, hi = float(np.min(values)), float(np.max(values))
-    if lo < 0.0 or hi > rho_jam:
-        raise DomainError(
-            f"initial density range [{lo:.6g}, {hi:.6g}] leaves the admissible "
-            f"band [0, {rho_jam}]")
+    check_band(values, rho_jam, "initial density")
     return DensityField(grid, values)
 
 

@@ -35,14 +35,15 @@ def total_variation(f: DensityField) -> float:
     Periodic grids include the wrap-around pair, so a discretized closed
     profile measures its full variation.
     """
-    return _variation(f.values, f.grid.periodic)
+    return float(_variation(f.values, f.grid))
 
 
-def _variation(v: np.ndarray, periodic: bool) -> float:
-    tv = float(np.sum(np.abs(np.diff(v))))
-    if periodic:
-        tv += abs(float(v[0] - v[-1]))
-    return tv
+def _variation(values: np.ndarray, grid) -> np.ndarray:
+    """Sum of |jumps| along the last axis, then the jump from the last cell
+    to its right ghost (``grid.ghosts``), which is zero under constant
+    extension."""
+    jumps = np.sum(np.abs(np.diff(values, axis=-1)), axis=-1)
+    return jumps + np.abs(values[..., -1] - grid.ghosts(values)[1])
 
 
 def l1_distance(f1: DensityField, f2: DensityField) -> float:
@@ -75,10 +76,7 @@ def kernel_deviation_values(rho: np.ndarray, q: np.ndarray, grid, eps):
     arrays of M values.
     """
     deviation = np.sum(np.abs(q - rho), axis=-1) * grid.dx
-    tv = np.sum(np.abs(np.diff(rho, axis=-1)), axis=-1)
-    if grid.periodic:
-        tv = tv + np.abs(rho[..., 0] - rho[..., -1])
-    return deviation, eps * tv
+    return deviation, eps * _variation(rho, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -147,9 +147,9 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse and fully validate a config document.
 
     Unknown keys, missing keys, non-finite numbers, out-of-domain values
-    and inconsistent combinations (non-decreasing sweep epsilons, K <= v(0)
-    with relaxation diagnostics requested) are all rejected here, before
-    any computation.
+    and inconsistent combinations (non-decreasing sweep epsilons, a sweep
+    with t_final = 0, K <= v(0) with relaxation diagnostics requested) are
+    all rejected here, before any computation.
     """
     pairs = _parse_pairs(text)
     for key in _REQUIRED_KEYS:
@@ -199,6 +199,8 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError("sweep.epsilons must be strictly positive")
         if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
             raise ConfigError("sweep.epsilons must be strictly decreasing")
+        if solver.t_final == 0.0:
+            raise ConfigError("a sweep needs solver.t_final > 0, got 0")
     elif "kernel.epsilon" in needs and epsilon is None:
         raise ConfigError(f"kind {kind!r} needs kernel.epsilon")
     if epsilon is not None and epsilon <= 0:

@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (DensityField, DomainError, Grid, KernelScale,
-                   QuadratureError, ShapeError)
+                   QuadratureError, ShapeError, _as_readonly)
 
 #: integration cut-off in units of eps; the discarded kernel mass
 #: exp(-40) ~ 4e-18 is below double-precision relevance
@@ -53,14 +53,9 @@ class AveragedField:
     epsilon: KernelScale
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.grid.n_cells,):
-            raise ShapeError(
-                f"AveragedField: expected {self.grid.n_cells} values, "
-                f"got shape {values.shape}")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(
+            self, "values",
+            _as_readonly(self.values, self.grid.n_cells, "AveragedField"))
 
 
 def _check_pair(rho: DensityField, q: AveragedField):

@@ -13,8 +13,8 @@ from functools import cache, reduce
 
 import numpy as np
 
-from .core import (DensityField, DomainError, ModelEvaluationError,
-                   SolverConfig, VelocityModel)
+from .core import (DensityField, ModelEvaluationError, SolverConfig,
+                   VelocityModel, check_band)
 from .trajectory import Snapshot, Trajectory, march
 
 
@@ -58,8 +58,8 @@ _FLUX_SAMPLES = 257
 
 @dataclass(frozen=True)
 class FluxEntropyModel:
-    """Flux f(rho) = rho v(rho) plus the entropy pair eta = rho^2/2,
-    psi' = eta' f', psi(0) = 0.
+    """The entropy pair eta = rho^2/2, psi' = eta' f', psi(0) = 0, of the
+    flux f(rho) = rho v(rho) (``VelocityModel.f``, ``.df``, ``.d2f``).
 
     For affine v = a - b rho the entropy flux is closed form:
     psi(rho) = a rho^2/2 - 2 b rho^3/3.  Otherwise psi is evaluated by
@@ -71,18 +71,6 @@ class FluxEntropyModel:
     """
 
     model: VelocityModel
-
-    def f(self, rho) -> np.ndarray:
-        rho = np.asarray(rho, dtype=float)
-        return rho * self.model.v(rho)
-
-    def df(self, rho) -> np.ndarray:
-        rho = np.asarray(rho, dtype=float)
-        return self.model.v(rho) + rho * self.model.dv(rho)
-
-    def d2f(self, rho) -> np.ndarray:
-        rho = np.asarray(rho, dtype=float)
-        return 2.0 * self.model.dv(rho) + rho * self.model.d2v(rho)
 
     def eta(self, rho) -> np.ndarray:
         rho = np.asarray(rho, dtype=float)
@@ -98,14 +86,9 @@ class FluxEntropyModel:
         # same operation order as scipy's fixed_quad on [0, rho], per cell;
         # df sees a 1-D array, so laws written for 1-D input keep working
         y = flat[:, None] * (nodes + 1.0) / 2.0
-        integrand = y * self.df(y.ravel()).reshape(y.shape)
+        integrand = y * self.model.df(y.ravel()).reshape(y.shape)
         out = flat / 2.0 * np.sum(weights * integrand, axis=-1)
         return out.reshape(np.shape(rho)) if np.ndim(rho) else float(out[0])
-
-
-def _check_band(value: float, rho_jam: float, name: str):
-    if not (0.0 <= value <= rho_jam):
-        raise DomainError(f"{name} = {value} outside [0, {rho_jam}]")
 
 
 def _extremum_state(fe: FluxEntropyModel, lo: float, hi: float,
@@ -120,11 +103,11 @@ def _extremum_state(fe: FluxEntropyModel, lo: float, hi: float,
     elif hi > lo:
         from scipy.optimize import minimize_scalar
         sign = -1.0 if maximize else 1.0
-        res = minimize_scalar(lambda r: sign * float(fe.f(r)),
+        res = minimize_scalar(lambda r: sign * float(model.f(r)),
                               bounds=(lo, hi), method="bounded",
                               options={"xatol": 1e-12})
         candidates.append(float(res.x))
-    fvals = [float(fe.f(c)) for c in candidates]
+    fvals = [float(model.f(c)) for c in candidates]
     pick = int(np.argmax(fvals)) if maximize else int(np.argmin(fvals))
     return candidates[pick]
 
@@ -137,9 +120,8 @@ def godunov_state(rho_left: float, rho_right: float,
     maximizer over [rho_right, rho_left] otherwise.  Exposed separately
     because the numerical entropy flux is psi evaluated at this state.
     """
-    rho_jam = fe.model.rho_jam
-    _check_band(rho_left, rho_jam, "rho_left")
-    _check_band(rho_right, rho_jam, "rho_right")
+    check_band(rho_left, fe.model.rho_jam, "rho_left")
+    check_band(rho_right, fe.model.rho_jam, "rho_right")
     if rho_left <= rho_right:
         return _extremum_state(fe, rho_left, rho_right, maximize=False)
     return _extremum_state(fe, rho_right, rho_left, maximize=True)
@@ -148,7 +130,7 @@ def godunov_state(rho_left: float, rho_right: float,
 def godunov_flux(rho_left: float, rho_right: float,
                  fe: FluxEntropyModel) -> float:
     """Godunov numerical flux: min of f over [L, R] if L <= R, else max."""
-    return float(fe.f(godunov_state(rho_left, rho_right, fe)))
+    return float(fe.model.f(godunov_state(rho_left, rho_right, fe)))
 
 
 def _root(g, lo: float, hi: float) -> float:
@@ -182,7 +164,7 @@ def _flux_shape(fe: FluxEntropyModel):
     """
     model = fe.model
     rho = np.linspace(0.0, model.rho_jam, _FLUX_SAMPLES)
-    df, d2f = fe.df(rho), fe.d2f(rho)
+    df, d2f = model.df(rho), model.d2f(rho)
     bad = rho[~(np.isfinite(df) & np.isfinite(d2f))]
     if bad.size:
         raise ModelEvaluationError(f"f' or f'' not finite at rho = {bad[0]}")
@@ -192,7 +174,7 @@ def _flux_shape(fe: FluxEntropyModel):
     samples, ends = rho.tolist(), [0.0, model.rho_jam]
     for i, kind in zip(cuts, kinds):
         sign = 1.0 if kind else -1.0   # f'' falls from a convex piece
-        ends.insert(-1, _root(lambda r: sign * float(fe.d2f(r)),
+        ends.insert(-1, _root(lambda r: sign * float(model.d2f(r)),
                               samples[i], samples[i + 1]))
     low, high = set(), set()
     for lo, hi, kind in zip(ends[:-1], ends[1:], kinds):
@@ -200,7 +182,7 @@ def _flux_shape(fe: FluxEntropyModel):
         (high if kind else low).update((lo, hi))
         (low if kind else high).add(
             model.a / (2.0 * model.b) if model.is_affine
-            else _root(lambda r: sign * float(fe.df(r)), lo, hi))
+            else _root(lambda r: sign * float(model.df(r)), lo, hi))
     return float(np.max(np.abs(df))), (tuple(sorted(low)),
                                         tuple(sorted(high)))
 
@@ -209,7 +191,7 @@ def _extremum(fe, pick, states, lo, hi, f_lo, f_hi) -> np.ndarray:
     """``pick`` (np.minimum or np.maximum) of f at the states clipped into
     [lo, hi]; a state at an end of [0, rho_jam] is read as f_lo or f_hi."""
     return reduce(pick, [f_lo if s <= 0.0 else f_hi if s >= fe.model.rho_jam
-                         else fe.f(np.clip(s, lo, hi)) for s in states])
+                         else fe.model.f(np.clip(s, lo, hi)) for s in states])
 
 
 def _interface_flux(fe: FluxEntropyModel, cells: np.ndarray,
@@ -220,7 +202,7 @@ def _interface_flux(fe: FluxEntropyModel, cells: np.ndarray,
     f per cell.  A caller with separate pairs passes [L1, R1, L2, R2, ...]
     and reads every second interface."""
     (low, high), left, right = states, cells[:-1], cells[1:]
-    f_cells = fe.f(cells)
+    f_cells = fe.model.f(cells)
     f_left, f_right = f_cells[:-1], f_cells[1:]
     return np.where(
         left <= right,
@@ -242,10 +224,7 @@ def solve_local(initial: DensityField, fe: FluxEntropyModel,
     """
     grid = initial.grid
     model = fe.model
-    lo, hi = float(np.min(initial.values)), float(np.max(initial.values))
-    if lo < 0.0 or hi > model.rho_jam:
-        raise DomainError(
-            f"initial density range [{lo}, {hi}] outside [0, {model.rho_jam}]")
+    check_band(initial.values, model.rho_jam, "initial density")
 
     speed, states = _flux_shape(fe)
     dt_cfl = config.cfl * grid.dx / speed if speed > 0 else config.t_final
@@ -258,10 +237,7 @@ def solve_local(initial: DensityField, fe: FluxEntropyModel,
     snapshots = []
 
     def advance(dt: float):
-        if grid.periodic:
-            padded[0], padded[-1] = rho[-1], rho[0]
-        else:
-            padded[0], padded[-1] = rho[0], rho[-1]
+        padded[0], padded[-1] = grid.ghosts(rho)
         flux = _interface_flux(fe, padded, states)
         rho[:] -= (dt / grid.dx) * (flux[1:] - flux[:-1])
 
@@ -277,8 +253,5 @@ def solve_local(initial: DensityField, fe: FluxEntropyModel,
 def entropy_pair(rho: DensityField, fe: FluxEntropyModel
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Cellwise entropy eta(rho) and entropy flux psi(rho)."""
-    lo, hi = float(np.min(rho.values)), float(np.max(rho.values))
-    if lo < 0.0 or hi > fe.model.rho_jam:
-        raise DomainError(
-            f"density range [{lo}, {hi}] outside [0, {fe.model.rho_jam}]")
+    check_band(rho.values, fe.model.rho_jam, "density")
     return fe.eta(rho.values), fe.psi(rho.values)

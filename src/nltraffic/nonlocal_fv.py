@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import (BlowupError, DensityField, DomainError, KernelScale,
                    NumericsError, PositivityError, ShapeError, SolverConfig,
-                   VelocityModel)
+                   VelocityModel, check_band)
 from .kernel import AveragedField, _recursion
 from .trajectory import RunStats, Snapshot, Trajectory, march
 
@@ -64,10 +64,7 @@ def march_nonlocal(initial: Sequence[DensityField], model: VelocityModel,
     if any(f.grid != grid for f in initial):
         raise ShapeError("ensemble members live on different grids")
     rho = np.stack([f.values for f in initial])
-    lo, hi = float(rho.min()), float(rho.max())
-    if lo < 0.0 or hi > model.rho_jam:
-        raise DomainError(
-            f"initial density range [{lo}, {hi}] outside [0, {model.rho_jam}]")
+    check_band(rho, model.rho_jam, "initial density")
 
     m, n = rho.shape
     hs = tuple(grid.dx / e.epsilon for e in eps)
@@ -91,7 +88,7 @@ def march_nonlocal(initial: Sequence[DensityField], model: VelocityModel,
     def advance(dt: float):
         nonlocal q
         np.multiply(rho, v_iface[:, 1:], out=flux[:, 1:])
-        flux[:, 0] = rho[:, -1 if periodic else 0] * v_iface[:, 0]
+        flux[:, 0] = grid.ghosts(rho)[0] * v_iface[:, 0]
         np.subtract(flux[:, 1:], flux[:, :-1], out=update)
         np.multiply(update, dt / grid.dx, out=update)
         np.subtract(rho, update, out=rho)
@@ -159,12 +156,13 @@ class _ContractionTracker:
 def _slopes(values: np.ndarray, grid) -> np.ndarray:
     """Forward differences of node values along the last axis.
 
-    The difference out of the last node reaches the first node on periodic
-    grids and is zero under constant extension, where it holds the end
-    value past the table as ``np.interp`` does.
+    The difference out of the last node reaches the node past it,
+    ``grid.ghosts``' right value: the first node on periodic grids, and
+    the last node itself under constant extension, where the difference
+    is zero and holds the end value past the table as ``np.interp`` does.
     """
-    last = values[..., :1] if grid.periodic else values[..., -1:]
-    return np.diff(values, axis=-1, append=last)
+    return np.diff(values, axis=-1,
+                   append=grid.ghosts(values)[1][..., np.newaxis])
 
 
 def _lerp(values: np.ndarray, slopes: np.ndarray, s: np.ndarray,
@@ -229,8 +227,9 @@ def picard_oracle(initial: DensityField, model: VelocityModel,
     uniformly positive data; that is the intended regime: divergence raises
     ContractionFailure, a non-finite iterate BlowupError.  Returns the
     density at t0 with the sweep count and iterate distances.
-    ``iteration_tolerance`` must be positive and ``n_levels`` and
-    ``max_sweeps`` at least one, else DomainError.
+    ``iteration_tolerance`` must be positive, ``n_levels`` and
+    ``max_sweeps`` at least one, and the data in [0, rho_jam], else
+    DomainError.
     """
     grid = initial.grid
     if not iteration_tolerance > 0.0:
@@ -240,6 +239,7 @@ def picard_oracle(initial: DensityField, model: VelocityModel,
         raise DomainError(f"n_levels must be >= 1, got {n_levels}")
     if max_sweeps < 1:
         raise DomainError(f"max_sweeps must be >= 1, got {max_sweeps}")
+    check_band(initial.values, model.rho_jam, "initial density")
     if float(np.min(initial.values)) <= 0.0:
         raise PositivityError(
             "the characteristics oracle requires uniformly positive data")

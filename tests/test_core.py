@@ -6,7 +6,7 @@ from nltraffic import (Bump, DensityField, DomainError, Grid, MonotoneRamp,
                        Riemann, Samples, ShapeError, Sine, SolverConfig,
                        VelocityModel, flux_curvature_sup, make_initial,
                        validate_model)
-from nltraffic.core import ModelEvaluationError
+from nltraffic.core import ModelEvaluationError, check_band
 
 from conftest import cubic_model, non_concave_model, quadratic_model
 
@@ -36,6 +36,30 @@ class TestGrid:
         with pytest.raises(DomainError):
             Grid(0.0, 1.0, 8, "reflecting")
 
+    @pytest.mark.parametrize("boundary, ends", [
+        ("periodic", (-1, 0)), ("constant_extension", (0, -1))])
+    def test_ghosts(self, boundary, ends):
+        g = Grid(0.0, 1.0, 5, boundary)
+        row = np.arange(5.0)
+        left, right = g.ghosts(row)
+        assert (left, right) == (row[ends[0]], row[ends[1]])
+        rows = np.arange(15.0).reshape(3, 5)
+        left, right = g.ghosts(rows)
+        assert np.array_equal(left, rows[:, ends[0]])
+        assert np.array_equal(right, rows[:, ends[1]])
+
+
+class TestCheckBand:
+    @pytest.mark.parametrize("values", [0.0, 2.0, [0.0, 1.0, 2.0]])
+    def test_band_is_closed(self, values):
+        check_band(values, 2.0, "rho")
+
+    @pytest.mark.parametrize("values", [-1e-300, 2.0000001, [0.5, np.nan],
+                                        [np.inf, 0.5], [0.5, -np.inf]])
+    def test_rejects_outside_and_nan(self, values):
+        with pytest.raises(DomainError, match="rho range .* admissible band"):
+            check_band(np.asarray(values), 2.0, "rho")
+
 
 class TestDensityField:
     def test_wrong_length(self):
@@ -50,6 +74,17 @@ class TestDensityField:
         f = DensityField(Grid(0.0, 1.0, 8), np.full(8, 0.3))
         with pytest.raises(ValueError):
             f.values[0] = 1.0
+
+
+class TestFlux:
+    @given(a=st.floats(0.5, 4.0), b=st.floats(0.5, 4.0))
+    def test_affine_closed_forms(self, a, b):
+        model = VelocityModel.affine(a, b)
+        rho = np.linspace(0.0, model.rho_jam, 9)
+        assert np.allclose(model.f(rho), a * rho - b * rho * rho)
+        assert np.allclose(model.df(rho), a - 2.0 * b * rho)
+        assert np.array_equal(model.d2f(rho), np.full(9, -2.0 * b))
+        assert model.df(0.0) == a
 
 
 class TestValidateModel:

@@ -86,6 +86,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="decreasing"):
             parse_config(bad)
 
+    def test_sweep_needs_positive_horizon(self):
+        bad = SWEEP.replace("solver.t_final = 0.25", "solver.t_final = 0")
+        with pytest.raises(ConfigError, match="solver.t_final"):
+            parse_config(bad)
+        # a zero-horizon run is fine: it records the initial state
+        parse_config(MINIMAL.replace("solver.t_final = 0.1",
+                                     "solver.t_final = 0"))
+
     def test_relaxation_k_needs_headroom(self):
         bad = MINIMAL.replace("experiment.kind = run",
                               "experiment.kind = compare")

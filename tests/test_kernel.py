@@ -190,6 +190,18 @@ def test_averaged_field_shape_checked():
         AveragedField(g, np.zeros(5), KernelScale(0.1))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_averaged_field_finite_and_frozen(bad):
+    g = Grid(-1.0, 1.0, 8)
+    values = np.full(8, 0.5)
+    q = AveragedField(g, values, KernelScale(0.1))
+    values[0] = 0.7
+    assert q.values[0] == 0.5 and not q.values.flags.writeable
+    values[3] = bad
+    with pytest.raises(DomainError, match="AveragedField: non-finite"):
+        AveragedField(g, values, KernelScale(0.1))
+
+
 @given(alpha=st.floats(0.0, 1.0), seed=st.integers(0, 100))
 @settings(max_examples=25, deadline=None)
 def test_linearity(alpha, seed):

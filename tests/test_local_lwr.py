@@ -56,8 +56,8 @@ def _pair_flux(fe, left, right, crest=None):
 def _affine_formula(fe, left, right):
     # the affine-only vectorized flux that predates the concave one
     crit = fe.model.a / (2.0 * fe.model.b)
-    shock = np.minimum(fe.f(left), fe.f(right))
-    fan = fe.f(np.clip(crit, right, left))
+    shock = np.minimum(fe.model.f(left), fe.model.f(right))
+    fan = fe.model.f(np.clip(crit, right, left))
     return np.where(left <= right, shock, fan)
 
 
@@ -139,7 +139,7 @@ class TestFluxEntropyModel:
         fe = FluxEntropyModel(quadratic_model())
         rho = np.array(densities)
         per_cell = np.array([
-            fixed_quad(lambda r: r * fe.df(r), 0.0, float(val), n=32)[0]
+            fixed_quad(lambda r: r * fe.model.df(r), 0.0, float(val), n=32)[0]
             for val in rho])
         assert np.array_equal(fe.psi(rho), per_cell)
 
@@ -179,7 +179,7 @@ class TestFluxEntropyModel:
         rho = np.linspace(0.01, 0.99, 101)
         h = 1e-5
         dpsi = (fe.psi(rho + h) - fe.psi(rho - h)) / (2 * h)
-        assert np.max(np.abs(dpsi - rho * fe.df(rho))) < 1e-8
+        assert np.max(np.abs(dpsi - rho * fe.model.df(rho))) < 1e-8
 
     def test_eta(self, fe):
         assert fe.eta(0.5) == pytest.approx(0.125)
@@ -253,7 +253,7 @@ class TestConcaveFastPath:
     def test_critical_density_is_the_crest(self, name):
         fe = FluxEntropyModel(CONCAVE_LAWS[name])
         crit = _critical_density(fe)
-        assert abs(float(fe.df(crit))) < 1e-12
+        assert abs(float(fe.model.df(crit))) < 1e-12
         assert crit == {"affine": 0.5, "quadratic": pytest.approx(3 ** -0.5),
                         "cubic": pytest.approx(4 ** (-1.0 / 3.0))}[name]
 
@@ -272,7 +272,7 @@ class TestConcaveFastPath:
         assert miss <= 4.0 * np.spacing(crit)
         # f' changes sign between crit and one of its neighbouring floats
         below, above = np.nextafter(crit, 0.0), np.nextafter(crit, np.inf)
-        df = [float(fe.df(r)) for r in (below, crit, above)]
+        df = [float(fe.model.df(r)) for r in (below, crit, above)]
         assert df[0] > 0.0 >= df[1] or df[1] > 0.0 >= df[2]
 
     @pytest.mark.parametrize("v0, crest", [(2.0, 1.0), (3.0, 1.0),
@@ -319,8 +319,8 @@ class TestConcaveFastPath:
         def checked(fe_, cells, crit_):
             left, right = cells[:-1], cells[1:]
             pairwise = np.where(left <= right,
-                                np.minimum(fe.f(left), fe.f(right)),
-                                fe.f(np.clip(crit, right, left)))
+                                np.minimum(fe.model.f(left), fe.model.f(right)),
+                                fe.model.f(np.clip(crit, right, left)))
             flux = real(fe_, cells, crit_)
             assert np.array_equal(flux, pairwise)
             steps.append(cells.size)
@@ -394,7 +394,7 @@ class TestNonConcaveFlux:
         # floats, where f is linear and any of them splits the pieces
         below = np.nextafter(inflection, 0.0)
         above = np.nextafter(inflection, np.inf)
-        d2f = [float(fe.d2f(r)) for r in (below, inflection, above)]
+        d2f = [float(fe.model.d2f(r)) for r in (below, inflection, above)]
         assert d2f[0] < 0.0 <= d2f[1] or d2f[1] < 0.0 <= d2f[2]
 
     @pytest.mark.parametrize("boundary", ["periodic", "constant_extension"])

@@ -373,6 +373,12 @@ class TestPicardOracle:
         res = picard_oracle(ic, model, KernelScale(0.2), 0.08)
         assert np.max(np.abs(res.field.values - 0.55)) < 1e-12
 
+    def test_rejects_data_above_jam(self, model):
+        g = Grid(-1.0, 1.0, 16, "periodic")
+        ic = DensityField(g, np.full(16, 1.1))
+        with pytest.raises(DomainError, match="admissible band"):
+            picard_oracle(ic, model, KernelScale(0.2), 0.01)
+
     def test_zero_horizon_returns_initial(self, model):
         g = Grid(-1.0, 1.0, 64, "periodic")
         ic = DensityField(g, np.full(64, 0.55))

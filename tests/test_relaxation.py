@@ -10,7 +10,7 @@ from nltraffic import (DensityField, DomainError, Grid, KernelScale,
                        lambda_source, make_initial, march_nonlocal,
                        physical_slice, solve_nonlocal, solve_relaxation,
                        speeds, to_uz, transformed_tv)
-from nltraffic.core import TimeStepCollapse
+from nltraffic.core import ShapeError, TimeStepCollapse
 from nltraffic.diagnostics import InsufficientDataError
 from nltraffic.kernel import edge_to_center
 from nltraffic.relaxation import (FrameError, SliceGatherer,
@@ -138,6 +138,16 @@ class TestSpeeds:
     def test_domain_check(self, frame):
         with pytest.raises(DomainError):
             speeds(1.5, frame)
+        with pytest.raises(DomainError):
+            equilibrium_speed(np.array([0.5, -0.1]), frame)
+
+    def test_arrays_match_numbers(self, frame):
+        rho = np.array([0.0, 0.25, 0.5, 1.0])
+        lam1, lam2 = speeds(rho, frame)
+        assert lam1 == -2.0
+        assert np.array_equal(lam2, [speeds(r, frame)[1] for r in rho])
+        assert np.array_equal(equilibrium_speed(rho, frame),
+                              [equilibrium_speed(r, frame) for r in rho])
 
     def test_equilibrium_spot_values(self, frame):
         assert equilibrium_speed(0.5, frame) == pytest.approx(0.0)
@@ -207,12 +217,43 @@ class TestBVConditions:
         assert rep.lambda_u_max <= 1e-8
         assert rep.lambda_z_min >= -1e-8
 
+    @pytest.mark.parametrize("name", sorted(LAWS))
+    def test_source_extrema_match_closed_form(self, name):
+        # inside the band: at q = rho_jam the differences straddle the clip
+        model = LAWS[name]
+        frame = RelaxationFrame(2.0 * model.v_max, KernelScale(0.1), model)
+        rep = check_bv_conditions(frame, (0.1, 0.9))
+        lattice = np.linspace(0.1, 0.9, 33)
+        u, z = np.meshgrid(np.log(lattice), np.log(frame.K - model.v(lattice)),
+                           indexing="ij")
+        _, lam_u, lam_z = _source_partials(u, z, frame)
+        assert rep.lambda_u_max == pytest.approx(np.max(lam_u), rel=1e-6)
+        assert rep.lambda_z_min == pytest.approx(np.min(lam_z), rel=1e-6)
+
     def test_bad_range(self, frame):
         with pytest.raises(DomainError):
             check_bv_conditions(frame, (0.6, 0.4))
 
 
 class TestLogVariables:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", ["u", "z"])
+    def test_fields_finite(self, which, bad):
+        g = Grid(-1.0, 1.0, 4)
+        fields = {"u": np.zeros(4), "z": np.full(4, 0.5)}
+        fields[which][2] = bad
+        with pytest.raises(DomainError, match=f"UZFields.{which}: non-finite"):
+            UZFields(g, **fields)
+
+    def test_fields_shape_and_frozen(self):
+        g = Grid(-1.0, 1.0, 4)
+        with pytest.raises(ShapeError):
+            UZFields(g, np.zeros(4), np.zeros(5))
+        u = np.zeros(4)
+        uz = UZFields(g, u, np.zeros(4))
+        u[0] = 1.0
+        assert uz.u[0] == 0.0 and not uz.z.flags.writeable
+
     def test_spot_values(self, frame):
         g = Grid(-1.0, 1.0, 4)
         rho = DensityField(g, np.full(4, 0.5))
