@@ -449,7 +449,7 @@ def relaxation_roundtrip(initial: DensityField, model: VelocityModel,
 
     frame = RelaxationFrame(K, eps, model)
     rho0, q0 = first.result()
-    uz0 = UZFields(grid, np.log(rho0), np.log(K - model.v(q0)))
+    uz0 = UZFields(grid, np.log(rho0), frame.z_of(q0))
     relax = solve_relaxation(uz0, frame,
                              SolverConfig(t_final=delta_tau, cfl=cfl))
     rho_relax = np.exp(relax.final.fields.u)

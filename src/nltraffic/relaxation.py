@@ -51,6 +51,13 @@ class StiffSourceError(NumericsError):
 
 _BAND_SLACK = 1e-9
 
+#: the source solve's Newton stop (absolute residual) and iteration cap
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 50
+
+#: lattice points per density range in ``check_bv_conditions``
+BV_SAMPLES = 513
+
 
 @dataclass(frozen=True)
 class RelaxationFrame:
@@ -70,6 +77,10 @@ class RelaxationFrame:
     def z_band(self) -> tuple[float, float]:
         """Admissible z interval [ln(K - v(0)), ln K]."""
         return (math.log(self.K - self.model.v_max), math.log(self.K))
+
+    def z_of(self, q) -> np.ndarray:
+        """The tilted variable z = ln(K - v(q)) of averages q."""
+        return np.log(self.K - self.model.v(q))
 
 
 @dataclass(frozen=True)
@@ -168,9 +179,10 @@ class BVConditionReport:
     to [rho1, rho2].  ``uniform_margin`` is min |v'| - rho_jam ||v''||, the
     K-independent version.  For affine models ``min_K_affine`` is the
     smallest K for which the range condition holds on the full density
-    range.  ``lambda_u_max`` / ``lambda_z_min`` are finite-difference
-    extrema of the source partials over the sampled band (need
-    Lambda_u <= 0 <= Lambda_z).
+    range.  ``lambda_u_max`` / ``lambda_z_min`` are the extrema of the
+    closed-form source partials over a lattice of the band (need
+    Lambda_u <= 0 <= Lambda_z); where the lattice reaches v'(q) = 0,
+    Lambda_z is not finite and ``source_z_sign`` fails.
     """
 
     rho_range: tuple[float, float]
@@ -187,25 +199,17 @@ class BVConditionReport:
 
 
 def check_bv_conditions(frame: RelaxationFrame,
-                        rho_range: tuple[float, float],
-                        n_samples: int = 513) -> BVConditionReport:
-    """The ``BVConditionReport`` of ``frame`` on data in ``rho_range``.
-
-    Known fault: the source partials are central differences of step 1e-6
-    in u and z, and one that straddles q = rho_jam, where ``_source_value``
-    clips q, halves the derivative: v = 1 - rho, K = 4 on [0, 1] reads
-    min Lambda_z = 0.3750002 where the closed form on the same lattice is
-    0.75.  Ranges inside (0, rho_jam) read right; a fix would move the
-    numbers in ``check.json``.
-    """
+                        rho_range: tuple[float, float]) -> BVConditionReport:
+    """The ``BVConditionReport`` of ``frame`` on data in ``rho_range``,
+    with the sups and mins sampled at ``BV_SAMPLES`` points."""
     model = frame.model
     rho1, rho2 = float(rho_range[0]), float(rho_range[1])
     if not (0.0 <= rho1 < rho2 <= model.rho_jam):
         raise DomainError(
             f"need 0 <= rho1 < rho2 <= rho_jam, got ({rho1}, {rho2})")
 
-    full = np.linspace(0.0, model.rho_jam, n_samples)
-    sub = np.linspace(rho1, rho2, n_samples)
+    full = np.linspace(0.0, model.rho_jam, BV_SAMPLES)
+    sub = np.linspace(rho1, rho2, BV_SAMPLES)
     v_sup = float(np.max(np.abs(model.v(full))))
     dv_sup = float(np.max(np.abs(model.dv(full))))
     d2v_sup = float(np.max(np.abs(model.d2v(full))))
@@ -247,21 +251,14 @@ def check_bv_conditions(frame: RelaxationFrame,
 
 def _source_partial_extrema(frame: RelaxationFrame, rho1: float, rho2: float,
                             n: int = 33) -> tuple[float, float]:
-    """Finite-difference extrema of Lambda_u, Lambda_z over a (u, z) lattice."""
+    """max Lambda_u and min Lambda_z over an n x n (u, z) lattice."""
     model = frame.model
     rho_lo = max(rho1, 1e-8 * model.rho_jam)
     u_grid = np.log(np.linspace(rho_lo, rho2, n))
-    q_grid = np.linspace(max(rho1, 1e-12), rho2, n)
-    z_grid = np.log(frame.K - model.v(q_grid))
+    z_grid = frame.z_of(np.linspace(max(rho1, 1e-12), rho2, n))
     uu, zz = np.meshgrid(u_grid, z_grid, indexing="ij")
-    h = 1e-6
-    lam_up = _source_value(uu + h, zz, frame)
-    lam_um = _source_value(uu - h, zz, frame)
-    lam_zp = _source_value(uu, zz + h, frame)
-    lam_zm = _source_value(uu, zz - h, frame)
-    lam_u = (lam_up - lam_um) / (2 * h)
-    lam_z = (lam_zp - lam_zm) / (2 * h)
-    return float(np.max(lam_u)), float(np.min(lam_z))
+    _, lam_u, neg_lam_z = _source(uu, zz, frame)
+    return float(np.max(lam_u)), -float(np.max(neg_lam_z))
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +277,12 @@ def to_uz(rho: DensityField, q: AveragedField,
     if float(np.min(rho.values)) <= 0.0:
         raise PositivityError(
             "u = ln(rho) needs uniformly positive density")
-    vq = frame.model.v(q.values)
-    if float(np.max(vq)) >= frame.K:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = frame.z_of(q.values)
+    # ln(K - v(q)) is -inf or NaN exactly where v(q) >= K
+    if not np.all(z > -np.inf):
         raise FrameError("K must exceed v(q) everywhere")
-    return UZFields(rho.grid, np.log(rho.values), np.log(frame.K - vq))
+    return UZFields(rho.grid, np.log(rho.values), z)
 
 
 def from_uz(uz: UZFields, frame: RelaxationFrame
@@ -294,16 +293,18 @@ def from_uz(uz: UZFields, frame: RelaxationFrame
     return rho, q
 
 
-def _source_value(u, z, frame: RelaxationFrame) -> np.ndarray:
-    model = frame.model
-    q = np.clip(model.v_inverse(frame.K - np.exp(z)), 0.0, model.rho_jam)
-    vq = model.v(q)
-    return (np.exp(u) - q) * model.dv(q) / (frame.K - vq)
-
-
 def equilibrium_z(u, frame: RelaxationFrame) -> np.ndarray:
     """Monotone equilibrium map g(u) = ln(K - v(e^u))."""
-    return np.log(frame.K - frame.model.v(np.exp(u)))
+    return frame.z_of(np.exp(u))
+
+
+def _check_z_band(z, frame: RelaxationFrame, what: str):
+    """Raise SourceBandError unless every z lies in ``frame.z_band``, up to
+    ``_BAND_SLACK``."""
+    lo, hi = frame.z_band
+    if not (lo - _BAND_SLACK <= np.min(z) and np.max(z) <= hi + _BAND_SLACK):
+        raise SourceBandError(
+            f"{what} outside the admissible band [{lo:.6g}, {hi:.6g}]")
 
 
 def lambda_source(u: float, z: float,
@@ -314,52 +315,47 @@ def lambda_source(u: float, z: float,
     equilibrium.  z must lie in the band [ln(K - v(0)), ln K] where
     q(z) = v_inverse(K - e^z) is defined.
     """
-    lo, hi = frame.z_band
-    if not (lo - _BAND_SLACK <= z <= hi + _BAND_SLACK):
-        raise SourceBandError(
-            f"z = {z} outside the admissible band [{lo:.6g}, {hi:.6g}]")
+    _check_z_band(z, frame, f"z = {z}")
     rho = math.exp(u)
     if rho > frame.model.rho_jam * (1.0 + 1e-12):
         raise DomainError(
             f"exp(u) = {rho} exceeds rho_jam = {frame.model.rho_jam}")
-    lam = float(_source_value(u, z, frame))
-    return lam, float(equilibrium_z(u, frame))
+    lam, _, _ = _source(np.array([u]), np.array([z]), frame)
+    return float(lam[0]), float(equilibrium_z(u, frame))
 
 
-def _source_line(U: np.ndarray, total: np.ndarray, frame: RelaxationFrame
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Lambda(U, total - U) and its slope Lambda_u - Lambda_z along the
-    source line u + z = total, cellwise, in closed form.
+def _source(u: np.ndarray, z: np.ndarray, frame: RelaxationFrame
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lambda(u, z), Lambda_u and -Lambda_z cellwise, in closed form, with
+    q(z) clipped into [0, rho_jam].
 
     With the shared factor r = v'(q)/(K - v(q)) and e = e^z/(K - v(q)):
     Lambda = (rho - q) r, Lambda_u = rho r and
     -Lambda_z = Lambda_q e^z / v' = (Lambda - 1) e + (rho - q) v'' e / v'.
     The last term is absent for affine laws; where v'(q) = 0 it is not
-    finite, and neither is the slope.
+    finite, and neither is -Lambda_z.
     """
     model = frame.model
-    ez = np.subtract(total, U)
-    np.exp(ez, out=ez)
-    q = np.maximum(model.v_inverse(frame.K - ez), 0.0)
+    e = np.exp(z)
+    q = np.maximum(model.v_inverse(frame.K - e), 0.0)
     np.minimum(q, model.rho_jam, out=q)
     denom = frame.K - model.v(q)
     dvq = model.dv(q)
     r = dvq / denom
-    rho = np.exp(U)
-    gap = rho - q
+    lam_u = np.exp(u)
+    gap = lam_u - q
     lam = gap * r
-    ez /= denom
-    slope = lam - 1.0
-    slope *= ez
+    e /= denom
+    neg_lam_z = lam - 1.0
+    neg_lam_z *= e
     if not model.is_affine:
         with np.errstate(divide="ignore", invalid="ignore"):
             gap *= model.d2v(q)
-            gap *= ez
+            gap *= e
             gap /= dvq
-        slope += gap
-    rho *= r
-    slope += rho
-    return lam, slope
+        neg_lam_z += gap
+    lam_u *= r
+    return lam, lam_u, neg_lam_z
 
 
 # ---------------------------------------------------------------------------
@@ -469,16 +465,19 @@ def _implicit_source(u_star: np.ndarray, total: np.ndarray, c: float,
     iterate is not below ``tol`` go to ``_bisect``.  Returns U, the Newton
     iterations run and the number of cells handed to bisection.
     """
-    lo = total - math.log(frame.K)
-    hi = total - math.log(frame.K - frame.model.v_max)
+    z_lo, z_hi = frame.z_band
+    lo = total - z_hi
+    hi = total - z_lo
     U = np.minimum(np.maximum(u_star, lo), hi)
     # the open cells, their iterates and data; at first all of them, with
     # U itself as the iterate
     cells, Ua, us, tot, lo_a, hi_a = None, U, u_star, total, lo, hi
     for iterations in range(1, max_iter + 1):
-        lam, slope = _source_line(Ua, tot, frame)
+        lam, lam_u, slope = _source(Ua, tot - Ua, frame)
         resid = Ua - us
         resid -= c * lam
+        # the slope of Lambda along u + z = total is Lambda_u - Lambda_z
+        slope += lam_u
         slope *= -c
         slope += 1.0
         step = np.divide(resid, slope, out=slope)
@@ -497,7 +496,7 @@ def _implicit_source(u_star: np.ndarray, total: np.ndarray, c: float,
 
     if cells is None:
         cells = np.arange(U.size)
-    resid = Ua - us - c * _source_value(Ua, tot - Ua, frame)
+    resid = Ua - us - c * _source(Ua, tot - Ua, frame)[0]
     bad = ~(np.abs(resid) < tol)
     if bad.any():
         U[cells[bad]] = _bisect(us[bad], tot[bad], c, frame, lo_a[bad],
@@ -518,7 +517,7 @@ def _bisect(u_star: np.ndarray, total: np.ndarray, c: float,
     finite.
     """
     def resid(val, us, tot):
-        return val - us - c * _source_value(val, tot - val, frame)
+        return val - us - c * _source(val, tot - val, frame)[0]
 
     def fail(i: int, what: str):
         raise StiffSourceError(
@@ -559,8 +558,7 @@ def _bisect(u_star: np.ndarray, total: np.ndarray, c: float,
 
 
 def solve_relaxation(initial: UZFields, frame: RelaxationFrame,
-                     config: SolverConfig, newton_tol: float = 1e-12,
-                     newton_max_iter: int = 50) -> RelaxationTrajectory:
+                     config: SolverConfig) -> RelaxationTrajectory:
     """IMEX march of the tilted system over tau in [0, t_final].
 
     Transport is explicit upwind: u moves right with speed
@@ -568,21 +566,20 @@ def solve_relaxation(initial: UZFields, frame: RelaxationFrame,
     (fed from the right).  The stiff source is implicit Euler; u + z is
     invariant under the source, reducing it to a per-cell scalar solve.
     Newton iterates only on the cells whose residual is still at or above
-    ``newton_tol``; a cell whose residual has fallen below it takes that
+    ``NEWTON_TOL``; a cell whose residual has fallen below it takes that
     iteration's step and then freezes.  Cells still open after
-    ``newton_max_iter`` iterations are bisected together, each until a
-    residual falls below ``newton_tol`` or its bracket is two adjacent
-    floats.  dtau obeys the CFL bound on max(K, transport speed) and lands
-    exactly on requested snapshot times.  The trajectory reports the most
+    ``NEWTON_MAX_ITER`` iterations are bisected together, each until a
+    residual falls below ``NEWTON_TOL`` or its bracket is two adjacent
+    floats.  Newton and bisection read Lambda and its partials from the
+    one closed form ``_source``.  dtau obeys the CFL bound on
+    max(K, transport speed) and lands exactly on requested snapshot times.
+    The trajectory reports the most
     Newton iterations any step needed and how many cells, summed over
     steps, fell back to bisection.  A source solve with no sign change on
     the band, or with a non-finite residual, raises StiffSourceError.
     """
     grid = initial.grid
-    lo, hi = frame.z_band
-    if (float(np.min(initial.z)) < lo - _BAND_SLACK
-            or float(np.max(initial.z)) > hi + _BAND_SLACK):
-        raise SourceBandError("initial z leaves the admissible band")
+    _check_z_band(initial.z, frame, "initial z")
 
     state = np.stack([initial.u, initial.z])
     u, z = state
@@ -609,8 +606,8 @@ def solve_relaxation(initial: UZFields, frame: RelaxationFrame,
 
         total = u_star + z_star
         u[:], its, n_bisected = _implicit_source(
-            u_star, total, dtau * ratio_eps, frame, newton_tol,
-            newton_max_iter)
+            u_star, total, dtau * ratio_eps, frame, NEWTON_TOL,
+            NEWTON_MAX_ITER)
         np.subtract(total, u, out=z)
         newton_max_seen = max(newton_max_seen, its)
         bisected += n_bisected

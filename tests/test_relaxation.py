@@ -10,13 +10,13 @@ from nltraffic import (DensityField, DomainError, Grid, KernelScale,
                        lambda_source, make_initial, march_nonlocal,
                        physical_slice, solve_nonlocal, solve_relaxation,
                        speeds, to_uz, transformed_tv)
+from nltraffic import relaxation
 from nltraffic.core import ShapeError, TimeStepCollapse
 from nltraffic.diagnostics import InsufficientDataError
 from nltraffic.kernel import edge_to_center
 from nltraffic.relaxation import (FrameError, SliceGatherer,
                                   SourceBandError, StiffSourceError, _bisect,
-                                  _implicit_source, _source_line,
-                                  _source_value)
+                                  _implicit_source, _source)
 
 from conftest import cubic_model, quadratic_model
 
@@ -50,8 +50,39 @@ def _source_partials(u, z, frame):
     return lam, lam_u, lam_z
 
 
+def _source_line(U, total, frame):
+    """Lambda(U, total - U) and its slope Lambda_u - Lambda_z along the
+    source line u + z = total, cellwise, in closed form: the Newton
+    solve's own evaluation before ``_source`` replaced it, kept frozen as
+    the oracle of ``_source``'s bits."""
+    model = frame.model
+    ez = np.subtract(total, U)
+    np.exp(ez, out=ez)
+    q = np.maximum(model.v_inverse(frame.K - ez), 0.0)
+    np.minimum(q, model.rho_jam, out=q)
+    denom = frame.K - model.v(q)
+    dvq = model.dv(q)
+    r = dvq / denom
+    rho = np.exp(U)
+    gap = rho - q
+    lam = gap * r
+    ez /= denom
+    slope = lam - 1.0
+    slope *= ez
+    if not model.is_affine:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gap *= model.d2v(q)
+            gap *= ez
+            gap /= dvq
+        slope += gap
+    rho *= r
+    slope += rho
+    return lam, slope
+
+
 def _scalar_residual(val, u_star, total, c, frame):
-    return val - u_star - c * float(_source_value(val, total - val, frame))
+    lam, _ = _source_line(np.array([val]), np.array([total]), frame)
+    return val - u_star - c * float(lam[0])
 
 
 def _bisect_cell(u_star, total, c, frame, lo, hi, tol, cell):
@@ -100,6 +131,17 @@ def _newton_full_width(u_star, total, c, frame, tol, max_iter):
         U[i] = _bisect_cell(float(u_star[i]), float(total[i]), c, frame,
                             float(lo[i]), float(hi[i]), tol, i)
     return U, max_iter, int(bad.size)
+
+
+def _rising_law():
+    """v = 1 + 2 rho: no speed law, but a frame at K = 1.5 > v(0) admits
+    it, and v(q) and f'(rho) reach K inside the band."""
+    return VelocityModel.custom(
+        v=lambda r: 1.0 + 2.0 * np.asarray(r, dtype=float),
+        dv=lambda r: np.full_like(np.asarray(r, dtype=float), 2.0),
+        d2v=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
+        v_inverse=lambda s: (np.asarray(s, dtype=float) - 1.0) / 2.0,
+        rho_jam=1.0)
 
 
 @pytest.fixture
@@ -176,13 +218,7 @@ class TestSpeeds:
     def test_speed_above_tilt_raises(self):
         # v = 1 + 2 rho: f' = 1 + 4 rho passes K = 1.5 first, at the second
         # of 8 samples, rho = 0.1875, where equilibrium_speed raises too
-        rising = VelocityModel.custom(
-            v=lambda r: 1.0 + 2.0 * np.asarray(r, dtype=float),
-            dv=lambda r: np.full_like(np.asarray(r, dtype=float), 2.0),
-            d2v=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-            v_inverse=lambda s: (np.asarray(s, dtype=float) - 1.0) / 2.0,
-            rho_jam=1.0)
-        frame = RelaxationFrame(1.5, KernelScale(0.1), rising)
+        frame = RelaxationFrame(1.5, KernelScale(0.1), _rising_law())
         with pytest.raises(FrameError, match=r"f'\(rho\) = 1\.75$"):
             check_subcharacteristic(frame, 8)
         with pytest.raises(FrameError, match=r"f'\(rho\) = 1\.75$"):
@@ -217,18 +253,47 @@ class TestBVConditions:
         assert rep.lambda_u_max <= 1e-8
         assert rep.lambda_z_min >= -1e-8
 
-    @pytest.mark.parametrize("name", sorted(LAWS))
-    def test_source_extrema_match_closed_form(self, name):
-        # inside the band: at q = rho_jam the differences straddle the clip
+    @pytest.mark.parametrize(
+        "name, K, rho_range, want",
+        [(name, None, (0.1, 0.9), None) for name in sorted(LAWS)]
+        + [("affine", 2.0, (0.0, 1.0), 0.5), ("affine", 4.0, (0.0, 1.0), 0.75)],
+        ids=sorted(LAWS) + ["affine-jam-K2", "affine-jam-K4"])
+    def test_source_extrema_match_closed_form(self, name, K, rho_range, want):
+        # on the full range the affine Lambda_z = 1 - Lambda is least at
+        # rho = 1e-8 and q = rho_jam: 1 - 1/K + 1e-8/K; a difference that
+        # straddles the clip at q = rho_jam reads half of it
         model = LAWS[name]
-        frame = RelaxationFrame(2.0 * model.v_max, KernelScale(0.1), model)
-        rep = check_bv_conditions(frame, (0.1, 0.9))
-        lattice = np.linspace(0.1, 0.9, 33)
-        u, z = np.meshgrid(np.log(lattice), np.log(frame.K - model.v(lattice)),
-                           indexing="ij")
-        _, lam_u, lam_z = _source_partials(u, z, frame)
-        assert rep.lambda_u_max == pytest.approx(np.max(lam_u), rel=1e-6)
-        assert rep.lambda_z_min == pytest.approx(np.min(lam_z), rel=1e-6)
+        frame = RelaxationFrame(K or 2.0 * model.v_max, KernelScale(0.1),
+                                model)
+        rep = check_bv_conditions(frame, rho_range)
+        rho1, rho2 = rho_range
+        u = np.log(np.linspace(max(rho1, 1e-8 * model.rho_jam), rho2, 33))
+        q = np.linspace(max(rho1, 1e-12), rho2, 33)
+        uu, zz = np.meshgrid(u, np.log(frame.K - model.v(q)), indexing="ij")
+        _, lam_u, lam_z = _source_partials(uu, zz, frame)
+        assert rep.lambda_u_max == pytest.approx(np.max(lam_u), rel=1e-12)
+        assert rep.lambda_z_min == pytest.approx(np.min(lam_z), rel=1e-12)
+        if want is not None:
+            assert rep.lambda_z_min == pytest.approx(want, abs=1e-8)
+
+    @pytest.mark.parametrize("span", ["jam", "0.1-0.9", "0.2-0.8"])
+    @pytest.mark.parametrize("tilt", ["2v0", "4"])
+    @pytest.mark.parametrize("name", sorted(LAWS))
+    def test_verdicts_over_laws(self, name, tilt, span):
+        # the custom laws have v'(0) = 0: min |v'| vanishes on the full
+        # range, and Lambda_z < 0 inside the band
+        model = LAWS[name]
+        K = 2.0 * model.v_max if tilt == "2v0" else 4.0
+        rho_range = {"jam": (0.0, model.rho_jam), "0.1-0.9": (0.1, 0.9),
+                     "0.2-0.8": (0.2, 0.8)}[span]
+        rep = check_bv_conditions(RelaxationFrame(K, KernelScale(0.1), model),
+                                  rho_range)
+        failed = {c.name for c in rep.checks if not c.passed}
+        if model.is_affine:
+            assert failed == set()
+        else:
+            assert failed == {"range_condition", "source_z_sign",
+                              "uniform_condition"}
 
     def test_bad_range(self, frame):
         with pytest.raises(DomainError):
@@ -279,6 +344,16 @@ class TestLogVariables:
         back_rho, back_q = from_uz(uz, frame)
         assert np.max(np.abs(back_rho - rho.values)) < 1e-12
         assert np.max(np.abs(back_q - q.values)) < 1e-12
+
+    def test_tilt_must_exceed_v_of_q(self):
+        # v = 1 + 2 rho reaches K = 1.5 at q = 0.25 and passes it after
+        frame = RelaxationFrame(1.5, KernelScale(0.1), _rising_law())
+        g = Grid(-1.0, 1.0, 4)
+        rho = DensityField(g, np.full(4, 0.5))
+        for level in (0.25, 0.5):
+            q = average(DensityField(g, np.full(4, level)), frame.eps)
+            with pytest.raises(FrameError, match="K must exceed v"):
+                to_uz(rho, q, frame)
 
     def test_positivity_required(self, frame):
         g = Grid(-1.0, 1.0, 4)
@@ -380,14 +455,15 @@ def _check_very_stiff(model):
     assert out.bisection_cells == 0
 
 
-def _check_bisection_fallback(model):
+def _check_bisection_fallback(model, monkeypatch):
     # one Newton iteration cannot close the stiff solve: the stragglers
     # go to bisection and are counted (64 cells over the first steps)
     frame = _law_frame(model, 2e-4 * DX_32)
     uz = _uniform_uz(frame, 32, 0.9)
     config = SolverConfig(t_final=0.05)
-    capped = solve_relaxation(uz, frame, config, newton_max_iter=1)
     full = solve_relaxation(uz, frame, config)
+    monkeypatch.setattr(relaxation, "NEWTON_MAX_ITER", 1)
+    capped = solve_relaxation(uz, frame, config)
     assert 0 < capped.bisection_cells <= 32 * capped.stats.steps
     assert capped.newton_iterations_max == 1
     assert full.bisection_cells == 0
@@ -434,8 +510,8 @@ class TestSolveRelaxation:
     def test_very_stiff_source_converges(self, model):
         _check_very_stiff(model)
 
-    def test_bisection_fallback_counted(self, model):
-        _check_bisection_fallback(model)
+    def test_bisection_fallback_counted(self, model, monkeypatch):
+        _check_bisection_fallback(model, monkeypatch)
 
     @pytest.mark.parametrize("name", OTHER_LAWS)
     def test_equilibrium_is_stationary_over_laws(self, name):
@@ -450,8 +526,8 @@ class TestSolveRelaxation:
         _check_very_stiff(LAWS[name])
 
     @pytest.mark.parametrize("name", OTHER_LAWS)
-    def test_bisection_fallback_counted_over_laws(self, name):
-        _check_bisection_fallback(LAWS[name])
+    def test_bisection_fallback_counted_over_laws(self, name, monkeypatch):
+        _check_bisection_fallback(LAWS[name], monkeypatch)
 
     def test_band_validated(self, frame):
         g = Grid(-1.0, 1.0, 8)
@@ -488,11 +564,25 @@ class TestSourceSolve:
     @settings(max_examples=40, deadline=None)
     def test_source_line_matches_partials(self, name, seed, n):
         frame, u_star, total, _ = _source_problem(name, seed, n, 1.0)
-        lam, slope = _source_line(u_star, total, frame)
-        ref, lam_u, lam_z = _source_partials(u_star, total - u_star, frame)
-        scale = np.abs(lam_u) + np.abs(lam_z)
+        lam, lam_u, neg_lam_z = _source(u_star, total - u_star, frame)
+        ref, ref_u, ref_z = _source_partials(u_star, total - u_star, frame)
+        scale = np.abs(ref_u) + np.abs(ref_z)
         assert np.all(np.abs(lam - ref) <= 1e-15 * (1.0 + np.abs(ref)))
-        assert np.all(np.abs(slope - (lam_u - lam_z)) <= 1e-13 * scale)
+        assert np.all(np.abs(lam_u - ref_u) <= 1e-15 * np.abs(ref_u))
+        assert np.all(np.abs(-neg_lam_z - ref_z) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("name", sorted(LAWS))
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 64))
+    @settings(max_examples=40, deadline=None)
+    def test_source_matches_frozen_source_line(self, name, seed, n):
+        # random cells plus the band's two edges, where v'(q) may vanish
+        frame, u_star, total, _ = _source_problem(name, seed, n, 1.0)
+        u_star = np.concatenate([u_star, u_star[:1], u_star[:1]])
+        total = np.concatenate([total, u_star[:1] + frame.z_band])
+        lam, lam_u, neg_lam_z = _source(u_star, total - u_star, frame)
+        ref, slope = _source_line(u_star, total, frame)
+        assert np.array_equal(lam, ref, equal_nan=True)
+        assert np.array_equal(lam_u + neg_lam_z, slope, equal_nan=True)
 
     @pytest.mark.parametrize("name", sorted(LAWS))
     @given(seed=st.integers(0, 2**16), n=st.integers(1, 64),
