@@ -406,10 +406,10 @@ class RoundtripResult:
     x: np.ndarray
     rho_relaxation: np.ndarray
     rho_physical: np.ndarray
-    #: the relaxation solve's most Newton iterations in one step, and its
-    #: cells that fell back to bisection, summed over steps
+    #: the relaxation solve's most source-solve passes in one step, and its
+    #: midpoints that replaced a Newton step, summed over cells and steps
     newton_iterations_max: int
-    bisection_cells: int
+    midpoint_steps: int
 
 
 def relaxation_roundtrip(initial: DensityField, model: VelocityModel,
@@ -457,7 +457,7 @@ def relaxation_roundtrip(initial: DensityField, model: VelocityModel,
     l1 = float(np.sum(np.abs(rho_relax - rho_phys))) * grid.dx
     return RoundtripResult(l1, tau0, delta_tau, grid.cell_centers(),
                            rho_relax, rho_phys, relax.newton_iterations_max,
-                           relax.bisection_cells)
+                           relax.midpoint_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +656,7 @@ def _compare_kind(config: ExperimentConfig, out: Path,
         distances["l1_relaxation_roundtrip"] = rt.l1_distance
         payload["relaxation"] = {
             "newton_iterations_max": rt.newton_iterations_max,
-            "bisection_cells": rt.bisection_cells}
+            "midpoint_steps": rt.midpoint_steps}
     with open(out / "fields.csv", "w") as fh:
         fh.writelines(_columns_csv(columns))
     return _json_document(config, seed, payload), {

@@ -46,14 +46,14 @@ class SourceBandError(ValueError):
 
 
 class StiffSourceError(NumericsError):
-    """Implicit source solve failed to converge in a cell."""
+    """The implicit source solve met a cell whose band holds no sign change
+    of the residual, or whose residual is not finite."""
 
 
 _BAND_SLACK = 1e-9
 
-#: the source solve's Newton stop (absolute residual) and iteration cap
+#: the source solve's Newton stop (absolute residual)
 NEWTON_TOL = 1e-12
-NEWTON_MAX_ITER = 50
 
 #: lattice points per density range in ``check_bv_conditions``
 BV_SAMPLES = 513
@@ -434,10 +434,10 @@ class RelaxationTrajectory:
     snapshots: tuple[UZSnapshot, ...]
     #: the march's record; row 0 is u, row 1 is z
     stats: RunStats
+    #: the most passes of the source solve in one step
     newton_iterations_max: int
-    #: cells, summed over steps, whose source solve fell back from Newton
-    #: to bisection
-    bisection_cells: int
+    #: midpoints that replaced a Newton step, summed over cells and steps
+    midpoint_steps: int
 
     @property
     def step_count(self) -> int:
@@ -450,111 +450,109 @@ class RelaxationTrajectory:
 
 
 def _implicit_source(u_star: np.ndarray, total: np.ndarray, c: float,
-                     frame: RelaxationFrame, tol: float,
-                     max_iter: int) -> tuple[np.ndarray, int, int]:
+                     frame: RelaxationFrame,
+                     tol: float) -> tuple[np.ndarray, int, int]:
     """Solve U = u_star + c*Lambda(U, total - U) cellwise.
 
     The source moves (u, z) along lines of constant u + z, so the solve is
-    scalar per cell.  Newton runs with iterates clamped to the band; the
-    residual derivative is 1 - c (Lambda_u - Lambda_z) >= 1 whenever the
-    sign conditions hold, which keeps Newton safe even for c >> 1.  Only
-    open cells are evaluated: a cell whose residual falls below ``tol``
-    takes that iteration's step and then freezes.  A cell whose slope is
-    not finite (v'(q) = 0 at the band edge) takes no step.  Cells still
-    open after ``max_iter`` iterations whose residual at their last
-    iterate is not below ``tol`` go to ``_bisect``.  Returns U, the Newton
-    iterations run and the number of cells handed to bisection.
+    a scalar root per cell on the band [total - ln K, total - ln(K - v(0))],
+    where the residual's slope 1 - c (Lambda_u - Lambda_z) is >= 1 whenever
+    the sign conditions hold.  One safeguarded Newton loop runs on the open
+    cells, each keeping a sign bracket that starts as the band and that
+    every residual narrows.  A cell whose |residual| falls below ``tol``
+    takes that pass's step, clamped to the band, and freezes.  Otherwise a
+    Newton step not strictly inside the bracket (a slope that is not
+    finite, v'(q) = 0 at the band edge, takes none) becomes its midpoint;
+    a cell whose bracket is two adjacent floats (very stiff sources jump
+    by more than ``tol`` between them) ends at the end with the smaller
+    |residual|, evaluating a band end only then.  After the first pass
+    every iterate lies strictly inside its bracket, so each pass moves an
+    end strictly inward and the loop ends without a cap.  Returns U, the
+    passes and the midpoint steps.  StiffSourceError names the first cell
+    whose residual is not finite or has no sign change on the band.
     """
     z_lo, z_hi = frame.z_band
-    lo = total - z_hi
-    hi = total - z_lo
-    U = np.minimum(np.maximum(u_star, lo), hi)
-    # the open cells, their iterates and data; at first all of them, with
-    # U itself as the iterate
-    cells, Ua, us, tot, lo_a, hi_a = None, U, u_star, total, lo, hi
-    for iterations in range(1, max_iter + 1):
-        lam, lam_u, slope = _source(Ua, tot - Ua, frame)
-        resid = Ua - us
-        resid -= c * lam
-        # the slope of Lambda along u + z = total is Lambda_u - Lambda_z
-        slope += lam_u
-        slope *= -c
-        slope += 1.0
-        step = np.divide(resid, slope, out=slope)
-        step[np.isnan(step)] = 0.0
-        Ua -= step
-        np.maximum(Ua, lo_a, out=Ua)
-        np.minimum(Ua, hi_a, out=Ua)
-        if cells is not None:
-            U[cells] = Ua
-        # NaN residuals stay open
-        keep = ~(np.abs(resid) < tol)
-        if not keep.any():
-            return U, iterations, 0
-        cells = np.flatnonzero(keep) if cells is None else cells[keep]
-        Ua, us, tot, lo_a, hi_a = (a[keep] for a in (Ua, us, tot, lo_a, hi_a))
-
-    if cells is None:
-        cells = np.arange(U.size)
-    resid = Ua - us - c * _source(Ua, tot - Ua, frame)[0]
-    bad = ~(np.abs(resid) < tol)
-    if bad.any():
-        U[cells[bad]] = _bisect(us[bad], tot[bad], c, frame, lo_a[bad],
-                                hi_a[bad], tol, cells[bad])
-    return U, max_iter, int(np.count_nonzero(bad))
-
-
-def _bisect(u_star: np.ndarray, total: np.ndarray, c: float,
-            frame: RelaxationFrame, lo: np.ndarray, hi: np.ndarray,
-            tol: float, cells: np.ndarray) -> np.ndarray:
-    """Bisect U - u_star - c*Lambda(U, total - U) on [lo, hi] cellwise.
-
-    A cell ends at the first midpoint whose residual is below ``tol``, or
-    once its bracket is two adjacent floats, at the end with the smaller
-    |residual| (very stiff sources jump by more than ``tol`` between
-    adjacent floats).  StiffSourceError names the first cell (an entry of
-    ``cells``) whose residual has no sign change on the band or is not
-    finite.
-    """
-    def resid(val, us, tot):
-        return val - us - c * _source(val, tot - val, frame)[0]
+    a = total - z_hi
+    b = total - z_lo
+    U = np.minimum(np.maximum(u_star, a), b)
+    # the open cells: their indices, iterates and data, and their sign
+    # brackets [a, b], at first the band, with the residuals at the ends
+    # (NaN: a band end not evaluated yet); a bracket is first written once
+    # a pass has copied it out for the cells left open
+    cells = np.arange(U.size)
+    x, us, tot = U, u_star, total
+    r_a = r_b = np.broadcast_to(np.nan, U.shape)
 
     def fail(i: int, what: str):
         raise StiffSourceError(
             f"source solve failed in cell {cells[i]}: {what}")
 
-    r_lo, r_hi = resid(lo, u_star, total), resid(hi, u_star, total)
-    finite = np.isfinite(r_lo) & np.isfinite(r_hi)
-    if not finite.all():
-        fail(np.argmin(finite), "non-finite residual")
-    wrong = (r_lo > 0.0) | (r_hi < 0.0)
-    if wrong.any():
-        i = np.argmax(wrong)
-        fail(i, f"no sign change on the band, residuals "
-                f"({r_lo[i]:.3e}, {r_hi[i]:.3e})")
-    out = np.empty_like(r_lo)
-    todo = np.arange(out.size)   # entries of out still open
-    lo, hi = lo.copy(), hi.copy()
-    while todo.size:
-        mid = 0.5 * (lo + hi)
-        r_mid = resid(mid, u_star, total)
-        finite = np.isfinite(r_mid)
+    passes = midpoints = 0
+    while cells.size:
+        passes += 1
+        resid, step = _residual(x, us, tot, c, frame)
+        np.divide(resid, step, out=step)
+        step[np.isnan(step)] = 0.0
+        new = np.subtract(x, step, out=step)
+        np.maximum(new, tot - z_hi, out=new)
+        np.minimum(new, tot - z_lo, out=new)
+        done = np.abs(resid) < tol
+        U[cells[done]] = new[done]
+        if done.all():
+            break
+        i = np.flatnonzero(~done)
+        cells, x, new, resid, us, tot, a, b, r_a, r_b = (
+            v[i] for v in (cells, x, new, resid, us, tot, a, b, r_a, r_b))
+        finite = np.isfinite(resid)
         if not finite.all():
-            fail(todo[np.argmin(finite)], "non-finite residual")
-        adjacent = (mid == lo) | (mid == hi)
-        done = np.abs(r_mid) < tol
-        # an open cell's entry is overwritten by a later pass
-        out[todo] = np.where(
-            adjacent, np.where(np.abs(r_lo) < np.abs(r_hi), lo, hi), mid)
-        up = r_mid > 0.0
-        np.copyto(hi, mid, where=up)
-        np.copyto(r_hi, r_mid, where=up)
-        np.copyto(lo, mid, where=~up)
-        np.copyto(r_lo, r_mid, where=~up)
-        keep = ~(adjacent | done)
-        todo, lo, hi, r_lo, r_hi, u_star, total = (
-            a[keep] for a in (todo, lo, hi, r_lo, r_hi, u_star, total))
-    return out
+            fail(np.argmin(finite), "non-finite residual")
+        up = resid > 0.0
+        np.copyto(b, x, where=up)
+        np.copyto(r_b, resid, where=up)
+        np.copyto(a, x, where=~up)
+        np.copyto(r_a, resid, where=~up)
+        newton = (a < new) & (new < b)
+        x = np.where(newton, new, 0.5 * (a + b))
+        # the midpoint of two adjacent floats is one of them
+        shut = ~((a < x) & (x < b))
+        midpoints += int(np.count_nonzero(~(newton | shut)))
+        if not shut.any():
+            continue
+        i = np.flatnonzero(shut)
+        for end, r_end in ((a, r_a), (b, r_b)):
+            j = i[np.isnan(r_end[i])]
+            r_end[j] = _residual(end[j], us[j], tot[j], c, frame)[0]
+        ra, rb = r_a[i], r_b[i]
+        finite = np.isfinite(ra) & np.isfinite(rb)
+        if not finite.all():
+            fail(i[np.argmin(finite)], "non-finite residual")
+        wrong = (ra > 0.0) | (rb < 0.0)
+        if wrong.any():
+            j = i[np.argmax(wrong)]
+            band = tot[j] - np.array([z_hi, z_lo])
+            r_lo, r_hi = _residual(band, us[j], tot[j], c, frame)[0]
+            fail(j, f"no sign change on the band, residuals "
+                    f"({r_lo:.3e}, {r_hi:.3e})")
+        U[cells[i]] = np.where(np.abs(ra) < np.abs(rb), a[i], b[i])
+        i = np.flatnonzero(~shut)
+        cells, x, us, tot, a, b, r_a, r_b = (
+            v[i] for v in (cells, x, us, tot, a, b, r_a, r_b))
+    return U, passes, midpoints
+
+
+def _residual(U: np.ndarray, u_star: np.ndarray, total: np.ndarray,
+              c: float, frame: RelaxationFrame
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """The source solve's residual U - u_star - c*Lambda(U, total - U) and
+    its slope 1 - c (Lambda_u - Lambda_z) along the line u + z = total."""
+    lam, lam_u, slope = _source(U, total - U, frame)
+    lam *= c
+    resid = U - u_star
+    resid -= lam
+    slope += lam_u
+    slope *= -c
+    slope += 1.0
+    return resid, slope
 
 
 def solve_relaxation(initial: UZFields, frame: RelaxationFrame,
@@ -565,18 +563,14 @@ def solve_relaxation(initial: UZFields, frame: RelaxationFrame,
     K(K e^{-z} - 1) >= 0 (fed from the left), z moves left with speed K
     (fed from the right).  The stiff source is implicit Euler; u + z is
     invariant under the source, reducing it to a per-cell scalar solve.
-    Newton iterates only on the cells whose residual is still at or above
-    ``NEWTON_TOL``; a cell whose residual has fallen below it takes that
-    iteration's step and then freezes.  Cells still open after
-    ``NEWTON_MAX_ITER`` iterations are bisected together, each until a
-    residual falls below ``NEWTON_TOL`` or its bracket is two adjacent
-    floats.  Newton and bisection read Lambda and its partials from the
-    one closed form ``_source``.  dtau obeys the CFL bound on
-    max(K, transport speed) and lands exactly on requested snapshot times.
-    The trajectory reports the most
-    Newton iterations any step needed and how many cells, summed over
-    steps, fell back to bisection.  A source solve with no sign change on
-    the band, or with a non-finite residual, raises StiffSourceError.
+    One safeguarded Newton loop, ``_implicit_source``, solves it to
+    ``NEWTON_TOL`` or to two adjacent floats, reading Lambda and its
+    partials from the one closed form ``_source``.  dtau obeys the CFL
+    bound on max(K, transport speed) and lands exactly on requested
+    snapshot times.  The trajectory reports the most passes any step's
+    solve needed and the midpoint steps summed over cells and steps.  A
+    source solve with no sign change on the band, or with a non-finite
+    residual, raises StiffSourceError.
     """
     grid = initial.grid
     _check_z_band(initial.z, frame, "initial z")
@@ -584,8 +578,8 @@ def solve_relaxation(initial: UZFields, frame: RelaxationFrame,
     state = np.stack([initial.u, initial.z])
     u, z = state
     snapshots = []
-    newton_max_seen = 0
-    bisected = 0
+    passes_max = 0
+    midpoints = 0
     K = frame.K
     ratio_eps = K / frame.eps.epsilon
     speed_u = None
@@ -596,7 +590,7 @@ def solve_relaxation(initial: UZFields, frame: RelaxationFrame,
         return config.cfl * grid.dx / max(K, float(np.max(speed_u)))
 
     def advance(dtau: float):
-        nonlocal newton_max_seen, bisected
+        nonlocal passes_max, midpoints
         # u is fed from its left neighbour, z from its right one
         left, right = grid.ghosts(state)
         u_left = np.concatenate([left[:1], u[:-1]])
@@ -605,12 +599,11 @@ def solve_relaxation(initial: UZFields, frame: RelaxationFrame,
         z_star = z + (dtau / grid.dx) * K * (z_right - z)
 
         total = u_star + z_star
-        u[:], its, n_bisected = _implicit_source(
-            u_star, total, dtau * ratio_eps, frame, NEWTON_TOL,
-            NEWTON_MAX_ITER)
+        u[:], passes, n_midpoints = _implicit_source(
+            u_star, total, dtau * ratio_eps, frame, NEWTON_TOL)
         np.subtract(total, u, out=z)
-        newton_max_seen = max(newton_max_seen, its)
-        bisected += n_bisected
+        passes_max = max(passes_max, passes)
+        midpoints += n_midpoints
 
     def record(tau: float):
         snapshots.append(UZSnapshot(tau, UZFields(grid, u, z)))
@@ -618,7 +611,7 @@ def solve_relaxation(initial: UZFields, frame: RelaxationFrame,
     stats = march(config.emission_times(), state, stable_dt, advance, record)
     return RelaxationTrajectory(
         frame=frame, snapshots=tuple(snapshots), stats=stats,
-        newton_iterations_max=newton_max_seen, bisection_cells=bisected)
+        newton_iterations_max=passes_max, midpoint_steps=midpoints)
 
 
 # ---------------------------------------------------------------------------

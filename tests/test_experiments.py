@@ -259,7 +259,7 @@ class TestRelaxationRoundtrip:
         assert result.l1_distance < 2e-3
         assert result.rho_relaxation.shape == (512,)
         assert result.newton_iterations_max >= 1
-        assert result.bisection_cells == 0
+        assert result.midpoint_steps == 0
 
 
 COMPARE = """
@@ -521,7 +521,7 @@ class TestRunExperiment:
         data = json.loads((tmp_path / "compare.json").read_text())
         assert data["distances"]["l1_relaxation_roundtrip"] < 5e-3
         assert data["relaxation"]["newton_iterations_max"] >= 1
-        assert data["relaxation"]["bisection_cells"] == 0
+        assert data["relaxation"]["midpoint_steps"] == 0
 
     def test_check_all_verdicts_pass(self, tmp_path):
         summary = run_experiment(parse_config(CHECK), out_dir=tmp_path)
@@ -754,7 +754,7 @@ SHIPPED_REPORTS = {
             "distances": _leaves("l1_nonlocal_local",
                                  "l1_relaxation_roundtrip"),
             "relaxation": _leaves("newton_iterations_max",
-                                  "bisection_cells")}),
+                                  "midpoint_steps")}),
     "check_affine": ("check", {}, {
         **METADATA_TREE,
         "model": {**_leaves("passed", "vjam_residual", "delta_star",

@@ -10,12 +10,11 @@ from nltraffic import (DensityField, DomainError, Grid, KernelScale,
                        lambda_source, make_initial, march_nonlocal,
                        physical_slice, solve_nonlocal, solve_relaxation,
                        speeds, to_uz, transformed_tv)
-from nltraffic import relaxation
 from nltraffic.core import ShapeError, TimeStepCollapse
 from nltraffic.diagnostics import InsufficientDataError
 from nltraffic.kernel import edge_to_center
-from nltraffic.relaxation import (FrameError, SliceGatherer,
-                                  SourceBandError, StiffSourceError, _bisect,
+from nltraffic.relaxation import (NEWTON_TOL, FrameError, SliceGatherer,
+                                  SourceBandError, StiffSourceError,
                                   _implicit_source, _source)
 
 from conftest import cubic_model, quadratic_model
@@ -108,11 +107,34 @@ def _bisect_cell(u_star, total, c, frame, lo, hi, tol, cell):
         f"residual {r_mid:.3e}")
 
 
+def _check_at_root(val, u_star, total, c, frame):
+    """Assert that ``val`` meets one of the source solve's two stops."""
+    args = (u_star, total, c, frame)
+    # a closed bracket ends at the one of two adjacent floats around the
+    # root whose residual is no larger
+    r = _scalar_residual(val, *args)
+    if any(r * r_nb <= 0.0 and abs(r) <= abs(r_nb)
+           for r_nb in (_scalar_residual(nb, *args) for nb in (
+               np.nextafter(val, -np.inf), np.nextafter(val, np.inf)))):
+        return
+    # a cell whose residual fell below NEWTON_TOL at x took one more Newton
+    # step, r(x) / slope: val itself, or a float within NEWTON_TOL / slope
+    # of it, has a residual below NEWTON_TOL
+    _, line = _source_line(np.array([val]), np.array([total]), frame)
+    reach = NEWTON_TOL / abs(1.0 - c * float(line[0]))
+    ulp = abs(np.spacing(val))
+    k = min(int(reach / ulp) + 1, 4096)
+    near = val + np.arange(-k, k + 1) * ulp
+    lam, _ = _source_line(near, np.full(near.size, total), frame)
+    assert np.min(np.abs(near - u_star - c * lam)) < NEWTON_TOL
+
+
 def _newton_full_width(u_star, total, c, frame, tol, max_iter):
     """Newton on every cell until all residuals are below tol, then the
     scalar bisection for the stragglers: the source solve as it was before
-    the active set.  An iterate clamped to the band's top end, where
-    v'(q) = 0, divides by zero here, and 0 * inf makes it NaN."""
+    the active set.  Returns U, the iterations and the bisected cells.  An
+    iterate clamped to the band's top end, where v'(q) = 0, divides by
+    zero here, and 0 * inf makes it NaN."""
     lo = total - np.log(frame.K)
     hi = total - np.log(frame.K - frame.model.v_max)
     U = np.clip(u_star, lo, hi)
@@ -123,14 +145,14 @@ def _newton_full_width(u_star, total, c, frame, tol, max_iter):
         slope = 1.0 - c * (lam_u - lam_z)
         U = np.clip(U - resid / slope, lo, hi)
         if float(np.max(np.abs(resid))) < tol:
-            return U, iterations, 0
+            return U, iterations, np.array([], dtype=int)
     with np.errstate(divide="ignore", invalid="ignore"):
         lam, _, _ = _source_partials(U, total - U, frame)
     bad = np.nonzero(np.abs(U - u_star - c * lam) >= tol)[0]
     for i in bad:
         U[i] = _bisect_cell(float(u_star[i]), float(total[i]), c, frame,
                             float(lo[i]), float(hi[i]), tol, i)
-    return U, max_iter, int(bad.size)
+    return U, max_iter, bad
 
 
 def _rising_law():
@@ -452,24 +474,7 @@ def _check_very_stiff(model):
                         - equilibrium_z(out.final.fields.u, frame)))
     assert gap < 1e-10
     assert out.newton_iterations_max <= 50
-    assert out.bisection_cells == 0
-
-
-def _check_bisection_fallback(model, monkeypatch):
-    # one Newton iteration cannot close the stiff solve: the stragglers
-    # go to bisection and are counted (64 cells over the first steps)
-    frame = _law_frame(model, 2e-4 * DX_32)
-    uz = _uniform_uz(frame, 32, 0.9)
-    config = SolverConfig(t_final=0.05)
-    full = solve_relaxation(uz, frame, config)
-    monkeypatch.setattr(relaxation, "NEWTON_MAX_ITER", 1)
-    capped = solve_relaxation(uz, frame, config)
-    assert 0 < capped.bisection_cells <= 32 * capped.stats.steps
-    assert capped.newton_iterations_max == 1
-    assert full.bisection_cells == 0
-    gap = np.max(np.abs(capped.final.fields.z
-                        - equilibrium_z(capped.final.fields.u, frame)))
-    assert gap < 1e-10
+    assert out.midpoint_steps == 0
 
 
 class TestSolveRelaxation:
@@ -510,8 +515,17 @@ class TestSolveRelaxation:
     def test_very_stiff_source_converges(self, model):
         _check_very_stiff(model)
 
-    def test_bisection_fallback_counted(self, model, monkeypatch):
-        _check_bisection_fallback(model, monkeypatch)
+    @pytest.mark.parametrize("name", sorted(LAWS))
+    def test_stiff_source_midpoint_steps_bounded(self, name):
+        # the stiff solve reaches equilibrium, and at most one midpoint
+        # step per cell and step replaces a Newton step
+        frame = _law_frame(LAWS[name], 2e-4 * DX_32)
+        out = solve_relaxation(_uniform_uz(frame, 32, 0.9), frame,
+                               SolverConfig(t_final=0.05))
+        gap = np.max(np.abs(out.final.fields.z
+                            - equilibrium_z(out.final.fields.u, frame)))
+        assert gap < 1e-10
+        assert out.midpoint_steps <= 32 * out.stats.steps
 
     @pytest.mark.parametrize("name", OTHER_LAWS)
     def test_equilibrium_is_stationary_over_laws(self, name):
@@ -524,10 +538,6 @@ class TestSolveRelaxation:
     @pytest.mark.parametrize("name", OTHER_LAWS)
     def test_very_stiff_source_converges_over_laws(self, name):
         _check_very_stiff(LAWS[name])
-
-    @pytest.mark.parametrize("name", OTHER_LAWS)
-    def test_bisection_fallback_counted_over_laws(self, name, monkeypatch):
-        _check_bisection_fallback(LAWS[name], monkeypatch)
 
     def test_band_validated(self, frame):
         g = Grid(-1.0, 1.0, 8)
@@ -558,6 +568,14 @@ def _source_problem(name, seed, n, c_max):
     return frame, u_star, total, c
 
 
+def _stiff_repro_uz():
+    """64 periodic cells of random off-equilibrium data (seed 0)."""
+    g = Grid(-1.0, 1.0, 64, "periodic")
+    rng = np.random.default_rng(0)
+    return UZFields(g, np.log(rng.uniform(0.2, 0.8, 64)),
+                    np.log(rng.uniform(1.05, 1.95, 64)))
+
+
 class TestSourceSolve:
     @pytest.mark.parametrize("name", sorted(LAWS))
     @given(seed=st.integers(0, 2**16), n=st.integers(1, 64))
@@ -585,51 +603,38 @@ class TestSourceSolve:
         assert np.array_equal(lam_u + neg_lam_z, slope, equal_nan=True)
 
     @pytest.mark.parametrize("name", sorted(LAWS))
-    @given(seed=st.integers(0, 2**16), n=st.integers(1, 64),
-           max_iter=st.sampled_from([1, 2, 50]))
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 64))
     @settings(max_examples=40, deadline=None)
-    def test_matches_full_width_newton(self, name, seed, n, max_iter):
-        # a cell that freezes skips only sub-tolerance steps
+    def test_matches_full_width_newton(self, name, seed, n):
+        # where the oracle's Newton converges, a cell that freezes skips
+        # only sub-tolerance steps; where the oracle bisects, both end
+        # within the tolerance of the residual, not of U
         frame, u_star, total, c = _source_problem(name, seed, n, 100.0)
-        tol = 1e-12
-        got, its, bisected = _implicit_source(u_star, total, c, frame, tol,
-                                              max_iter)
-        ref, ref_its, ref_bisected = _newton_full_width(
-            u_star, total, c, frame, tol, max_iter)
+        got, _, _ = _implicit_source(u_star, total, c, frame, NEWTON_TOL)
+        ref, _, bisected = _newton_full_width(u_star, total, c, frame,
+                                              NEWTON_TOL, 50)
         assume(np.all(np.isfinite(ref)))
-        assert np.max(np.abs(got - ref)) <= tol
-        assert bisected == ref_bisected
-        if name == "cubic":
-            assert its <= ref_its
-        else:
-            assert its == ref_its
+        newton = np.ones(n, dtype=bool)
+        newton[bisected] = False
+        assert np.all(np.abs(got - ref)[newton] <= NEWTON_TOL)
+        for i in bisected:
+            _check_at_root(got[i], float(u_star[i]), float(total[i]), c,
+                           frame)
 
     @pytest.mark.parametrize("name", sorted(LAWS))
     @given(seed=st.integers(0, 2**16), n=st.integers(1, 32),
            log_c=st.floats(-3.0, 6.0))
     @settings(max_examples=25, deadline=None)
     def test_bisection_matches_scalar(self, name, seed, n, log_c):
+        # up to c = 1e6, where the residual jumps by more than the
+        # tolerance between adjacent floats, every cell ends where one of
+        # the solve's stops puts it
         frame, u_star, total, _ = _source_problem(name, seed, n, 1.0)
         c = 10.0 ** log_c
-        tol = 1e-12
-        lo = total - np.log(frame.K)
-        hi = total - np.log(frame.K - frame.model.v_max)
-        got = _bisect(u_star, total, c, frame, lo, hi, tol, np.arange(n))
+        got, _, _ = _implicit_source(u_star, total, c, frame, NEWTON_TOL)
         for i in range(n):
-            args = (float(u_star[i]), float(total[i]), c, frame)
-            try:
-                want = _bisect_cell(*args, float(lo[i]), float(hi[i]), tol, i)
-            except StiffSourceError:
-                # stalled: the root lies between got and an adjacent float
-                # whose residual is no smaller
-                r = _scalar_residual(got[i], *args)
-                assert any(
-                    r * r_nb <= 0.0 and abs(r) <= abs(r_nb)
-                    for r_nb in (_scalar_residual(nb, *args) for nb in (
-                        np.nextafter(got[i], -np.inf),
-                        np.nextafter(got[i], np.inf))))
-                continue
-            assert got[i] == want
+            _check_at_root(got[i], float(u_star[i]), float(total[i]), c,
+                           frame)
 
     @pytest.mark.parametrize("name", ["cubic", "quadratic"])
     def test_band_edge_where_v_prime_vanishes(self, name):
@@ -641,22 +646,35 @@ class TestSourceSolve:
         uz0 = UZFields(g, np.full(32, np.log(0.5)),
                        np.full(32, frame.z_band[0]))
         out = solve_relaxation(uz0, frame, SolverConfig(t_final=0.05))
-        assert out.bisection_cells == 0
+        assert out.midpoint_steps == 0
         assert np.array_equal(out.final.fields.u, uz0.u)
         assert np.array_equal(out.final.fields.z, uz0.z)
         assert out.stats.low[1] == out.stats.high[1] == frame.z_band[0]
 
+    @pytest.mark.parametrize("ratio, u_sum, gap", [
+        (3e-5, -45.73045283182381, "2.531e-06"),
+        (1e-4, -45.73044817696207, "8.437e-06"),
+        (1e-6, -45.73045476309026, "8.437e-08")],
+        ids=["eps_dx_3e-5", "eps_dx_1e-4", "eps_dx_1e-6"])
+    def test_stiff_regime_pinned(self, model, ratio, u_sum, gap):
+        # eps / dx from stiff to stiffest on the data below: the sum of u
+        # bit for bit, and the equilibrium gap to four digits
+        uz0 = _stiff_repro_uz()
+        frame = RelaxationFrame(2.0, KernelScale(ratio * uz0.grid.dx), model)
+        out = solve_relaxation(uz0, frame, SolverConfig(t_final=0.05))
+        u, z = out.final.fields.u, out.final.fields.z
+        assert float(np.sum(u)) == u_sum
+        assert f"{np.max(np.abs(z - equilibrium_z(u, frame))):.3e}" == gap
+
     def test_very_stiff_source_bisects_to_adjacent_floats(self, model):
         # at c = dtau K / eps ~ 1.7e4 the residual moves by more than
-        # newton_tol between adjacent floats: Newton runs out, and bisection
-        # ends on the adjacent floats around the root; at eps = 1e-4 dx
-        # each cell freezes once its residual has dipped below newton_tol
-        g = Grid(-1.0, 1.0, 64, "periodic")
-        rng = np.random.default_rng(0)
-        uz0 = UZFields(g, np.log(rng.uniform(0.2, 0.8, 64)),
-                       np.log(rng.uniform(1.05, 1.95, 64)))
+        # NEWTON_TOL between adjacent floats: Newton steps leave their
+        # brackets, midpoints replace them, and the cells end on the
+        # adjacent floats around the root; at eps = 1e-4 dx each cell
+        # freezes once its residual has dipped below NEWTON_TOL
+        uz0 = _stiff_repro_uz()
         runs, gaps = [], []
-        for eps in (3e-5 * g.dx, 1e-4 * g.dx):
+        for eps in (3e-5 * uz0.grid.dx, 1e-4 * uz0.grid.dx):
             frame = RelaxationFrame(2.0, KernelScale(eps), model)
             out = solve_relaxation(uz0, frame, SolverConfig(t_final=0.05))
             runs.append(out)
@@ -664,10 +682,10 @@ class TestSourceSolve:
                 out.final.fields.z - equilibrium_z(out.final.fields.u,
                                                    frame))))
         stiff, milder = runs
-        assert stiff.newton_iterations_max == 50
-        assert stiff.bisection_cells > 0
+        assert stiff.newton_iterations_max > milder.newton_iterations_max
+        assert stiff.midpoint_steps > 0
         assert milder.newton_iterations_max < 50
-        assert milder.bisection_cells == 0
+        assert milder.midpoint_steps == 0
         # transport keeps the state O(eps) off equilibrium
         assert 0.2 < gaps[0] / gaps[1] < 0.5
 
@@ -682,13 +700,11 @@ class TestSourceSolve:
             solve_relaxation(uz0, frame, SolverConfig(t_final=0.01))
 
     def test_non_finite_residual_raises(self, frame):
-        total = np.array([0.0, np.nan])
-        lo = total - np.log(frame.K)
-        hi = total - np.log(frame.K - frame.model.v_max)
+        total = np.zeros(8)
+        total[7] = np.nan
         with pytest.raises(StiffSourceError,
                            match="cell 7: non-finite residual"):
-            _bisect(np.full(2, -0.5), total, 1.0, frame, lo, hi, 1e-12,
-                    np.array([3, 7]))
+            _implicit_source(np.full(8, -0.5), total, 1.0, frame, NEWTON_TOL)
 
 
 class TestTransformedTV:
