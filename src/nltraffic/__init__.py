@@ -4,9 +4,9 @@ LWR limit and the relaxation-system reformulation."""
 
 from .core import (Bump, CheckResult, DensityField, DomainError, Grid,
                    KernelScale, ModelValidationReport, MonotoneRamp,
-                   PositivityError, Riemann, Samples, ShapeError, Sine,
-                   SolverConfig, VelocityModel, flux_curvature_sup,
-                   make_initial, validate_model)
+                   PositivityError, Riemann, ShapeError, Sine, SolverConfig,
+                   VelocityModel, flux_curvature_sup, make_initial,
+                   validate_model)
 from .kernel import AveragedField, average, edge_to_center, ode_residual
 from .trajectory import RunStats, Snapshot, Trajectory
 from .nonlocal_fv import (PicardResult, march_nonlocal, picard_oracle,

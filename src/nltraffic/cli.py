@@ -38,9 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default=None,
                          help="output directory (default: output.dir "
                               "from the config, or ./out)")
-        cmd.add_argument("--seed", type=int, default=0,
-                         help="seed recorded in report metadata, for "
-                              "randomized property suites built on top")
     return parser
 
 
@@ -68,7 +65,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
 
     try:
-        summary = run_experiment(config, out_dir=args.out, seed=args.seed)
+        summary = run_experiment(config, out_dir=args.out)
     except (ConfigError, DomainError) as exc:
         print(_error_record("config", exc), file=sys.stderr)
         return EXIT_CONFIG

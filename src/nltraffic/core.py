@@ -12,7 +12,7 @@ density, speed and length to physical units.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -380,13 +380,7 @@ class MonotoneRamp:
     x1: float
 
 
-@dataclass(frozen=True)
-class Samples:
-    """Explicit per-cell values."""
-    values: Sequence[float]
-
-
-Preset = Riemann | Bump | Sine | MonotoneRamp | Samples
+Preset = Riemann | Bump | Sine | MonotoneRamp
 
 
 def _riemann_antiderivative(p: Riemann, x: np.ndarray) -> np.ndarray:
@@ -426,32 +420,26 @@ def make_initial(grid: Grid, preset: Preset, rho_jam: float = 1.0) -> DensityFie
     [0, rho_jam]; pass the jam density of the model that will evolve the
     field.
     """
-    if isinstance(preset, Samples):
-        values = np.asarray(preset.values, dtype=float)
-        if values.size != grid.n_cells:
-            raise ShapeError(
-                f"Samples preset has {values.size} values for {grid.n_cells} cells")
+    if isinstance(preset, Riemann):
+        if not (grid.x_min < preset.x0 < grid.x_max):
+            raise DomainError(
+                f"riemann jump x0={preset.x0} outside ({grid.x_min}, {grid.x_max})")
+        anti = _riemann_antiderivative
+    elif isinstance(preset, Bump):
+        if preset.width <= 0:
+            raise DomainError(f"bump width must be positive, got {preset.width}")
+        anti = _bump_antiderivative
+    elif isinstance(preset, Sine):
+        if preset.wavelength <= 0:
+            raise DomainError(
+                f"sine wavelength must be positive, got {preset.wavelength}")
+        anti = _sine_antiderivative
+    elif isinstance(preset, MonotoneRamp):
+        anti = _ramp_antiderivative
     else:
-        if isinstance(preset, Riemann):
-            if not (grid.x_min < preset.x0 < grid.x_max):
-                raise DomainError(
-                    f"riemann jump x0={preset.x0} outside ({grid.x_min}, {grid.x_max})")
-            anti = _riemann_antiderivative
-        elif isinstance(preset, Bump):
-            if preset.width <= 0:
-                raise DomainError(f"bump width must be positive, got {preset.width}")
-            anti = _bump_antiderivative
-        elif isinstance(preset, Sine):
-            if preset.wavelength <= 0:
-                raise DomainError(
-                    f"sine wavelength must be positive, got {preset.wavelength}")
-            anti = _sine_antiderivative
-        elif isinstance(preset, MonotoneRamp):
-            anti = _ramp_antiderivative
-        else:
-            raise DomainError(f"unknown preset {preset!r}")
-        edges = grid.cell_edges()
-        values = np.diff(anti(preset, edges)) / grid.dx
+        raise DomainError(f"unknown preset {preset!r}")
+    edges = grid.cell_edges()
+    values = np.diff(anti(preset, edges)) / grid.dx
 
     check_band(values, rho_jam, "initial density")
     return DensityField(grid, values)

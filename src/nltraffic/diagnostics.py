@@ -14,7 +14,7 @@ from itertools import permutations
 import numpy as np
 
 from .core import DensityField, DomainError, ShapeError
-from .kernel import AveragedField
+from .kernel import AveragedField, _check_pair
 
 
 class SupportError(ValueError):
@@ -60,8 +60,7 @@ def kernel_deviation(rho: DensityField, q: AveragedField) -> tuple[float, float]
     than eps per unit of variation, so deviation <= bound holds for every
     BV field; callers assert deviation <= bound * (1 + tol).
     """
-    if rho.grid != q.grid:
-        raise ShapeError("density and averaged field live on different grids")
+    _check_pair(rho, q)
     deviation, bound = kernel_deviation_values(rho.values, q.values, rho.grid,
                                                q.epsilon.epsilon)
     return float(deviation), float(bound)

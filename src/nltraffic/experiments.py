@@ -137,7 +137,6 @@ class ExperimentConfig:
     with_relaxation: bool
     out_dir: str
     config_hash: str
-    canonical_text: str
 
     def initial_field(self) -> DensityField:
         return make_initial(self.grid, self.preset, rho_jam=self.model.rho_jam)
@@ -223,7 +222,7 @@ def parse_config(text: str) -> ExperimentConfig:
         epsilon=epsilon, epsilons=epsilons, relaxation_K=relaxation_k,
         with_relaxation=with_relaxation,
         out_dir=pairs.get("output.dir", "out"),
-        config_hash=digest, canonical_text=canonical)
+        config_hash=digest)
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +260,12 @@ class SweepReport:
         return SweepReport(rows, slope_l1, slope_entropy)
 
 
-def _log_slope(eps_values, values, floor: float = 1e-16) -> float:
+def _log_slope(eps_values, values) -> float:
     if len(eps_values) < 2:
         return float("nan")
     x = np.log(np.asarray(eps_values, dtype=float))
-    y = np.log(np.maximum(np.asarray(values, dtype=float), floor))
+    # a zero value enters the fit as 1e-16, not -inf
+    y = np.log(np.maximum(np.asarray(values, dtype=float), 1e-16))
     return float(np.polyfit(x, y, 1)[0])
 
 
@@ -561,15 +561,13 @@ def sweep_csv(report: SweepReport) -> str:
         for name in SWEEP_CSV_COLUMNS}))
 
 
-def _json_document(config: ExperimentConfig, seed: int | None,
-                   payload: dict) -> str:
+def _json_document(config: ExperimentConfig, payload: dict) -> str:
     """The text of ``<kind>.json``: the payload next to the config hash,
-    seed, grid and package versions, keys sorted."""
+    grid and package versions, keys sorted."""
     import scipy   # only for its version: importing the CLI loads numpy alone
 
     return json.dumps({
         "config_hash": config.config_hash,
-        "seed": seed,
         "grid": {"x_min": config.grid.x_min, "x_max": config.grid.x_max,
                  "n_cells": config.grid.n_cells,
                  "boundary_mode": config.grid.boundary_mode,
@@ -581,9 +579,8 @@ def _json_document(config: ExperimentConfig, seed: int | None,
         **payload}, indent=2, sort_keys=True) + "\n"
 
 
-def sweep_json(report: SweepReport, config: ExperimentConfig,
-               seed: int | None = None) -> str:
-    return _json_document(config, seed, {
+def sweep_json(report: SweepReport, config: ExperimentConfig) -> str:
+    return _json_document(config, {
         "rows": [asdict(row) for row in report.rows],
         "slopes": {"l1_vs_epsilon": report.slope_l1,
                    "entropy_pos_vs_epsilon": report.slope_entropy}})
@@ -597,8 +594,7 @@ def sweep_json(report: SweepReport, config: ExperimentConfig,
 # its ``<kind>.json`` with a summary dict; ``run_experiment`` writes the
 # JSON document last.
 
-def _run_kind(config: ExperimentConfig, out: Path,
-              seed: int | None) -> tuple[str, dict]:
+def _run_kind(config: ExperimentConfig, out: Path) -> tuple[str, dict]:
     initial = config.initial_field()
     eps = KernelScale(config.epsilon)
     traj = solve_nonlocal(initial, config.model, eps, config.solver)
@@ -613,7 +609,7 @@ def _run_kind(config: ExperimentConfig, out: Path,
         "mass_drift": "conservation of the cell-average integral",
         "maxp_margin": "solution stays inside the initial range",
         "tv_final": "total variation at t_final"}
-    return _json_document(config, seed, {
+    return _json_document(config, {
         "diagnostics": {"metrics": {k: float(v) for k, v in metrics.items()},
                         "provenance": provenance},
         "domain_coverage": domain_coverage(
@@ -622,17 +618,15 @@ def _run_kind(config: ExperimentConfig, out: Path,
         "step_count": traj.stats.steps}), {"files": ["trajectory.csv"]}
 
 
-def _sweep_kind(config: ExperimentConfig, out: Path,
-                seed: int | None) -> tuple[str, dict]:
+def _sweep_kind(config: ExperimentConfig, out: Path) -> tuple[str, dict]:
     report = run_sweep(config)
     (out / "sweep.csv").write_text(sweep_csv(report))
-    return sweep_json(report, config, seed), {
+    return sweep_json(report, config), {
         "files": ["sweep.csv"], "rows": len(report.rows),
         "failed_rows": sum(r.error is not None for r in report.rows)}
 
 
-def _compare_kind(config: ExperimentConfig, out: Path,
-                  seed: int | None) -> tuple[str, dict]:
+def _compare_kind(config: ExperimentConfig, out: Path) -> tuple[str, dict]:
     initial = config.initial_field()
     eps = KernelScale(config.epsilon)
     fe = FluxEntropyModel(config.model)
@@ -659,19 +653,18 @@ def _compare_kind(config: ExperimentConfig, out: Path,
             "midpoint_steps": rt.midpoint_steps}
     with open(out / "fields.csv", "w") as fh:
         fh.writelines(_columns_csv(columns))
-    return _json_document(config, seed, payload), {
+    return _json_document(config, payload), {
         "files": ["fields.csv"], "distances": distances}
 
 
-def _check_kind(config: ExperimentConfig, out: Path,
-                seed: int | None) -> tuple[str, dict]:
+def _check_kind(config: ExperimentConfig, out: Path) -> tuple[str, dict]:
     model_report = validate_model(config.model, 1001)
     frame = RelaxationFrame(config.relaxation_K, KernelScale(1.0),
                             config.model)
     sub = check_subcharacteristic(frame, 1000)
     bv = check_bv_conditions(frame, (0.0, config.model.rho_jam))
     passed = bool(model_report.passed and sub.passed and bv.passed)
-    return _json_document(config, seed, {
+    return _json_document(config, {
         "model": {
             "passed": model_report.passed,
             "vjam_residual": model_report.vjam_residual,
@@ -702,7 +695,7 @@ class ExperimentKind(NamedTuple):
     #: kind-specific keys that parse_config validates: kernel.epsilon and
     #: sweep.epsilons must be present, relaxation.K must exceed v(0)
     needs: tuple[str, ...]
-    write: Callable[[ExperimentConfig, Path, int | None], tuple[str, dict]]
+    write: Callable[[ExperimentConfig, Path], tuple[str, dict]]
 
 
 #: every experiment kind, in CLI order: the value of experiment.kind, the
@@ -720,8 +713,8 @@ EXPERIMENT_KINDS = {
 }
 
 
-def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
-                   seed: int | None = None) -> dict:
+def run_experiment(config: ExperimentConfig,
+                   out_dir: str | Path | None = None) -> dict:
     """Execute one experiment, writing its reports under out_dir.
 
     Returns a summary dict listing the files written.  Exceptions
@@ -730,7 +723,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
     """
     out = Path(out_dir) if out_dir is not None else Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    document, result = EXPERIMENT_KINDS[config.kind].write(config, out, seed)
+    document, result = EXPERIMENT_KINDS[config.kind].write(config, out)
     name = f"{config.kind}.json"
     (out / name).write_text(document)
     result["files"].append(name)

@@ -32,8 +32,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (DensityField, DomainError, Grid, KernelScale,
-                   QuadratureError, ShapeError, _as_readonly)
+from .core import (DensityField, Grid, KernelScale, QuadratureError,
+                   ShapeError, _as_readonly)
 
 #: integration cut-off in units of eps; the discarded kernel mass
 #: exp(-40) ~ 4e-18 is below double-precision relevance
@@ -269,6 +269,9 @@ def _gauss_weights(dx: float, eps: float, tol: float) -> np.ndarray:
 
 
 def _quadrature(rho: DensityField, eps: float, tol: float) -> np.ndarray:
+    """The average by Gauss panels truncated at ``TRUNCATION_WIDTHS`` eps,
+    refined until ``tol``: slower than the recursion, and independent of
+    it, so the tests hold ``average`` against it."""
     grid = rho.grid
     n = grid.n_cells
     w = _gauss_weights(grid.dx, eps, tol)
@@ -281,29 +284,19 @@ def _quadrature(rho: DensityField, eps: float, tol: float) -> np.ndarray:
     return np.correlate(padded, w, mode="valid")[:n]
 
 
-def average(rho: DensityField, eps: KernelScale,
-            method: str = "exact_recursion",
-            quad_tol: float = 1e-11) -> AveragedField:
+def average(rho: DensityField, eps: KernelScale) -> AveragedField:
     """Average the density with the exponential kernel of scale eps.
 
-    ``exact_recursion`` evaluates the kernel integral against the
-    piecewise-constant density in closed form (O(N), right to left; the
-    periodic closure sums the infinitely many periods geometrically), as
-    one scaled cumulative sum with cached weights.  A kernel shorter than
-    a 600th of the domain (N dx / eps > 600) is scanned as rows of a 2-D
-    array instead; at eps = dx/10 and below that costs 2-4x the one-row
-    scan at N = 65536.
-    ``quadrature`` integrates numerically with Gauss panels truncated at
-    40 eps, refined until ``quad_tol``; it is slower and exists as an
-    independent cross-check of the recursion.
+    The kernel integral against the piecewise-constant density is
+    evaluated in closed form (O(N), right to left; the periodic closure
+    sums the infinitely many periods geometrically), as one scaled
+    cumulative sum with cached weights.  A kernel shorter than a 600th of
+    the domain (N dx / eps > 600) is scanned as rows of a 2-D array
+    instead; at eps = dx/10 and below that costs 2-4x the one-row scan at
+    N = 65536.
     """
-    if method == "exact_recursion":
-        values = _recursion(rho.values[None], (rho.grid.dx / eps.epsilon,),
-                            rho.grid.periodic)[0]
-    elif method == "quadrature":
-        values = _quadrature(rho, eps.epsilon, quad_tol)
-    else:
-        raise DomainError(f"unknown averaging method {method!r}")
+    values = _recursion(rho.values[None], (rho.grid.dx / eps.epsilon,),
+                        rho.grid.periodic)[0]
     return AveragedField(rho.grid, values, eps)
 
 

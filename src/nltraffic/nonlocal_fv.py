@@ -133,18 +133,21 @@ class PicardResult:
         return [b / a for a, b in zip(self.deltas, self.deltas[1:]) if a > 0]
 
 
+#: sweeps after which ``picard_oracle`` gives up with ContractionFailure
+MAX_SWEEPS = 60
+
+
 class _ContractionTracker:
     """Flags divergence: iterate distance growing three sweeps in a row."""
 
-    def __init__(self, patience: int = 3):
-        self.patience = patience
+    def __init__(self):
         self.last = None
         self.growth_streak = 0
 
     def update(self, delta: float):
         if self.last is not None and delta > self.last:
             self.growth_streak += 1
-            if self.growth_streak >= self.patience:
+            if self.growth_streak >= 3:
                 raise ContractionFailure(
                     f"iterate distance grew {self.growth_streak} sweeps in a "
                     f"row (latest ratio {delta / self.last:.3g})")
@@ -197,9 +200,7 @@ def _lerp(values: np.ndarray, slopes: np.ndarray, s: np.ndarray,
 
 def picard_oracle(initial: DensityField, model: VelocityModel,
                   eps: KernelScale, t0: float,
-                  iteration_tolerance: float = 1e-10,
-                  n_levels: int | None = None,
-                  max_sweeps: int = 60) -> PicardResult:
+                  iteration_tolerance: float = 1e-10) -> PicardResult:
     """Short-time solution by iterating a characteristics transform.
 
     Keeps a guessed space-time history on uniform levels over [0, t0].
@@ -208,8 +209,11 @@ def picard_oracle(initial: DensityField, model: VelocityModel,
     interpolation of the current guess in x and t), accumulate the
     exponent of du/dt = -v'(q) q_x u along the path using the kernel
     identity q_x = (q - rho)/eps, and set the new value to the traced
-    initial datum times that exponential.  Sweeps repeat until successive
-    histories agree to ``iteration_tolerance`` in the max norm.
+    initial datum times that exponential.  The levels number
+    ceil(t0 v(0) / (0.35 dx)), at least 3, so that a characteristic at
+    speed v(0) or less moves at most 0.35 cells per level.  Sweeps repeat
+    until successive histories agree to ``iteration_tolerance`` in the
+    max norm, at most ``MAX_SWEEPS`` times.
 
     Traced positions are carried in cell units, s = (x - x_min)/dx, and
     they and the exponent are updated in place.  The edge (q) nodes sit
@@ -227,18 +231,13 @@ def picard_oracle(initial: DensityField, model: VelocityModel,
     uniformly positive data; that is the intended regime: divergence raises
     ContractionFailure, a non-finite iterate BlowupError.  Returns the
     density at t0 with the sweep count and iterate distances.
-    ``iteration_tolerance`` must be positive, ``n_levels`` and
-    ``max_sweeps`` at least one, and the data in [0, rho_jam], else
-    DomainError.
+    ``iteration_tolerance`` must be positive and the data in
+    [0, rho_jam], else DomainError.
     """
     grid = initial.grid
     if not iteration_tolerance > 0.0:
         raise DomainError(
             f"iteration_tolerance must be > 0, got {iteration_tolerance}")
-    if n_levels is not None and n_levels < 1:
-        raise DomainError(f"n_levels must be >= 1, got {n_levels}")
-    if max_sweeps < 1:
-        raise DomainError(f"max_sweeps must be >= 1, got {max_sweeps}")
     check_band(initial.values, model.rho_jam, "initial density")
     if float(np.min(initial.values)) <= 0.0:
         raise PositivityError(
@@ -249,9 +248,7 @@ def picard_oracle(initial: DensityField, model: VelocityModel,
         return PicardResult(initial, 0, 0.0, ())
 
     v0 = model.v_max
-    if n_levels is None:
-        n_levels = max(3, int(np.ceil(t0 / (0.35 * grid.dx / max(v0, 1e-30)))))
-    m = n_levels
+    m = max(3, int(np.ceil(t0 / (0.35 * grid.dx / max(v0, 1e-30)))))
     dt = t0 / m
     cells_per_dt = dt / grid.dx
     n = grid.n_cells
@@ -269,7 +266,7 @@ def picard_oracle(initial: DensityField, model: VelocityModel,
     tracker = _ContractionTracker()
     deltas: list[float] = []
 
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, MAX_SWEEPS + 1):
         q_levels = _recursion(history, hs, grid.periodic)
         q_slopes = _slopes(q_levels, grid)
         # row l - 1 averages levels l - 1 and l: the midpoint in time
@@ -322,4 +319,4 @@ def picard_oracle(initial: DensityField, model: VelocityModel,
                                 delta, tuple(deltas))
 
     raise ContractionFailure(
-        f"no convergence in {max_sweeps} sweeps; last distance {deltas[-1]:.3e}")
+        f"no convergence in {MAX_SWEEPS} sweeps; last distance {deltas[-1]:.3e}")

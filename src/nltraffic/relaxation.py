@@ -31,9 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (CheckResult, DensityField, DomainError, Grid, KernelScale,
-                   NumericsError, PositivityError, ShapeError, SolverConfig,
+                   NumericsError, PositivityError, SolverConfig,
                    VelocityModel, _as_readonly, check_band)
-from .kernel import AveragedField, _center_average
+from .diagnostics import InsufficientDataError
+from .kernel import AveragedField, _center_average, _check_pair
 from .trajectory import RunStats, Trajectory, march
 
 
@@ -249,13 +250,13 @@ def check_bv_conditions(frame: RelaxationFrame,
         lambda_u_max=lam_u_max, lambda_z_min=lam_z_min, checks=checks)
 
 
-def _source_partial_extrema(frame: RelaxationFrame, rho1: float, rho2: float,
-                            n: int = 33) -> tuple[float, float]:
-    """max Lambda_u and min Lambda_z over an n x n (u, z) lattice."""
+def _source_partial_extrema(frame: RelaxationFrame, rho1: float,
+                            rho2: float) -> tuple[float, float]:
+    """max Lambda_u and min Lambda_z over a 33 x 33 (u, z) lattice."""
     model = frame.model
     rho_lo = max(rho1, 1e-8 * model.rho_jam)
-    u_grid = np.log(np.linspace(rho_lo, rho2, n))
-    z_grid = frame.z_of(np.linspace(max(rho1, 1e-12), rho2, n))
+    u_grid = np.log(np.linspace(rho_lo, rho2, 33))
+    z_grid = frame.z_of(np.linspace(max(rho1, 1e-12), rho2, 33))
     uu, zz = np.meshgrid(u_grid, z_grid, indexing="ij")
     _, lam_u, neg_lam_z = _source(uu, zz, frame)
     return float(np.max(lam_u)), -float(np.max(neg_lam_z))
@@ -272,8 +273,7 @@ def to_uz(rho: DensityField, q: AveragedField,
     Entries are paired index-wise; requires uniformly positive rho.
     exp(u) recovers rho and K - exp(z) recovers v(q) exactly.
     """
-    if rho.grid != q.grid:
-        raise ShapeError("density and averaged field live on different grids")
+    _check_pair(rho, q)
     if float(np.min(rho.values)) <= 0.0:
         raise PositivityError(
             "u = ln(rho) needs uniformly positive density")
@@ -388,7 +388,6 @@ def transformed_tv(traj: Trajectory, frame: RelaxationFrame
     """
     snaps = traj.snapshots
     if len(snaps) < 3:
-        from .diagnostics import InsufficientDataError
         raise InsufficientDataError(
             "transformed_tv needs at least three snapshots")
     grid = snaps[0].rho.grid
@@ -450,8 +449,7 @@ class RelaxationTrajectory:
 
 
 def _implicit_source(u_star: np.ndarray, total: np.ndarray, c: float,
-                     frame: RelaxationFrame,
-                     tol: float) -> tuple[np.ndarray, int, int]:
+                     frame: RelaxationFrame) -> tuple[np.ndarray, int, int]:
     """Solve U = u_star + c*Lambda(U, total - U) cellwise.
 
     The source moves (u, z) along lines of constant u + z, so the solve is
@@ -459,13 +457,14 @@ def _implicit_source(u_star: np.ndarray, total: np.ndarray, c: float,
     where the residual's slope 1 - c (Lambda_u - Lambda_z) is >= 1 whenever
     the sign conditions hold.  One safeguarded Newton loop runs on the open
     cells, each keeping a sign bracket that starts as the band and that
-    every residual narrows.  A cell whose |residual| falls below ``tol``
-    takes that pass's step, clamped to the band, and freezes.  Otherwise a
-    Newton step not strictly inside the bracket (a slope that is not
-    finite, v'(q) = 0 at the band edge, takes none) becomes its midpoint;
-    a cell whose bracket is two adjacent floats (very stiff sources jump
-    by more than ``tol`` between them) ends at the end with the smaller
-    |residual|, evaluating a band end only then.  After the first pass
+    every residual narrows.  A cell whose |residual| falls below
+    ``NEWTON_TOL`` takes that pass's step, clamped to the band, and
+    freezes.  Otherwise a Newton step not strictly inside the bracket (a
+    slope that is not finite, v'(q) = 0 at the band edge, takes none)
+    becomes its midpoint; a cell whose bracket is two adjacent floats
+    (very stiff sources jump by more than ``NEWTON_TOL`` between them)
+    ends at the end with the smaller |residual|, evaluating a band end
+    only then.  After the first pass
     every iterate lies strictly inside its bracket, so each pass moves an
     end strictly inward and the loop ends without a cap.  Returns U, the
     passes and the midpoint steps.  StiffSourceError names the first cell
@@ -496,7 +495,7 @@ def _implicit_source(u_star: np.ndarray, total: np.ndarray, c: float,
         new = np.subtract(x, step, out=step)
         np.maximum(new, tot - z_hi, out=new)
         np.minimum(new, tot - z_lo, out=new)
-        done = np.abs(resid) < tol
+        done = np.abs(resid) < NEWTON_TOL
         U[cells[done]] = new[done]
         if done.all():
             break
@@ -600,7 +599,7 @@ def solve_relaxation(initial: UZFields, frame: RelaxationFrame,
 
         total = u_star + z_star
         u[:], passes, n_midpoints = _implicit_source(
-            u_star, total, dtau * ratio_eps, frame, NEWTON_TOL)
+            u_star, total, dtau * ratio_eps, frame)
         np.subtract(total, u, out=z)
         passes_max = max(passes_max, passes)
         midpoints += n_midpoints

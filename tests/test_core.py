@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nltraffic import (Bump, DensityField, DomainError, Grid, MonotoneRamp,
-                       Riemann, Samples, ShapeError, Sine, SolverConfig,
+                       Riemann, ShapeError, Sine, SolverConfig,
                        VelocityModel, flux_curvature_sup, make_initial,
                        validate_model)
 from nltraffic.core import ModelEvaluationError, check_band
@@ -202,15 +202,6 @@ class TestMakeInitial:
         g = Grid(-1.0, 1.0, 16)
         with pytest.raises(DomainError):
             make_initial(g, MonotoneRamp(0.8, 0.2, 0.5, -0.5))
-
-    def test_samples_roundtrip(self):
-        g = Grid(0.0, 1.0, 5)
-        f = make_initial(g, Samples([0.1, 0.2, 0.3, 0.4, 0.5]))
-        assert np.allclose(f.values, [0.1, 0.2, 0.3, 0.4, 0.5])
-
-    def test_samples_wrong_length(self):
-        with pytest.raises(ShapeError):
-            make_initial(Grid(0.0, 1.0, 5), Samples([0.1, 0.2]))
 
     def test_range_enforced(self):
         g = Grid(-1.0, 1.0, 16)

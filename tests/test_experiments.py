@@ -658,14 +658,21 @@ print(json.dumps({{"code": code, "scipy_on_import": scipy_on_import,
         assert [str(w.message) for w in caught
                 if issubclass(w.category, ResourceWarning)] == []
 
-    def test_jobs_flag_rejected(self, tmp_path, capsys):
+    def _check_flag_rejected(self, tmp_path, capsys, flag, value):
+        # a removed flag is a usage error: exit 2, nothing written
         path = self._write(tmp_path, MINIMAL)
         with pytest.raises(SystemExit) as exc:
-            main(["run", "--config", path, "--jobs", "2",
+            main(["run", "--config", path, flag, value,
                   "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
-        assert "--jobs" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_jobs_flag_rejected(self, tmp_path, capsys):
+        self._check_flag_rejected(tmp_path, capsys, "--jobs", "2")
+
+    def test_seed_flag_rejected(self, tmp_path, capsys):
+        self._check_flag_rejected(tmp_path, capsys, "--seed", "1")
 
     @pytest.mark.parametrize("name, key, value", [
         ("check_affine", "relaxation.K", "nan"),
@@ -728,7 +735,7 @@ def _leaves(*keys) -> dict:
 
 
 METADATA_TREE = {
-    "config_hash": None, "seed": None,
+    "config_hash": None,
     "grid": _leaves("x_min", "x_max", "n_cells", "boundary_mode", "dx"),
     "versions": _leaves("nltraffic", "numpy", "scipy", "python")}
 CHECK_TREE = [_leaves("name", "passed", "margin", "detail")]

@@ -6,7 +6,7 @@ from scipy.signal import lfilter
 from nltraffic import (AveragedField, DensityField, DomainError, Grid,
                        KernelScale, Riemann, ShapeError, average,
                        edge_to_center, make_initial, ode_residual)
-from nltraffic.kernel import _recursion, _scan_weights
+from nltraffic.kernel import _quadrature, _recursion, _scan_weights
 
 from conftest import random_bv_field
 
@@ -137,12 +137,14 @@ def test_kernel_scale_positive():
 
 
 @pytest.mark.parametrize("boundary", ["periodic", "constant_extension"])
-@pytest.mark.parametrize("method", ["exact_recursion", "quadrature"])
-def test_constant_field_fixed_point(boundary, method):
+@pytest.mark.parametrize("evaluate", [
+    lambda rho, eps: average(rho, KernelScale(eps)).values,
+    lambda rho, eps: _quadrature(rho, eps, 1e-11)],
+    ids=["exact_recursion", "quadrature"])
+def test_constant_field_fixed_point(boundary, evaluate):
     g = Grid(-1.0, 1.0, 32, boundary)
     rho = DensityField(g, np.full(32, 0.37))
-    q = average(rho, KernelScale(0.2), method=method)
-    assert np.max(np.abs(q.values - 0.37)) < 1e-12
+    assert np.max(np.abs(evaluate(rho, 0.2) - 0.37)) < 1e-12
 
 
 def test_step_closed_form():
@@ -165,15 +167,8 @@ def test_recursion_matches_quadrature(boundary, eps):
     g = Grid(-1.0, 1.0, 256, boundary)
     rho = random_bv_field(g, np.random.default_rng(7))
     qa = average(rho, KernelScale(eps))
-    qb = average(rho, KernelScale(eps), method="quadrature", quad_tol=1e-11)
-    assert np.max(np.abs(qa.values - qb.values)) <= 1e-10
-
-
-def test_unknown_method():
-    g = Grid(-1.0, 1.0, 8)
-    rho = DensityField(g, np.full(8, 0.5))
-    with pytest.raises(DomainError):
-        average(rho, KernelScale(0.1), method="simpson")
+    qb = _quadrature(rho, eps, 1e-11)
+    assert np.max(np.abs(qa.values - qb)) <= 1e-10
 
 
 def test_unreachable_quadrature_tolerance():
@@ -181,7 +176,7 @@ def test_unreachable_quadrature_tolerance():
     g = Grid(-1.0, 1.0, 64)
     rho = DensityField(g, np.full(64, 0.5))
     with pytest.raises(QuadratureError, match="residual"):
-        average(rho, KernelScale(0.1), method="quadrature", quad_tol=1e-30)
+        _quadrature(rho, 0.1, 1e-30)
 
 
 def test_averaged_field_shape_checked():

@@ -9,8 +9,9 @@ from nltraffic import (Bump, DensityField, DomainError, Grid, KernelScale,
                        solve_nonlocal, stability_gap, total_variation)
 from nltraffic.core import BlowupError, TimeStepCollapse
 from nltraffic.kernel import average
-from nltraffic.nonlocal_fv import (ContractionFailure, PicardResult,
-                                   _ContractionTracker, _lerp, _slopes)
+from nltraffic.nonlocal_fv import (MAX_SWEEPS, ContractionFailure,
+                                   PicardResult, _ContractionTracker, _lerp,
+                                   _slopes)
 from nltraffic.trajectory import RunStats, Snapshot
 
 from conftest import random_bv_field
@@ -262,8 +263,7 @@ def _interp(x: np.ndarray, xp: np.ndarray, fp: np.ndarray,
     return np.interp(x, xp, fp)  # np.interp clamps outside the table
 
 
-def _picard_interp(initial, model, eps, t0, iteration_tolerance=1e-10,
-                   max_sweeps=60):
+def _picard_interp(initial, model, eps, t0, iteration_tolerance=1e-10):
     grid = initial.grid
     v0 = model.v_max
     m = max(3, int(np.ceil(t0 / (0.35 * grid.dx / max(v0, 1e-30)))))
@@ -277,7 +277,7 @@ def _picard_interp(initial, model, eps, t0, iteration_tolerance=1e-10,
     tracker = _ContractionTracker()
     deltas = []
 
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, MAX_SWEEPS + 1):
         q_levels = np.empty_like(history)
         for l in range(m + 1):
             q_levels[l] = average(DensityField(grid, history[l]), eps).values
@@ -312,7 +312,7 @@ def _picard_interp(initial, model, eps, t0, iteration_tolerance=1e-10,
         if delta < iteration_tolerance:
             return PicardResult(DensityField(grid, history[m]), sweep,
                                 delta, tuple(deltas))
-    raise ContractionFailure(f"no convergence in {max_sweeps} sweeps")
+    raise ContractionFailure(f"no convergence in {MAX_SWEEPS} sweeps")
 
 
 #: deviation of the uniform-node interpolant from np.interp, in units of u
@@ -431,18 +431,6 @@ class TestPicardOracle:
         ic = DensityField(g, np.full(64, 0.0))
         with pytest.raises(PositivityError):
             picard_oracle(ic, model, KernelScale(0.2), 0.05)
-
-    def test_rejects_zero_sweeps(self, model):
-        g = Grid(-1.0, 1.0, 64, "periodic")
-        ic = DensityField(g, np.full(64, 0.5))
-        with pytest.raises(DomainError, match="max_sweeps"):
-            picard_oracle(ic, model, KernelScale(0.2), 0.05, max_sweeps=0)
-
-    def test_rejects_zero_levels(self, model):
-        g = Grid(-1.0, 1.0, 64, "periodic")
-        ic = DensityField(g, np.full(64, 0.5))
-        with pytest.raises(DomainError, match="n_levels"):
-            picard_oracle(ic, model, KernelScale(0.2), 0.05, n_levels=0)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan")])
     def test_rejects_nonpositive_tolerance(self, model, tol):
