@@ -658,33 +658,17 @@ def _compare_kind(config: ExperimentConfig, out: Path) -> tuple[str, dict]:
 
 
 def _check_kind(config: ExperimentConfig, out: Path) -> tuple[str, dict]:
-    model_report = validate_model(config.model, 1001)
     frame = RelaxationFrame(config.relaxation_K, KernelScale(1.0),
                             config.model)
-    sub = check_subcharacteristic(frame, 1000)
-    bv = check_bv_conditions(frame, (0.0, config.model.rho_jam))
-    passed = bool(model_report.passed and sub.passed and bv.passed)
+    reports = {
+        "model": validate_model(config.model),
+        "subcharacteristic": check_subcharacteristic(frame),
+        "bv_conditions": check_bv_conditions(frame,
+                                             (0.0, config.model.rho_jam))}
+    passed = all(report.passed for report in reports.values())
     return _json_document(config, {
-        "model": {
-            "passed": model_report.passed,
-            "vjam_residual": model_report.vjam_residual,
-            "delta_star": model_report.delta_star,
-            "d2v_sup": model_report.d2v_sup,
-            "inverse_roundtrip_error": model_report.inverse_roundtrip_error,
-            "flux_curvature_sup": model_report.flux_curvature_sup,
-            "checks": [asdict(c) for c in model_report.checks]},
-        "subcharacteristic": {
-            "passed": sub.passed,
-            "min_margin_lower": sub.min_margin_lower,
-            "min_margin_upper": sub.min_margin_upper},
-        "bv_conditions": {
-            "passed": bv.passed,
-            "range_margin": bv.range_margin,
-            "uniform_margin": bv.uniform_margin,
-            "min_K_affine": bv.min_K_affine,
-            "lambda_u_max": bv.lambda_u_max,
-            "lambda_z_min": bv.lambda_z_min,
-            "checks": [asdict(c) for c in bv.checks]},
+        **{name: {**asdict(report), "passed": report.passed}
+           for name, report in reports.items()},
         "passed": passed}), {"files": [], "passed": passed}
 
 

@@ -246,8 +246,7 @@ def solve_local(initial: DensityField, fe: FluxEntropyModel,
 
     stats = march(config.emission_times(), rho[np.newaxis],
                   lambda: dt_cfl, advance, record)
-    return Trajectory(model=model, eps=None, snapshots=tuple(snapshots),
-                      stats=stats)
+    return Trajectory(snapshots=tuple(snapshots), stats=stats)
 
 
 def entropy_pair(rho: DensityField, fe: FluxEntropyModel

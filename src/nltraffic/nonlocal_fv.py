@@ -113,8 +113,7 @@ def solve_nonlocal(initial: DensityField, model: VelocityModel,
                                   q=AveragedField(grid, q[0], eps)))
 
     stats = march_nonlocal((initial,), model, (eps,), config, record)
-    return Trajectory(model=model, eps=eps, snapshots=tuple(snapshots),
-                      stats=stats)
+    return Trajectory(snapshots=tuple(snapshots), stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +241,8 @@ def picard_oracle(initial: DensityField, model: VelocityModel,
     if float(np.min(initial.values)) <= 0.0:
         raise PositivityError(
             "the characteristics oracle requires uniformly positive data")
+    if not np.isfinite(t0):
+        raise DomainError(f"t0 must be finite, got {t0}")
     if t0 < 0.0:
         raise DomainError(f"t0 must be >= 0, got {t0}")
     if t0 == 0.0:

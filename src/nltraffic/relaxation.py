@@ -59,6 +59,9 @@ NEWTON_TOL = 1e-12
 #: lattice points per density range in ``check_bv_conditions``
 BV_SAMPLES = 513
 
+#: midpoint-lattice densities in ``check_subcharacteristic``
+SUBCHARACTERISTIC_SAMPLES = 1000
+
 
 @dataclass(frozen=True)
 class RelaxationFrame:
@@ -131,7 +134,6 @@ def equilibrium_speed(rho, frame: RelaxationFrame) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SubcharacteristicReport:
-    n_samples: int
     min_margin_lower: float   # min over samples of lambda* - lambda1
     min_margin_upper: float   # min over samples of lambda2 - lambda*
     checks: tuple[CheckResult, ...]
@@ -141,20 +143,19 @@ class SubcharacteristicReport:
         return all(c.passed for c in self.checks)
 
 
-def check_subcharacteristic(frame: RelaxationFrame,
-                            n_samples: int) -> SubcharacteristicReport:
+def check_subcharacteristic(frame: RelaxationFrame) -> SubcharacteristicReport:
     """Verify lambda1 < lambda* < lambda2 at equilibrium (rho = q).
 
-    Samples the open midpoint lattice rho_j = (j + 1/2) rho_jam / n.
+    Samples the open midpoint lattice rho_j = (j + 1/2) rho_jam / n with
+    n = ``SUBCHARACTERISTIC_SAMPLES``.
     The vacuum endpoint rho = 0 is deliberately excluded: there f' = v(0)
     exactly, so lambda* and lambda2 coincide and the upper margin
     degenerates to zero; strict separation holds on (0, rho_jam].  The
     speeds are those of ``equilibrium_speed`` and ``speeds``, called on
     all samples at once, and raise FrameError as they do.
     """
-    if n_samples < 2:
-        raise DomainError(f"need n_samples >= 2, got {n_samples}")
-    rho = (np.arange(n_samples) + 0.5) * frame.model.rho_jam / n_samples
+    n = SUBCHARACTERISTIC_SAMPLES
+    rho = (np.arange(n) + 0.5) * frame.model.rho_jam / n
     lam_star = equilibrium_speed(rho, frame)
     lam1, lam2 = speeds(rho, frame)
     lower = lam_star - lam1
@@ -167,7 +168,7 @@ def check_subcharacteristic(frame: RelaxationFrame,
         CheckResult("lambda_star_below_lambda2", min_upper > 0.0, min_upper,
                     f"min(lambda2 - lambda*) = {min_upper:.6g}"),
     )
-    return SubcharacteristicReport(n_samples, min_lower, min_upper, checks)
+    return SubcharacteristicReport(min_lower, min_upper, checks)
 
 
 @dataclass(frozen=True)
@@ -212,10 +213,11 @@ def check_bv_conditions(frame: RelaxationFrame,
     full = np.linspace(0.0, model.rho_jam, BV_SAMPLES)
     sub = np.linspace(rho1, rho2, BV_SAMPLES)
     v_sup = float(np.max(np.abs(model.v(full))))
-    dv_sup = float(np.max(np.abs(model.dv(full))))
+    dv_full = np.abs(model.dv(full))
+    dv_sup = float(np.max(dv_full))
+    dv_min_full = float(np.min(dv_full))
     d2v_sup = float(np.max(np.abs(model.d2v(full))))
     dv_min_sub = float(np.min(np.abs(model.dv(sub))))
-    dv_min_full = float(np.min(np.abs(model.dv(full))))
 
     range_rhs = (rho2 - rho1) * (d2v_sup + dv_sup ** 2 / (frame.K - v_sup))
     range_margin = dv_min_sub - range_rhs
@@ -429,7 +431,6 @@ class UZSnapshot:
 
 @dataclass(frozen=True)
 class RelaxationTrajectory:
-    frame: RelaxationFrame
     snapshots: tuple[UZSnapshot, ...]
     #: the march's record; row 0 is u, row 1 is z
     stats: RunStats
@@ -609,7 +610,7 @@ def solve_relaxation(initial: UZFields, frame: RelaxationFrame,
 
     stats = march(config.emission_times(), state, stable_dt, advance, record)
     return RelaxationTrajectory(
-        frame=frame, snapshots=tuple(snapshots), stats=stats,
+        snapshots=tuple(snapshots), stats=stats,
         newton_iterations_max=passes_max, midpoint_steps=midpoints)
 
 

@@ -7,8 +7,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (BlowupError, DensityField, DomainError, KernelScale,
-                   TimeStepCollapse, VelocityModel)
+from .core import BlowupError, DensityField, DomainError, TimeStepCollapse
 from .kernel import AveragedField
 
 
@@ -79,11 +78,9 @@ class Trajectory:
     """Snapshots of one solve and its ``march`` record, whose one row is
     the density: ``stats.low[0]`` / ``stats.high[0]`` are its extrema over
     every step taken, so range preservation is checked without storing
-    the history.  ``eps`` is None for the local reference solver.
+    the history.
     """
 
-    model: VelocityModel
-    eps: KernelScale | None
     snapshots: tuple[Snapshot, ...]
     stats: RunStats
 

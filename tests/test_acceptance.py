@@ -72,7 +72,6 @@ def randomized_runs():
     runs = []
     for m, ((initial, eps), scale) in enumerate(zip(members, scales)):
         traj = Trajectory(
-            model=MODEL, eps=scale,
             snapshots=tuple(Snapshot(t=t, rho=DensityField(grid, rho[m]),
                                      q=AveragedField(grid, q[m], scale))
                             for t, rho, q in snapshots),
@@ -329,7 +328,7 @@ def test_criterion_07_entropy_production_slope(entropy_sweep):
 
 def test_criterion_08_subcharacteristic_condition():
     frame = RelaxationFrame(2.0 * MODEL.v_max, KernelScale(0.1), MODEL)
-    report = check_subcharacteristic(frame, 1000)
+    report = check_subcharacteristic(frame)
     assert report.passed
     assert report.min_margin_lower > 0.0
     assert report.min_margin_upper > 0.0

@@ -4,8 +4,7 @@ from hypothesis import given, strategies as st
 
 from nltraffic import (Bump, DensityField, DomainError, Grid, MonotoneRamp,
                        Riemann, ShapeError, Sine, SolverConfig,
-                       VelocityModel, flux_curvature_sup, make_initial,
-                       validate_model)
+                       VelocityModel, make_initial, validate_model)
 from nltraffic.core import ModelEvaluationError, check_band
 
 from conftest import cubic_model, non_concave_model, quadratic_model
@@ -89,20 +88,20 @@ class TestFlux:
 
 class TestValidateModel:
     def test_affine_unit(self):
-        report = validate_model(VelocityModel.affine(1.0, 1.0), 101)
+        report = validate_model(VelocityModel.affine(1.0, 1.0))
         assert report.passed
         assert report.vjam_residual == 0.0
         assert report.delta_star == pytest.approx(1.0)
         assert report.d2v_sup == 0.0
 
     def test_affine_wide(self):
-        report = validate_model(VelocityModel.affine(2.0, 1.0), 11)
+        report = validate_model(VelocityModel.affine(2.0, 1.0))
         assert report.passed
         assert report.delta_star == pytest.approx(1.0)
 
     @given(a=st.floats(0.1, 10.0), b=st.floats(0.1, 10.0))
     def test_any_affine_passes(self, a, b):
-        assert validate_model(VelocityModel.affine(a, b), 33).passed
+        assert validate_model(VelocityModel.affine(a, b)).passed
 
     @pytest.mark.parametrize("law, expected", [
         (VelocityModel.affine(1.0, 1.0), -2.0),
@@ -112,31 +111,29 @@ class TestValidateModel:
         (non_concave_model(), 2.0),   # f'' = 6 rho - 4, largest at rho = 1
     ])
     def test_flux_curvature_reported(self, law, expected):
-        report = validate_model(law, 101)
+        report = validate_model(law)
         assert report.flux_curvature_sup == pytest.approx(expected, abs=1e-14)
-        assert report.flux_curvature_sup == flux_curvature_sup(law, 101)
         # concavity is reported, never a verdict: the paper does not assume it
         assert [c.name for c in report.checks] == [
             "v_vanishes_at_jam", "v_strictly_decreasing", "inverse_roundtrip"]
 
-    def test_flux_curvature_nan_on_non_finite_law(self):
+    def test_non_finite_second_derivative_raises(self):
         law = VelocityModel.custom(
             v=lambda r: 1.0 - np.asarray(r, dtype=float),
             dv=lambda r: np.full_like(np.asarray(r, dtype=float), -1.0),
             d2v=lambda r: np.where(np.asarray(r) > 0.5, -np.inf, 0.0),
             v_inverse=lambda s: 1.0 - np.asarray(s, dtype=float),
             rho_jam=1.0)
-        assert np.isnan(flux_curvature_sup(law, 11))
-        with pytest.raises(DomainError):
-            flux_curvature_sup(law, 1)
+        with pytest.raises(ModelEvaluationError, match="^v'' returned"):
+            validate_model(law)
 
     def test_quadratic_fails_decreasing(self):
-        report = validate_model(quadratic_model(), 101)
+        report = validate_model(quadratic_model())
         assert not report.passed
-        names = [c.name for c in report.failures()]
+        names = [c.name for c in report.checks if not c.passed]
         assert "v_strictly_decreasing" in names
         # v'(0) = 0, so the estimated decay margin collapses
-        assert report.max_dv == pytest.approx(0.0)
+        assert report.delta_star == pytest.approx(0.0)
 
     def test_non_finite_evaluator(self):
         bad = VelocityModel.custom(
@@ -146,11 +143,7 @@ class TestValidateModel:
             v_inverse=lambda s: 1.0 - np.asarray(s, dtype=float),
             rho_jam=1.0)
         with pytest.raises(ModelEvaluationError, match="rho ="):
-            validate_model(bad, 21)
-
-    def test_needs_two_samples(self):
-        with pytest.raises(DomainError):
-            validate_model(VelocityModel.affine(1.0, 1.0), 1)
+            validate_model(bad)
 
     def test_affine_bad_params(self):
         with pytest.raises(DomainError):

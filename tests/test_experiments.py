@@ -767,12 +767,13 @@ SHIPPED_REPORTS = {
         "model": {**_leaves("passed", "vjam_residual", "delta_star",
                             "d2v_sup", "inverse_roundtrip_error",
                             "flux_curvature_sup"), "checks": CHECK_TREE},
-        "subcharacteristic": _leaves("passed", "min_margin_lower",
-                                     "min_margin_upper"),
+        "subcharacteristic": {**_leaves("passed", "min_margin_lower",
+                                        "min_margin_upper"),
+                              "checks": CHECK_TREE},
         "bv_conditions": {**_leaves("passed", "range_margin",
                                     "uniform_margin", "min_K_affine",
                                     "lambda_u_max", "lambda_z_min"),
-                          "checks": CHECK_TREE},
+                          "rho_range": [None], "checks": CHECK_TREE},
         "passed": None}),
 }
 

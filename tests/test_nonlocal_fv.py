@@ -132,21 +132,19 @@ class TestSolveNonlocal:
 
 
 class TestTrajectoryInvariants:
-    def test_first_snapshot_at_zero(self, model):
+    def test_first_snapshot_at_zero(self):
         g = Grid(-1.0, 1.0, 8)
         f = DensityField(g, np.full(8, 0.5))
         with pytest.raises(DomainError):
-            Trajectory(model=model, eps=None,
-                       snapshots=(Snapshot(t=0.5, rho=f),),
+            Trajectory(snapshots=(Snapshot(t=0.5, rho=f),),
                        stats=RunStats(0, 0.0, 0.0, 0.0, np.full(1, 0.5),
                                       np.full(1, 0.5)))
 
-    def test_strictly_increasing_times(self, model):
+    def test_strictly_increasing_times(self):
         g = Grid(-1.0, 1.0, 8)
         f = DensityField(g, np.full(8, 0.5))
         with pytest.raises(DomainError):
-            Trajectory(model=model, eps=None,
-                       snapshots=(Snapshot(t=0.0, rho=f),
+            Trajectory(snapshots=(Snapshot(t=0.0, rho=f),
                                   Snapshot(t=0.0, rho=f)),
                        stats=RunStats(0, 0.0, 0.0, 0.0, np.full(1, 0.5),
                                       np.full(1, 0.5)))
@@ -431,6 +429,13 @@ class TestPicardOracle:
         ic = DensityField(g, np.full(64, 0.0))
         with pytest.raises(PositivityError):
             picard_oracle(ic, model, KernelScale(0.2), 0.05)
+
+    @pytest.mark.parametrize("t0", [float("nan"), float("inf")])
+    def test_rejects_non_finite_horizon(self, model, t0):
+        g = Grid(-1.0, 1.0, 64, "periodic")
+        ic = DensityField(g, np.full(64, 0.5))
+        with pytest.raises(DomainError, match="t0 must be finite"):
+            picard_oracle(ic, model, KernelScale(0.2), t0)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan")])
     def test_rejects_nonpositive_tolerance(self, model, tol):
