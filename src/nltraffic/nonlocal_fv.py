@@ -168,13 +168,13 @@ def _slopes(values: np.ndarray, grid) -> np.ndarray:
 
 
 def _lerp(values: np.ndarray, slopes: np.ndarray, s: np.ndarray,
-          grid) -> np.ndarray:
+          grid, out: np.ndarray | None = None) -> np.ndarray:
     """Linear interpolation at node-unit positions s of node values.
 
     Node k sits at s = k, so node j = floor(s) and weight w = s - j give
-    values[j] + w slopes[j].  Periodic grids wrap j; constant extension
-    clamps s to the table.  s itself is not written.  A non-finite s
-    raises BlowupError.
+    values[j] + w slopes[j], written into ``out`` when it is given.
+    Periodic grids wrap j; constant extension clamps s to the table.  s
+    itself is not written.  A non-finite s raises BlowupError.
     """
     n = grid.n_cells
     if grid.periodic:
@@ -191,10 +191,80 @@ def _lerp(values: np.ndarray, slopes: np.ndarray, s: np.ndarray,
             raise BlowupError("non-finite traced position")
         np.mod(j, n, out=j)
     idx = j.astype(np.intp)
-    out = np.take(slopes, idx, mode="wrap")
+    out = np.take(slopes, idx, mode="wrap", out=out)
     out *= w
     out += np.take(values, idx, mode="wrap", out=w)
     return out
+
+
+#: cells traced at once: rows of the Picard trace are processed in blocks
+#: of max(1, TRACE_BLOCK_CELLS // N) rows, so a sweep's temporaries do not
+#: grow with the level count
+TRACE_BLOCK_CELLS = 16384
+
+
+def _sweep(history: np.ndarray, new: np.ndarray, pos: np.ndarray,
+           expo: np.ndarray, model: VelocityModel, eps_val: float,
+           dt: float, grid) -> float:
+    """One Picard sweep from ``history`` into ``new``; returns the distance.
+
+    Row l of the guess (time l dt) is traced back from the cell centers
+    through levels l, l - 1, ..., 1 to its foot at t = 0, and level l's
+    interpolation tables (q, the time-midpoint q and rho, and their
+    forward differences) are built when the trace reaches it, so they
+    cost O(N) each.  Rows are traced in blocks of ``TRACE_BLOCK_CELLS``
+    cells.  Row 0 of both buffers holds the data and is not written; rows
+    1..m of ``new`` get foot * exp(exponent), and those of ``history`` the
+    distance |new - history|, whose max is returned.
+    """
+    m, n = pos.shape
+    rows = max(1, TRACE_BLOCK_CELLS // n)
+    cells_per_dt = dt / grid.dx
+    initial = history[0]
+    q_levels = _recursion(history, (grid.dx / eps_val,) * (m + 1),
+                          grid.periodic)
+
+    # ensemble backward trace: row l (pos[l - 1]) targets time l*dt
+    pos[:] = np.arange(n) + 0.5
+    expo.fill(0.0)
+    for level in range(m, 0, -1):
+        q_row = q_levels[level]
+        q_slopes = _slopes(q_row, grid)
+        # the midpoint in time between levels level - 1 and level
+        q_mid_row = 0.5 * (q_row + q_levels[level - 1])
+        qm_slopes = _slopes(q_mid_row, grid)
+        rho_mid_row = 0.5 * (history[level] + history[level - 1])
+        rm_slopes = _slopes(rho_mid_row, grid)
+        # rows with target >= current level, a block at a time
+        for lo in range(level - 1, m, rows):
+            s = pos[lo:lo + rows]
+            k1 = model.v(_lerp(q_row, q_slopes, s, grid))
+            s_half = np.multiply(k1, -0.5 * cells_per_dt)
+            s_half += s
+            q_mid = _lerp(q_mid_row, qm_slopes, s_half, grid)
+            s_half -= 0.5  # center (rho) nodes
+            gain = _lerp(rho_mid_row, rm_slopes, s_half, grid)
+            # -v'(q) q_x dt with q_x = (q - rho)/eps
+            gain -= q_mid
+            gain *= model.dv(q_mid)
+            gain *= dt / eps_val
+            expo[lo:lo + rows] += gain
+            drift = np.multiply(model.v(q_mid), cells_per_dt)
+            s -= drift  # s is a view: this moves pos[lo:lo + rows]
+
+    init_slopes = _slopes(initial, grid)
+    for lo in range(0, m, rows):
+        s = pos[lo:lo + rows]
+        s -= 0.5
+        foot = _lerp(initial, init_slopes, s, grid,
+                     out=new[lo + 1:lo + rows + 1])
+        e = expo[lo:lo + rows]
+        foot *= np.exp(e, out=e)
+
+    retired = history[1:]
+    np.subtract(new[1:], retired, out=retired)
+    np.abs(retired, out=retired)
+    return float(np.max(retired))
 
 
 def picard_oracle(initial: DensityField, model: VelocityModel,
@@ -224,7 +294,11 @@ def picard_oracle(initial: DensityField, model: VelocityModel,
     under constant extension.  Row l is traced back
     through l levels, so a sweep over m levels visits m (m + 1) / 2
     row-levels and takes O(levels^2 * N) time (2775 row-levels of N cells
-    at 74 levels); the tables take O(levels * N) memory.
+    at 74 levels).  A sweep holds five (levels + 1) x N tables (two
+    history buffers, the averaged history, the positions and the
+    exponents) plus O(N) tables per level and one block of
+    ``TRACE_BLOCK_CELLS`` cells of temporaries; every operation is per
+    element, so the blocking does not change a bit.
 
     The transform contracts only for short horizons on Lipschitz,
     uniformly positive data; that is the intended regime: divergence raises
@@ -250,71 +324,30 @@ def picard_oracle(initial: DensityField, model: VelocityModel,
 
     v0 = model.v_max
     m = max(3, int(np.ceil(t0 / (0.35 * grid.dx / max(v0, 1e-30)))))
-    dt = t0 / m
-    cells_per_dt = dt / grid.dx
     n = grid.n_cells
-    eps_val = eps.epsilon
-    hs = (grid.dx / eps_val,) * (m + 1)
 
-    # history[l] holds the guess at time l*dt; level 0 is pinned to the data
+    # history[l] holds the guess at time l*dt; level 0 is pinned to the
+    # data in both buffers, which swap roles after every sweep
     history = np.tile(initial.values, (m + 1, 1))
-    init_slopes = _slopes(initial.values, grid)
-    # traced positions in cell units, rows 1..m (index shifted by one),
-    # starting at the cell centers
-    start = np.arange(n) + 0.5
+    new = history.copy()
+    # traced positions in cell units and exponents, rows 1..m (index
+    # shifted by one)
     pos = np.empty((m, n))
     expo = np.empty((m, n))
     tracker = _ContractionTracker()
     deltas: list[float] = []
 
     for sweep in range(1, MAX_SWEEPS + 1):
-        q_levels = _recursion(history, hs, grid.periodic)
-        q_slopes = _slopes(q_levels, grid)
-        # row l - 1 averages levels l - 1 and l: the midpoint in time
-        q_mid_levels = 0.5 * (q_levels[1:] + q_levels[:-1])
-        qm_slopes = _slopes(q_mid_levels, grid)
-        rho_mid_levels = 0.5 * (history[1:] + history[:-1])
-        rm_slopes = _slopes(rho_mid_levels, grid)
-
-        # ensemble backward trace: row l targets time l*dt
-        pos[:] = start
-        expo.fill(0.0)
         try:
-            for level in range(m, 0, -1):
-                # rows with target >= current level
-                active = slice(level - 1, m)
-                s = pos[active]
-                k1 = model.v(_lerp(q_levels[level], q_slopes[level], s, grid))
-                s_half = np.multiply(k1, -0.5 * cells_per_dt)
-                s_half += s
-                q_mid = _lerp(q_mid_levels[level - 1], qm_slopes[level - 1],
-                              s_half, grid)
-                s_half -= 0.5  # center (rho) nodes
-                gain = _lerp(rho_mid_levels[level - 1], rm_slopes[level - 1],
-                             s_half, grid)
-                # -v'(q) q_x dt with q_x = (q - rho)/eps
-                gain -= q_mid
-                gain *= model.dv(q_mid)
-                gain *= dt / eps_val
-                expo[active] += gain
-                drift = np.multiply(model.v(q_mid), cells_per_dt)
-                s -= drift  # s is a view: this moves pos[active]
-            pos -= 0.5
-            foot = _lerp(initial.values, init_slopes, pos, grid)
+            delta = _sweep(history, new, pos, expo, model, eps.epsilon,
+                           t0 / m, grid)
         except BlowupError as err:
             raise BlowupError(f"{err} at sweep {sweep}") from None
-
-        new_history = np.empty_like(history)
-        new_history[0] = initial.values
-        np.exp(expo, out=new_history[1:])
-        new_history[1:] *= foot
-
-        delta = float(np.max(np.abs(new_history - history)))
         if not np.isfinite(delta):
             raise BlowupError(f"non-finite iterate at sweep {sweep}")
         deltas.append(delta)
         tracker.update(delta)
-        history = new_history
+        history, new = new, history
         if delta < iteration_tolerance:
             return PicardResult(DensityField(grid, history[m]), sweep,
                                 delta, tuple(deltas))

@@ -26,6 +26,7 @@ cross-validate the physical solver.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -387,34 +388,36 @@ def transformed_tv(traj: Trajectory, frame: RelaxationFrame
     When the variation-monotonicity conditions hold this series is
     non-increasing for exact solutions; discretization can perturb it by
     a few per cent, shrinking under refinement.
+
+    The snapshots are read in time order through a window of three (u, z)
+    levels, so the monitor holds O(N) memory however many snapshots the
+    trajectory has.  A snapshot without an averaged field raises
+    DomainError when the window reaches it.
     """
     snaps = traj.snapshots
     if len(snaps) < 3:
         raise InsufficientDataError(
             "transformed_tv needs at least three snapshots")
     grid = snaps[0].rho.grid
-    times = np.array([s.t for s in snaps])
 
-    u_levels, z_levels = [], []
+    window = deque(maxlen=3)
+    out_t, out_v = [], []
     for s in snaps:
         if s.q is None:
             raise DomainError("trajectory snapshots carry no averaged field")
         uz = to_uz(s.rho, s.q, frame)
-        u_levels.append(uz.u)
-        z_levels.append(uz.z)
-
-    out_t, out_v = [], []
-    for m in range(1, len(snaps) - 1):
-        h1 = times[m] - times[m - 1]
-        h2 = times[m + 1] - times[m]
-        u_t = _time_derivative(u_levels[m - 1], u_levels[m], u_levels[m + 1],
-                               h1, h2)
-        z_t = _time_derivative(z_levels[m - 1], z_levels[m], z_levels[m + 1],
-                               h1, h2)
-        u_y = _space_derivative(u_levels[m], grid) + u_t / frame.K
-        z_y = _space_derivative(z_levels[m], grid) + z_t / frame.K
+        window.append((s.t, uz.u, uz.z))
+        if len(window) < 3:
+            continue
+        (t_prev, u_prev, z_prev), (t, u, z), (t_next, u_next, z_next) = window
+        h1 = t - t_prev
+        h2 = t_next - t
+        u_t = _time_derivative(u_prev, u, u_next, h1, h2)
+        z_t = _time_derivative(z_prev, z, z_next, h1, h2)
+        u_y = _space_derivative(u, grid) + u_t / frame.K
+        z_y = _space_derivative(z, grid) + z_t / frame.K
         total = (np.sum(np.abs(u_y)) + np.sum(np.abs(z_y))) * grid.dx
-        out_t.append(times[m])
+        out_t.append(t)
         out_v.append(float(total))
     return np.array(out_t), np.array(out_v)
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,17 @@ def random_bv_field(grid: Grid, rng: np.random.Generator,
         values[start:end] = level
         start = end
     return DensityField(grid, values)
+
+
+def traced_peak(fn) -> int:
+    """Bytes that ``fn()``'s allocations add at their peak, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def quadratic_model() -> VelocityModel:

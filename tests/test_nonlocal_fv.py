@@ -7,6 +7,7 @@ from nltraffic import (Bump, DensityField, DomainError, Grid, KernelScale,
                        SolverConfig, Trajectory, VelocityModel, l1_distance,
                        make_initial, march_nonlocal, picard_oracle,
                        solve_nonlocal, stability_gap, total_variation)
+from nltraffic import nonlocal_fv
 from nltraffic.core import BlowupError, TimeStepCollapse
 from nltraffic.kernel import average
 from nltraffic.nonlocal_fv import (MAX_SWEEPS, ContractionFailure,
@@ -14,7 +15,7 @@ from nltraffic.nonlocal_fv import (MAX_SWEEPS, ContractionFailure,
                                    _slopes)
 from nltraffic.trajectory import RunStats, Snapshot
 
-from conftest import random_bv_field
+from conftest import quadratic_model, random_bv_field, traced_peak
 
 
 def _solve(ic, model, eps, **kw):
@@ -364,6 +365,21 @@ def test_lerp_matches_np_interp(boundary, n, x_min, length, centered, seed):
         assert np.array_equal(got[outside], want[outside])
 
 
+def _picard_levels(grid, model, t0):
+    """The oracle's level count: ceil(t0 v(0) / (0.35 dx)), at least 3."""
+    return max(3, int(np.ceil(t0 / (0.35 * grid.dx / model.v_max))))
+
+
+#: N = 512 and t0 = 0.05 give 37 levels, more than the 32 rows of one
+#: default trace block, so the default run traces some levels in two blocks
+BLOCKING_CASES = {
+    "periodic": ("periodic", VelocityModel.affine(1.0, 1.0)),
+    "constant_extension": ("constant_extension",
+                           VelocityModel.affine(1.0, 1.0)),
+    "quadratic": ("periodic", quadratic_model()),
+}
+
+
 class TestPicardOracle:
     def test_constant_data(self, model):
         g = Grid(-1.0, 1.0, 64, "periodic")
@@ -412,6 +428,39 @@ class TestPicardOracle:
         ref = _picard_interp(ic, model, KernelScale(0.2), 0.05, 1e-10)
         assert res.iterations == ref.iterations
         assert np.max(np.abs(res.field.values - ref.field.values)) <= 1e-12
+
+    @pytest.mark.parametrize("case", sorted(BLOCKING_CASES))
+    def test_trace_blocks_keep_bits(self, monkeypatch, case):
+        boundary, model = BLOCKING_CASES[case]
+        g = Grid(-1.0, 1.0, 512, boundary)
+        ic = make_initial(g, Bump(0.4, 0.2, -0.2, 0.3))
+        levels = _picard_levels(g, model, 0.05)
+        assert levels > nonlocal_fv.TRACE_BLOCK_CELLS // g.n_cells
+        ref = picard_oracle(ic, model, KernelScale(0.2), 0.05, 1e-10)
+        # one row per block, blocks that do not divide the levels, and
+        # every row in one block
+        for rows in (1, 5, levels + 1):
+            monkeypatch.setattr(nonlocal_fv, "TRACE_BLOCK_CELLS",
+                                rows * g.n_cells)
+            res = picard_oracle(ic, model, KernelScale(0.2), 0.05, 1e-10)
+            assert np.array_equal(res.field.values.view(np.int64),
+                                  ref.field.values.view(np.int64))
+            assert res.iterations == ref.iterations
+            assert res.deltas == ref.deltas
+
+    def test_sweep_memory_bounded(self, model):
+        # criterion 13's input; a table is one (levels + 1) x N float array
+        g = Grid(-1.0, 1.0, 1024, "periodic")
+        ic = make_initial(g, Bump(0.4, 0.2, -0.2, 0.3))
+        levels = _picard_levels(g, model, 0.05)
+        assert levels == 74
+        table = (levels + 1) * g.n_cells * 8
+        peak = traced_peak(
+            lambda: picard_oracle(ic, model, KernelScale(0.2), 0.05, 1e-10))
+        # five tables (two history buffers, the averaged history, the
+        # positions, the exponents) and one trace block measured ~7 tables;
+        # whole-history interpolation tables held ~19
+        assert peak <= 9 * table
 
     @pytest.mark.parametrize("boundary", ["periodic", "constant_extension"])
     @pytest.mark.filterwarnings("error")

@@ -1,3 +1,4 @@
+import functools
 import re
 
 import numpy as np
@@ -17,9 +18,11 @@ from nltraffic.diagnostics import InsufficientDataError
 from nltraffic.kernel import edge_to_center
 from nltraffic.relaxation import (NEWTON_TOL, SUBCHARACTERISTIC_SAMPLES,
                                   FrameError, SliceGatherer, SourceBandError,
-                                  StiffSourceError, _implicit_source, _source)
+                                  StiffSourceError, _implicit_source, _source,
+                                  _space_derivative, _time_derivative)
+from nltraffic.trajectory import Snapshot, Trajectory
 
-from conftest import cubic_model, quadratic_model
+from conftest import cubic_model, quadratic_model, traced_peak
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -163,6 +166,20 @@ def _midpoint_lattice(model):
     return (np.arange(n) + 0.5) * model.rho_jam / n
 
 
+@functools.lru_cache(maxsize=None)
+def _lattice_speeds(name):
+    """v and f' of LAWS[name] at each lattice sample, one point per call,
+    as read-only arrays: the per-sample oracle of the margins, shared by
+    every tilt."""
+    model = LAWS[name]
+    rho = _midpoint_lattice(model)
+    v = np.array([float(model.v(float(r))) for r in rho])
+    df = np.array([float(model.df(float(r))) for r in rho])
+    v.setflags(write=False)
+    df.setflags(write=False)
+    return v, df
+
+
 def _rising_law():
     """v = 1 + 2 rho: no speed law, but a frame at K = 1.5 > v(0) admits
     it, and v(q) and f'(rho) reach K inside the band."""
@@ -238,9 +255,11 @@ class TestSpeeds:
     def test_margins_equal_per_sample_speeds(self, name, tilt):
         model = LAWS[name]
         frame = RelaxationFrame(tilt * model.v_max, KernelScale(0.1), model)
-        rho = _midpoint_lattice(model)
-        lam_star = np.array([equilibrium_speed(float(r), frame) for r in rho])
-        lam2 = np.array([speeds(float(r), frame)[1] for r in rho])
+        v, df = _lattice_speeds(name)
+        # the operations of equilibrium_speed and speeds, sample by sample
+        K = frame.K
+        lam_star = K * df / (K - df)
+        lam2 = K * v / (K - v)
         rep = check_subcharacteristic(frame)
         assert rep.min_margin_lower == float(np.min(lam_star + frame.K))
         assert rep.min_margin_upper == float(np.min(lam2 - lam_star))
@@ -747,6 +766,39 @@ class TestSourceSolve:
             _implicit_source(np.full(8, -0.5), total, 1.0, frame)
 
 
+def _transformed_tv_lists(traj, frame):
+    """transformed_tv from lists of every snapshot's (u, z): the oracle of
+    the windowed monitor's bits."""
+    snaps = traj.snapshots
+    grid = snaps[0].rho.grid
+    times = np.array([s.t for s in snaps])
+    uz = [to_uz(s.rho, s.q, frame) for s in snaps]
+    out_t, out_v = [], []
+    for m in range(1, len(snaps) - 1):
+        h1 = times[m] - times[m - 1]
+        h2 = times[m + 1] - times[m]
+        u_t = _time_derivative(uz[m - 1].u, uz[m].u, uz[m + 1].u, h1, h2)
+        z_t = _time_derivative(uz[m - 1].z, uz[m].z, uz[m + 1].z, h1, h2)
+        u_y = _space_derivative(uz[m].u, grid) + u_t / frame.K
+        z_y = _space_derivative(uz[m].z, grid) + z_t / frame.K
+        total = (np.sum(np.abs(u_y)) + np.sum(np.abs(z_y))) * grid.dx
+        out_t.append(times[m])
+        out_v.append(float(total))
+    return np.array(out_t), np.array(out_v)
+
+
+def _ramp_run(model, n_snap):
+    """A ramp run with n_snap + 1 snapshots, t = 0 and t = 0.5 among
+    them, for the tilted monitor."""
+    frame = RelaxationFrame(4.0, KernelScale(0.05), model)
+    g = Grid(-1.0, 1.0, 1024, "constant_extension")
+    ic = make_initial(g, MonotoneRamp(0.8, 0.2, -0.4, 0.0))
+    snaps = tuple(np.linspace(0.0, 0.5, n_snap + 1)[1:-1])
+    traj = solve_nonlocal(ic, model, frame.eps,
+                          SolverConfig(t_final=0.5, snapshot_times=snaps))
+    return traj, frame
+
+
 class TestTransformedTV:
     def test_constant_trajectory_is_zero(self, model, frame):
         g = Grid(-1.0, 1.0, 64, "periodic")
@@ -764,6 +816,37 @@ class TestTransformedTV:
         traj = solve_nonlocal(ic, model, frame.eps, SolverConfig(t_final=0.1))
         with pytest.raises(InsufficientDataError):
             transformed_tv(traj, frame)
+
+    def test_window_matches_every_level_lists(self, model):
+        traj, frame = _ramp_run(model, 40)
+        times, series = transformed_tv(traj, frame)
+        want_t, want_v = _transformed_tv_lists(traj, frame)
+        assert np.array_equal(times.view(np.int64), want_t.view(np.int64))
+        assert np.array_equal(series.view(np.int64), want_v.view(np.int64))
+
+    def test_memory_independent_of_snapshot_count(self, model):
+        traj, frame = _ramp_run(model, 80)
+        # the same run read at every fourth snapshot
+        coarse = Trajectory(snapshots=traj.snapshots[::4], stats=traj.stats)
+        assert len(coarse.snapshots) == 21
+        peak_coarse = traced_peak(lambda: transformed_tv(coarse, frame))
+        peak_fine = traced_peak(lambda: transformed_tv(traj, frame))
+        # 60 more snapshots held as (u, z) would add 60 * 2 arrays of N
+        n = traj.snapshots[0].rho.grid.n_cells
+        assert peak_fine <= peak_coarse + 8 * n
+
+    def test_snapshot_without_average_raises(self, model, frame):
+        g = Grid(-1.0, 1.0, 64, "periodic")
+        ic = DensityField(g, np.full(64, 0.5))
+        traj = solve_nonlocal(ic, model, frame.eps,
+                              SolverConfig(t_final=0.2,
+                                           snapshot_times=(0.05, 0.1, 0.15)))
+        last = traj.snapshots[-1]
+        bare = Trajectory(
+            snapshots=traj.snapshots[:-1] + (Snapshot(last.t, last.rho),),
+            stats=traj.stats)
+        with pytest.raises(DomainError, match="carry no averaged field"):
+            transformed_tv(bare, frame)
 
     def test_monotone_ramp_nonincreasing(self, model):
         frame = RelaxationFrame(4.0, KernelScale(0.05), model)
