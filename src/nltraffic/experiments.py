@@ -401,9 +401,6 @@ class RoundtripResult:
     """Relaxation system integrated between two slanted slices of one run."""
 
     l1_distance: float
-    tau_start: float
-    delta_tau: float
-    x: np.ndarray
     rho_relaxation: np.ndarray
     rho_physical: np.ndarray
     #: the relaxation solve's most source-solve passes in one step, and its
@@ -455,9 +452,8 @@ def relaxation_roundtrip(initial: DensityField, model: VelocityModel,
     rho_relax = np.exp(relax.final.fields.u)
     rho_phys, _ = last.result()
     l1 = float(np.sum(np.abs(rho_relax - rho_phys))) * grid.dx
-    return RoundtripResult(l1, tau0, delta_tau, grid.cell_centers(),
-                           rho_relax, rho_phys, relax.newton_iterations_max,
-                           relax.midpoint_steps)
+    return RoundtripResult(l1, rho_relax, rho_phys,
+                           relax.newton_iterations_max, relax.midpoint_steps)
 
 
 # ---------------------------------------------------------------------------

@@ -467,8 +467,8 @@ def _implicit_source(u_star: np.ndarray, total: np.ndarray, c: float,
     slope that is not finite, v'(q) = 0 at the band edge, takes none)
     becomes its midpoint; a cell whose bracket is two adjacent floats
     (very stiff sources jump by more than ``NEWTON_TOL`` between them)
-    ends at the end with the smaller |residual|, evaluating a band end
-    only then.  After the first pass
+    ends at the end with the smaller |residual|, evaluating both ends of a
+    shut bracket.  After the first pass
     every iterate lies strictly inside its bracket, so each pass moves an
     end strictly inward and the loop ends without a cap.  Returns U, the
     passes and the midpoint steps.  StiffSourceError names the first cell
@@ -479,12 +479,10 @@ def _implicit_source(u_star: np.ndarray, total: np.ndarray, c: float,
     b = total - z_lo
     U = np.minimum(np.maximum(u_star, a), b)
     # the open cells: their indices, iterates and data, and their sign
-    # brackets [a, b], at first the band, with the residuals at the ends
-    # (NaN: a band end not evaluated yet); a bracket is first written once
+    # brackets [a, b], at first the band; a bracket is first written once
     # a pass has copied it out for the cells left open
     cells = np.arange(U.size)
     x, us, tot = U, u_star, total
-    r_a = r_b = np.broadcast_to(np.nan, U.shape)
 
     def fail(i: int, what: str):
         raise StiffSourceError(
@@ -504,16 +502,14 @@ def _implicit_source(u_star: np.ndarray, total: np.ndarray, c: float,
         if done.all():
             break
         i = np.flatnonzero(~done)
-        cells, x, new, resid, us, tot, a, b, r_a, r_b = (
-            v[i] for v in (cells, x, new, resid, us, tot, a, b, r_a, r_b))
+        cells, x, new, resid, us, tot, a, b = (
+            v[i] for v in (cells, x, new, resid, us, tot, a, b))
         finite = np.isfinite(resid)
         if not finite.all():
             fail(np.argmin(finite), "non-finite residual")
         up = resid > 0.0
         np.copyto(b, x, where=up)
-        np.copyto(r_b, resid, where=up)
         np.copyto(a, x, where=~up)
-        np.copyto(r_a, resid, where=~up)
         newton = (a < new) & (new < b)
         x = np.where(newton, new, 0.5 * (a + b))
         # the midpoint of two adjacent floats is one of them
@@ -522,10 +518,8 @@ def _implicit_source(u_star: np.ndarray, total: np.ndarray, c: float,
         if not shut.any():
             continue
         i = np.flatnonzero(shut)
-        for end, r_end in ((a, r_a), (b, r_b)):
-            j = i[np.isnan(r_end[i])]
-            r_end[j] = _residual(end[j], us[j], tot[j], c, frame)[0]
-        ra, rb = r_a[i], r_b[i]
+        ra, rb = (_residual(end[i], us[i], tot[i], c, frame)[0]
+                  for end in (a, b))
         finite = np.isfinite(ra) & np.isfinite(rb)
         if not finite.all():
             fail(i[np.argmin(finite)], "non-finite residual")
@@ -538,8 +532,7 @@ def _implicit_source(u_star: np.ndarray, total: np.ndarray, c: float,
                     f"({r_lo:.3e}, {r_hi:.3e})")
         U[cells[i]] = np.where(np.abs(ra) < np.abs(rb), a[i], b[i])
         i = np.flatnonzero(~shut)
-        cells, x, us, tot, a, b, r_a, r_b = (
-            v[i] for v in (cells, x, us, tot, a, b, r_a, r_b))
+        cells, x, us, tot, a, b = (v[i] for v in (cells, x, us, tot, a, b))
     return U, passes, midpoints
 
 
@@ -573,7 +566,10 @@ def solve_relaxation(initial: UZFields, frame: RelaxationFrame,
     snapshot times.  The trajectory reports the most passes any step's
     solve needed and the midpoint steps summed over cells and steps.  A
     source solve with no sign change on the band, or with a non-finite
-    residual, raises StiffSourceError.
+    residual, raises StiffSourceError.  For a law with v'(0) = 0, Lambda
+    vanishes on the lower band edge z = ln(K - v(0)), so data there stays
+    there however far it is from equilibrium, although q = 0 beside
+    rho > 0 is not the average of any density.
     """
     grid = initial.grid
     _check_z_band(initial.z, frame, "initial z")
@@ -633,8 +629,8 @@ class SliceGatherer:
     cell centers, linearly interpolated in time between snapshots.
 
     Slice times grow with x, so the bracketing snapshot pair is constant
-    on runs of adjacent cells.  A snapshot fills the run it closes and
-    keeps the cells of the run it opens until the next one arrives: O(N)
+    on runs of adjacent cells.  A snapshot writes its (1 - w) share into
+    the run it opens and adds its w share to the run it closes: O(N)
     memory however many snapshots there are, and no history.
     """
 
@@ -660,7 +656,6 @@ class SliceGatherer:
         self._periodic = grid.periodic
         self._n_times = times.size
         self._count = 0
-        self._held = None
         self._rho = np.empty(grid.n_cells)
         self._q = np.empty(grid.n_cells)
 
@@ -674,14 +669,14 @@ class SliceGatherer:
             raise DomainError(f"all {k} snapshots were already added")
         if k - 1 in self._runs:
             a, b = self._runs[k - 1]
-            rho_lo, qc_lo = self._held
             wr = self._w[a:b]
-            self._rho[a:b] = (1.0 - wr) * rho_lo + wr * rho[a:b]
-            self._q[a:b] = (1.0 - wr) * qc_lo + wr * self._center(rho, q, a, b)
-        self._held = None
+            self._rho[a:b] += wr * rho[a:b]
+            self._q[a:b] += wr * self._center(rho, q, a, b)
         if k in self._runs:
             a, b = self._runs[k]
-            self._held = (rho[a:b].copy(), self._center(rho, q, a, b))
+            wl = 1.0 - self._w[a:b]
+            self._rho[a:b] = wl * rho[a:b]
+            self._q[a:b] = wl * self._center(rho, q, a, b)
         self._count = k + 1
 
     def result(self) -> tuple[np.ndarray, np.ndarray]:

@@ -11,8 +11,7 @@ from nltraffic import nonlocal_fv
 from nltraffic.core import BlowupError, TimeStepCollapse
 from nltraffic.kernel import average
 from nltraffic.nonlocal_fv import (MAX_SWEEPS, ContractionFailure,
-                                   PicardResult, _ContractionTracker, _lerp,
-                                   _slopes)
+                                   PicardResult, _lerp, _slopes)
 from nltraffic.trajectory import RunStats, Snapshot
 
 from conftest import quadratic_model, random_bv_field, traced_peak
@@ -273,7 +272,6 @@ def _picard_interp(initial, model, eps, t0, iteration_tolerance=1e-10):
     eps_val = eps.epsilon
 
     history = np.tile(initial.values, (m + 1, 1))
-    tracker = _ContractionTracker()
     deltas = []
 
     for sweep in range(1, MAX_SWEEPS + 1):
@@ -306,7 +304,8 @@ def _picard_interp(initial, model, eps, t0, iteration_tolerance=1e-10):
 
         delta = float(np.max(np.abs(new_history - history)))
         deltas.append(delta)
-        tracker.update(delta)
+        if len(deltas) >= 4 and deltas[-4] < deltas[-3] < deltas[-2] < delta:
+            raise ContractionFailure("iterate distance grew 3 sweeps in a row")
         history = new_history
         if delta < iteration_tolerance:
             return PicardResult(DensityField(grid, history[m]), sweep,
@@ -493,16 +492,28 @@ class TestPicardOracle:
         with pytest.raises(DomainError, match="iteration_tolerance"):
             picard_oracle(ic, model, KernelScale(0.2), 0.05, tol)
 
-    def test_contraction_tracker_raises_after_three_growths(self):
-        tracker = _ContractionTracker()
-        tracker.update(1.0)
-        tracker.update(1.1)
-        tracker.update(1.2)
-        with pytest.raises(ContractionFailure, match="3 sweeps"):
-            tracker.update(1.3)
+    @staticmethod
+    def _scripted_picard(monkeypatch, model, deltas):
+        """picard_oracle with sweeps that return ``deltas`` in turn."""
+        script = iter(deltas)
+        monkeypatch.setattr(nonlocal_fv, "_sweep",
+                            lambda *args: next(script))
+        g = Grid(-1.0, 1.0, 64, "periodic")
+        ic = DensityField(g, np.full(64, 0.5))
+        return picard_oracle(ic, model, KernelScale(0.2), 0.05)
 
-    def test_contraction_tracker_resets_on_decrease(self):
-        tracker = _ContractionTracker()
-        for delta in (1.0, 1.1, 1.2, 0.9, 1.0, 1.1):
-            tracker.update(delta)  # never three growths in a row
-        assert tracker.growth_streak == 2
+    def test_divergence_raises_after_three_growths(self, monkeypatch,
+                                                   model):
+        # the script ends at the fourth sweep, so a rule that raises later
+        # fails on StopIteration
+        with pytest.raises(ContractionFailure,
+                           match=r"3 sweeps in a row \(latest ratio 1.08\)"):
+            self._scripted_picard(monkeypatch, model, (1.0, 1.1, 1.2, 1.3))
+
+    def test_divergence_streak_resets_on_decrease(self, monkeypatch, model):
+        # never three growths in a row: the fall to 0.9 ends the streak
+        deltas = (1.0, 1.1, 1.2, 0.9, 1.0, 1.1, 1e-12)
+        res = self._scripted_picard(monkeypatch, model, deltas)
+        assert res.deltas == deltas
+        assert res.iterations == len(deltas)
+        assert res.final_delta == 1e-12

@@ -18,8 +18,9 @@ from nltraffic.diagnostics import InsufficientDataError
 from nltraffic.kernel import edge_to_center
 from nltraffic.relaxation import (NEWTON_TOL, SUBCHARACTERISTIC_SAMPLES,
                                   FrameError, SliceGatherer, SourceBandError,
-                                  StiffSourceError, _implicit_source, _source,
-                                  _space_derivative, _time_derivative)
+                                  StiffSourceError, _implicit_source,
+                                  _residual, _source, _space_derivative,
+                                  _time_derivative)
 from nltraffic.trajectory import Snapshot, Trajectory
 
 from conftest import cubic_model, quadratic_model, traced_peak
@@ -757,6 +758,25 @@ class TestSourceSolve:
         with pytest.raises(StiffSourceError,
                            match="cell 0: no sign change on the band"):
             solve_relaxation(uz0, frame, SolverConfig(t_final=0.01))
+
+    def test_no_sign_change_reports_band_residuals(self, model):
+        # cell 2's root lies far below the band: every residual is
+        # positive, so its bracket's upper end moves inward off the band
+        # until the bracket shuts on the band's low end; the message
+        # reports the residuals at the band's ends, not the bracket's
+        frame = RelaxationFrame(2.0, KernelScale(0.1), model)
+        u_star = np.full(4, -0.3)
+        u_star[2] = np.log(1e-3)
+        total = np.zeros(4)
+        c = 1e-3
+        band = total[2] - np.log([frame.K, frame.K - model.v_max])
+        r_lo, r_hi = _residual(band, np.full(2, u_star[2]), np.zeros(2), c,
+                               frame)[0]
+        assert r_lo > 0.0
+        msg = (f"cell 2: no sign change on the band, residuals "
+               f"({r_lo:.3e}, {r_hi:.3e})")
+        with pytest.raises(StiffSourceError, match=re.escape(msg)):
+            _implicit_source(u_star, total, c, frame)
 
     def test_non_finite_residual_raises(self, frame):
         total = np.zeros(8)
