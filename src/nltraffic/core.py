@@ -215,6 +215,28 @@ class VelocityModel:
         return VelocityModel(kind="custom", rho_jam=rho_jam, v=v, dv=dv,
                              d2v=d2v, v_inverse=v_inverse)
 
+    def v_into(self, rho: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """v(rho) written into ``out``, bit for bit ``v(rho)``; returns out.
+
+        An affine law evaluates a + (-b) rho in place, which rounds
+        exactly as a - b rho does.  A custom law's evaluator gets ``rho``
+        as it is (the solvers pass one 1-D array) and its result is
+        copied into ``out``.
+        """
+        if self.is_affine:
+            np.multiply(rho, -self.b, out=out)
+            out += self.a
+        else:
+            np.copyto(out, self.v(rho))
+        return out
+
+    def f_into(self, rho: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """f(rho) = rho v(rho) written into ``out``, bit for bit ``f(rho)``;
+        returns out.  An affine law evaluates v in ``out`` first; a custom
+        law's speeds are multiplied into ``out`` without a copy."""
+        v = self.v_into(rho, out) if self.is_affine else self.v(rho)
+        return np.multiply(rho, v, out=out)
+
     def f(self, rho) -> np.ndarray:
         """Flux f = rho v(rho)."""
         rho = np.asarray(rho, dtype=float)

@@ -130,19 +130,35 @@ def _scan_plan(n: int, hs: tuple[float, ...]) -> tuple[_ScanGroup, ...]:
     return tuple(groups)
 
 
-def _scan_group(values: np.ndarray, g: _ScanGroup,
-                periodic: bool) -> np.ndarray:
-    """The recursion on one group's rows; values is (m, N), q is too."""
+def _scan_work(n: int, hs) -> np.ndarray:
+    """A work array for ``_recursion`` on len(hs) rows of n cells: each
+    scan group's rows padded to rows * width cells, and when the members
+    form more than one group, room for each group's gathered densities
+    and for q."""
+    groups = _scan_plan(n, tuple(hs))
+    size = sum(g.members.size * g.rows * g.width for g in groups)
+    if len(groups) > 1:
+        size += 2 * len(hs) * n
+    return np.empty(size)
+
+
+def _scan_group(values: np.ndarray, g: _ScanGroup, periodic: bool,
+                work: np.ndarray) -> np.ndarray:
+    """The recursion on one group's rows; values is (m, N), q is too, a
+    reversed view of ``work``'s first m * rows * width floats."""
     m, n = values.shape
     r = values[:, ::-1]
     if g.rows == 1:
-        num = r * g.w
+        num = np.multiply(r, g.w, out=work[:m * n].reshape(m, n))
         np.cumsum(num, axis=-1, out=num)
         num *= g.scale
         q_last = num[:, -1:] / g.w[:, -1:]
     else:
-        padded = np.zeros((m, g.rows * g.width))
+        padded = work[:m * g.rows * g.width].reshape(m, -1)
         padded[:, :n] = r
+        # the padding reaches only the last row's end, which no q reads,
+        # but the last scan's values left there could overflow
+        padded[:, n:] = 0.0
         num = padded.reshape(m, g.rows, g.width)
         num *= g.w[:, None, :]
         np.cumsum(num, axis=-1, out=num)
@@ -172,12 +188,14 @@ def _scan_group(values: np.ndarray, g: _ScanGroup,
         num /= g.w
         return num[:, ::-1]
     carry[:, :g.seed_powers.shape[1]] += seed * g.seed_powers
-    num += (g.beta * carry)[:, :, None]
+    carry *= g.beta
+    num += carry[:, :, None]
     num /= g.w[:, None, :]
     return num.reshape(m, -1)[:, n - 1::-1]
 
 
-def _recursion(values: np.ndarray, hs, periodic: bool) -> np.ndarray:
+def _recursion(values: np.ndarray, hs, periodic: bool,
+               work: np.ndarray | None = None) -> np.ndarray:
     """Exact recursion q_i = (1 - beta) rho_i + beta q_{i+1}, as a scan.
 
     ``values`` holds one density per row (an ensemble of M members on one
@@ -213,6 +231,12 @@ def _recursion(values: np.ndarray, hs, periodic: bool) -> np.ndarray:
     lone member, so each member's q is bit for bit the same in any
     ensemble.
 
+    The scan writes into ``work`` (from ``_scan_work(N, hs)``, made fresh
+    when not given) and q is a view of it, so a solver that passes one
+    work array on every step allocates no N-long array per scan; only
+    the per-row carries of a multi-row scan, 1/width of that, are new on
+    each call.  q holds until the next scan into the same work array.
+
     Rounding: each cumulative sum term carries relative error u and the
     terms grow like w, so q is accurate to about u (1 + eps/dx) max|rho|,
     the order of the sequential recursion (tests/test_kernel.py holds the
@@ -220,11 +244,20 @@ def _recursion(values: np.ndarray, hs, periodic: bool) -> np.ndarray:
     """
     m, n = values.shape
     groups = _scan_plan(n, tuple(hs))
+    if work is None:
+        work = _scan_work(n, hs)
     if len(groups) == 1:
-        return _scan_group(values, groups[0], periodic)
-    q = np.empty((m, n))
+        return _scan_group(values, groups[0], periodic, work)
+    q = work[:m * n].reshape(m, n)
+    start = m * n
     for g in groups:
-        q[g.members] = _scan_group(values[g.members], g, periodic)
+        rows = work[start:start + g.members.size * n].reshape(-1, n)
+        np.take(values, g.members, axis=0, out=rows, mode="clip")
+        start += rows.size
+        size = g.members.size * g.rows * g.width
+        q[g.members] = _scan_group(rows, g, periodic,
+                                   work[start:start + size])
+        start += size
     return q
 
 

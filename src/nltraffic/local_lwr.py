@@ -9,7 +9,7 @@ reference in convergence sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache
 
 import numpy as np
 
@@ -187,27 +187,55 @@ def _flux_shape(fe: FluxEntropyModel):
                                         tuple(sorted(high)))
 
 
-def _extremum(fe, pick, states, lo, hi, f_lo, f_hi) -> np.ndarray:
+def _extremum(fe, pick, states, lo, hi, f_lo, f_hi, out, clipped,
+              f_clipped) -> np.ndarray:
     """``pick`` (np.minimum or np.maximum) of f at the states clipped into
-    [lo, hi]; a state at an end of [0, rho_jam] is read as f_lo or f_hi."""
-    return reduce(pick, [f_lo if s <= 0.0 else f_hi if s >= fe.model.rho_jam
-                         else fe.model.f(np.clip(s, lo, hi)) for s in states])
+    [lo, hi], folded left to right and written into ``out``; a state at an
+    end of [0, rho_jam] is read as f_lo or f_hi.  ``clipped`` and
+    ``f_clipped`` are scratch of out's shape."""
+    acc = None
+    for s in states:
+        if s <= 0.0:
+            f_s = f_lo
+        elif s >= fe.model.rho_jam:
+            f_s = f_hi
+        else:
+            np.clip(s, lo, hi, out=clipped)
+            f_s = fe.model.f_into(clipped, out if acc is None else f_clipped)
+        acc = f_s if acc is None else pick(acc, f_s, out=out)
+    if acc is not out:
+        np.copyto(out, acc)
+    return out
 
 
-def _interface_flux(fe: FluxEntropyModel, cells: np.ndarray,
-                    states) -> np.ndarray:
+def _flux_work(n_cells: int) -> tuple[np.ndarray, ...]:
+    """Buffers for ``_interface_flux`` between n_cells cells: f per cell;
+    per interface the flux, the other branch, a clipped state and its f;
+    and the interfaces where L <= R."""
+    n = n_cells - 1
+    return (np.empty(n_cells), *(np.empty(n) for _ in range(4)),
+            np.empty(n, dtype=bool))
+
+
+def _interface_flux(fe: FluxEntropyModel, cells: np.ndarray, states,
+                    work: tuple[np.ndarray, ...]) -> np.ndarray:
     """Godunov flux between neighbouring ``cells``: the min of f over
     [L, R] where L <= R, else the max over [R, L], at the ``_flux_shape``
     states (concave law: min(f_L, f_R) or f(clip(crest, R, L))), from one
-    f per cell.  A caller with separate pairs passes [L1, R1, L2, R2, ...]
-    and reads every second interface."""
+    f per cell.  Written into ``work`` (from ``_flux_work(cells.size)``)
+    and returned as a view of it.  A caller with separate pairs passes
+    [L1, R1, L2, R2, ...] and reads every second interface."""
     (low, high), left, right = states, cells[:-1], cells[1:]
-    f_cells = fe.model.f(cells)
+    f_cells, flux, other, clipped, f_clipped, shock = work
+    fe.model.f_into(cells, f_cells)
     f_left, f_right = f_cells[:-1], f_cells[1:]
-    return np.where(
-        left <= right,
-        _extremum(fe, np.minimum, low, left, right, f_left, f_right),
-        _extremum(fe, np.maximum, high, right, left, f_right, f_left))
+    _extremum(fe, np.maximum, high, right, left, f_right, f_left, flux,
+              clipped, f_clipped)
+    _extremum(fe, np.minimum, low, left, right, f_left, f_right, other,
+              clipped, f_clipped)
+    np.less_equal(left, right, out=shock)
+    np.copyto(flux, other, where=shock)
+    return flux
 
 
 def solve_local(initial: DensityField, fe: FluxEntropyModel,
@@ -220,7 +248,11 @@ def solve_local(initial: DensityField, fe: FluxEntropyModel,
     initial data.
 
     The wave speed and the flux's states come from ``_flux_shape`` once
-    per solve; all interfaces are stepped at once.
+    per solve; all interfaces are stepped at once.  Every step writes
+    into arrays made once per solve (the density with its ghost cells,
+    f per cell, the two flux branches with their scratch and mask, and
+    the update); only a custom law's evaluator allocates on each step.
+    Each snapshot copies the density.
     """
     grid = initial.grid
     model = fe.model
@@ -234,12 +266,16 @@ def solve_local(initial: DensityField, fe: FluxEntropyModel,
     padded = np.empty(grid.n_cells + 2)
     rho = padded[1:-1]
     rho[:] = initial.values
+    work = _flux_work(padded.size)
+    update = np.empty(grid.n_cells)
     snapshots = []
 
     def advance(dt: float):
         padded[0], padded[-1] = grid.ghosts(rho)
-        flux = _interface_flux(fe, padded, states)
-        rho[:] -= (dt / grid.dx) * (flux[1:] - flux[:-1])
+        flux = _interface_flux(fe, padded, states, work)
+        np.subtract(flux[1:], flux[:-1], out=update)
+        np.multiply(update, dt / grid.dx, out=update)
+        np.subtract(rho, update, out=rho)
 
     def record(t: float):
         snapshots.append(Snapshot(t=t, rho=DensityField(grid, rho), q=None))

@@ -23,7 +23,7 @@ import numpy as np
 from .core import (BlowupError, DensityField, DomainError, KernelScale,
                    NumericsError, PositivityError, ShapeError, SolverConfig,
                    VelocityModel, check_band)
-from .kernel import AveragedField, _recursion
+from .kernel import AveragedField, _recursion, _scan_work
 from .trajectory import RunStats, Snapshot, Trajectory, march
 
 
@@ -42,9 +42,16 @@ def march_nonlocal(initial: Sequence[DensityField], model: VelocityModel,
     cfl * dx / max(v(0), max v(q)), the max running over every member, and
     is clipped to land exactly on every emission time of ``config``.  At
     each emission time t (t = 0 included) the march calls
-    ``observe(t, rho, q)`` with the (M, N) density and left-edge average;
-    both arrays are reused by later steps, so an observer copies what it
-    keeps.  The march's record has one row per member.
+    ``observe(t, rho, q)`` with the (M, N) density and left-edge average.
+    The march's record has one row per member.
+
+    Every step writes into arrays made once per solve: one interface
+    array that holds q, then v(q), then the flux; the update; the density
+    itself; and the kernel scan's work array, of which q is a view.  Only
+    a custom law's evaluator, whose result is copied into the interface
+    array, and a multi-row scan's per-row carries allocate on each step.
+    An observer copies what it keeps, since later steps overwrite both
+    arrays it is given.
 
     For an admissible law v(q) <= v(0), so dt = cfl * dx / v(0) on every
     step for every member, and each member's fields, step count and
@@ -69,30 +76,30 @@ def march_nonlocal(initial: Sequence[DensityField], model: VelocityModel,
     m, n = rho.shape
     hs = tuple(grid.dx / e.epsilon for e in eps)
     periodic = grid.periodic
-    # q at the n + 1 interfaces; the last one sees q_0 again on periodic
-    # grids and the frozen edge value under constant extension
-    q_iface = np.empty((m, n + 1))
-    flux = np.empty((m, n + 1))
+    # q at the n + 1 interfaces, turned into v(q) in place and then into
+    # the flux; the last one sees q_0 again on periodic grids and the
+    # frozen edge value under constant extension
+    iface = np.empty((m, n + 1))
     update = np.empty((m, n))
-    q = _recursion(rho, hs, periodic)
-    v_iface = None
+    work = _scan_work(n, hs)
+    q = _recursion(rho, hs, periodic, work)
     v0 = model.v_max
 
     def stable_dt() -> float:
-        nonlocal v_iface
-        q_iface[:, :n] = q
-        q_iface[:, n] = q[:, 0] if periodic else rho[:, -1]
-        v_iface = model.v(q_iface.reshape(-1)).reshape(m, n + 1)
-        return config.cfl * grid.dx / max(v0, float(np.max(v_iface)))
+        iface[:, :n] = q
+        iface[:, n] = q[:, 0] if periodic else rho[:, -1]
+        model.v_into(iface.reshape(-1), iface.reshape(-1))
+        return config.cfl * grid.dx / max(v0, float(np.max(iface)))
 
     def advance(dt: float):
         nonlocal q
-        np.multiply(rho, v_iface[:, 1:], out=flux[:, 1:])
-        flux[:, 0] = grid.ghosts(rho)[0] * v_iface[:, 0]
+        flux = iface
+        np.multiply(rho, flux[:, 1:], out=flux[:, 1:])
+        np.multiply(grid.ghosts(rho)[0], flux[:, 0], out=flux[:, 0])
         np.subtract(flux[:, 1:], flux[:, :-1], out=update)
         np.multiply(update, dt / grid.dx, out=update)
         np.subtract(rho, update, out=rho)
-        q = _recursion(rho, hs, periodic)
+        q = _recursion(rho, hs, periodic, work)
 
     return march(config.emission_times(), rho, stable_dt, advance,
                  lambda t: observe(t, rho, q))

@@ -12,8 +12,8 @@ from nltraffic import (DensityField, DomainError, FluxEntropyModel, Grid,
                        total_variation)
 from nltraffic.core import ModelEvaluationError, TimeStepCollapse
 import nltraffic.local_lwr as local_lwr
-from nltraffic.local_lwr import (_flux_shape, _gauss_legendre_32,
-                                 _interface_flux)
+from nltraffic.local_lwr import (_flux_shape, _flux_work,
+                                 _gauss_legendre_32, _interface_flux)
 
 from conftest import cubic_model, non_concave_model, quadratic_model
 
@@ -50,7 +50,7 @@ def _pair_flux(fe, left, right, crest=None):
     _, states = _flux_shape(fe)
     assert crest is None or states[1] == (crest,)
     cells = np.column_stack([left, right]).ravel()
-    return _interface_flux(fe, cells, states)[::2]
+    return _interface_flux(fe, cells, states, _flux_work(cells.size))[::2]
 
 
 def _affine_formula(fe, left, right):
@@ -316,12 +316,12 @@ class TestConcaveFastPath:
         real = local_lwr._interface_flux
         steps = []
 
-        def checked(fe_, cells, crit_):
+        def checked(fe_, cells, crit_, *work):
             left, right = cells[:-1], cells[1:]
             pairwise = np.where(left <= right,
                                 np.minimum(fe.model.f(left), fe.model.f(right)),
                                 fe.model.f(np.clip(crit, right, left)))
-            flux = real(fe_, cells, crit_)
+            flux = real(fe_, cells, crit_, *work)
             assert np.array_equal(flux, pairwise)
             steps.append(cells.size)
             return flux
