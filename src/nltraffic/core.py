@@ -221,7 +221,7 @@ class VelocityModel:
         An affine law evaluates a + (-b) rho in place, which rounds
         exactly as a - b rho does.  A custom law's evaluator gets ``rho``
         as it is (the solvers pass one 1-D array) and its result is
-        copied into ``out``.
+        copied into ``out``.  ``out`` may be ``rho`` itself.
         """
         if self.is_affine:
             np.multiply(rho, -self.b, out=out)
@@ -233,8 +233,16 @@ class VelocityModel:
     def f_into(self, rho: np.ndarray, out: np.ndarray) -> np.ndarray:
         """f(rho) = rho v(rho) written into ``out``, bit for bit ``f(rho)``;
         returns out.  An affine law evaluates v in ``out`` first; a custom
-        law's speeds are multiplied into ``out`` without a copy."""
-        v = self.v_into(rho, out) if self.is_affine else self.v(rho)
+        law's speeds are multiplied into ``out`` without a copy.
+
+        Unlike ``v_into``, ``out`` must not overlap ``rho``: an affine law
+        would overwrite rho with v before the multiply and return v * v.
+        """
+        if self.is_affine:
+            assert not np.shares_memory(rho, out), "f_into: out overlaps rho"
+            v = self.v_into(rho, out)
+        else:
+            v = self.v(rho)
         return np.multiply(rho, v, out=out)
 
     def f(self, rho) -> np.ndarray:

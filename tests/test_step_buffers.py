@@ -265,6 +265,17 @@ def test_affine_speed_in_place_equals_v(a, b, seed):
     _assert_in_place(model, rho)
 
 
+def test_speed_in_place_may_alias_rho_flux_may_not():
+    model = VelocityModel.affine(1.0, 2.0)
+    rho = np.random.default_rng(3).uniform(0.0, model.rho_jam, 64)
+    expected = model.v(rho)
+    aliased = rho.copy()
+    assert model.v_into(aliased, aliased) is aliased
+    _assert_bits(aliased, expected)
+    with pytest.raises(AssertionError, match="overlaps"):
+        model.f_into(rho, rho)
+
+
 @pytest.mark.parametrize("name", ["quadratic", "cubic", "non_concave"])
 def test_custom_speed_in_place_equals_v(name):
     model = (non_concave_model() if name == "non_concave" else LAWS[name])

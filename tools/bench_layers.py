@@ -4,7 +4,7 @@
 Run from the root of a checkout (the package is imported from ./src):
 
     python3 tools/bench_layers.py                  # writes BENCH_layers.json
-    python3 tools/bench_layers.py --out other.json --processes 3
+    python3 tools/bench_layers.py --out other.json
 
 Layers, timed at N = 1024, 4096 and 65536 on a periodic grid of [0, 1]
 with rho = 0.5 + 0.3 sin(2 pi x):
@@ -18,7 +18,7 @@ with rho = 0.5 + 0.3 sin(2 pi x):
 * ``imex_step``: one step of ``solve_relaxation`` (K = 2, eps = 0.05,
   v = 1 - rho), its Newton source solve included.
 
-Each (layer, N) runs in ``--processes`` fresh interpreters.  In each, the
+Each (layer, N) runs in ``PROCESSES`` fresh interpreters.  In each, the
 layer's first call and the ``WARM_CALLS`` calls after it are timed with
 ``time.perf_counter``, and the process's minor page faults
 (``getrusage(RUSAGE_SELF).ru_minflt``) are read before and after each
@@ -47,6 +47,8 @@ LAYERS = ("kernel_scan", "nonlocal_step", "godunov_affine",
           "godunov_quadratic", "imex_step")
 #: calls timed after the first one
 WARM_CALLS = 40
+#: fresh interpreters per (layer, N)
+PROCESSES = 3
 THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS")
 
@@ -190,7 +192,6 @@ def _machine() -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_layers.json")
-    parser.add_argument("--processes", type=int, default=3)
     parser.add_argument("--child", nargs=2, metavar=("LAYER", "N"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -204,7 +205,7 @@ def main(argv=None) -> int:
         layers[layer] = {}
         for n in SIZES:
             runs = []
-            for _ in range(args.processes):
+            for _ in range(PROCESSES):
                 done = subprocess.run(
                     [sys.executable, __file__, "--child", layer, str(n)],
                     env=env, capture_output=True, text=True, check=True,
@@ -216,7 +217,7 @@ def main(argv=None) -> int:
                   f"{[r['warm_faults_mean'] for r in runs]}", flush=True)
     doc = {"machine": _machine(),
            "command": "python3 tools/bench_layers.py",
-           "warm_calls": WARM_CALLS, "processes": args.processes,
+           "warm_calls": WARM_CALLS, "processes": PROCESSES,
            "units": {"us": "microseconds per call (perf_counter)",
                      "faults": "minor page faults of the process per call"},
            "layers": layers}
