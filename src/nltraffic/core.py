@@ -11,6 +11,7 @@ density, speed and length to physical units.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -68,7 +69,9 @@ class Grid:
     Cell i covers [x_min + i*dx, x_min + (i+1)*dx]; its center is
     x_min + (i + 1/2)*dx.  ``boundary_mode`` selects how fields continue
     past the ends: ``periodic`` wraps, ``constant_extension`` freezes the
-    first/last cell value on each side.
+    first/last cell value on each side.  A grid needs a finite length
+    x_max - x_min > 0 and an integer n_cells >= 4 (NumPy integers
+    included), else DomainError.
     """
 
     x_min: float
@@ -77,10 +80,16 @@ class Grid:
     boundary_mode: str = PERIODIC
 
     def __post_init__(self):
+        if not isinstance(self.n_cells, numbers.Integral):
+            raise DomainError(
+                f"n_cells must be an integer, got {self.n_cells!r}")
         if self.n_cells < 4:
             raise DomainError(f"need at least 4 cells, got {self.n_cells}")
         if not self.x_max > self.x_min:
             raise DomainError(f"empty domain [{self.x_min}, {self.x_max}]")
+        if not np.isfinite(self.x_max - self.x_min):
+            raise DomainError(
+                f"domain [{self.x_min}, {self.x_max}] has no finite length")
         if self.boundary_mode not in _BOUNDARY_MODES:
             raise DomainError(
                 f"unknown boundary_mode {self.boundary_mode!r}; "

@@ -23,7 +23,7 @@ import numpy as np
 from .core import (BlowupError, DensityField, DomainError, KernelScale,
                    NumericsError, PositivityError, ShapeError, SolverConfig,
                    VelocityModel, check_band)
-from .kernel import AveragedField, _recursion, _scan_work
+from .kernel import AveragedField, _q_past_end, _recursion, _scan_work
 from .trajectory import RunStats, Snapshot, Trajectory, march
 
 
@@ -87,7 +87,7 @@ def march_nonlocal(initial: Sequence[DensityField], model: VelocityModel,
 
     def stable_dt() -> float:
         iface[:, :n] = q
-        iface[:, n] = q[:, 0] if periodic else rho[:, -1]
+        iface[:, n] = _q_past_end(rho, q, periodic)
         model.v_into(iface.reshape(-1), iface.reshape(-1))
         return config.cfl * grid.dx / max(v0, float(np.max(iface)))
 

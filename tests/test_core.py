@@ -35,6 +35,19 @@ class TestGrid:
         with pytest.raises(DomainError):
             Grid(0.0, 1.0, 8, "reflecting")
 
+    @pytest.mark.parametrize("x_min, x_max", [(0.0, np.inf),
+                                              (-1e308, 1e308)])
+    def test_length_must_be_finite(self, x_min, x_max):
+        # finite or not, the ends must give a finite dx and cell centers
+        with pytest.raises(DomainError, match="finite length"):
+            Grid(x_min, x_max, 8)
+
+    def test_cell_count_must_be_integer(self):
+        with pytest.raises(DomainError, match="integer"):
+            Grid(0.0, 1.0, 8.5)
+        for n in (np.int64(8), np.int32(8), np.uint16(8)):
+            assert Grid(0.0, 1.0, n).cell_centers().size == 8
+
     @pytest.mark.parametrize("boundary, ends", [
         ("periodic", (-1, 0)), ("constant_extension", (0, -1))])
     def test_ghosts(self, boundary, ends):

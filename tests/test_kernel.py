@@ -6,7 +6,8 @@ from scipy.signal import lfilter
 from nltraffic import (AveragedField, DensityField, DomainError, Grid,
                        KernelScale, Riemann, ShapeError, average,
                        edge_to_center, make_initial, ode_residual)
-from nltraffic.kernel import _quadrature, _recursion, _scan_weights
+from nltraffic.kernel import (_quadrature, _recursion, _scan_plan,
+                              _scan_weights, _scan_work)
 
 from conftest import random_bv_field
 
@@ -96,6 +97,56 @@ def test_scan_carries_keep_relative_accuracy(boundary, cell, h):
     assert np.count_nonzero(normal[:-1] & (want[:-1] < np.exp(-h))) >= 1
     np.testing.assert_allclose(got[normal], want[normal], rtol=1e-13)
     assert np.all(np.abs(got[~normal]) <= 1e-300)
+
+
+def test_scan_carries_reach_three_rows_back():
+    # at h = 320 a row is one cell and gamma = beta ~ 2.6e-139, so a spike
+    # of 1e150 is seen three cells upstream only as ~1e-267, through the
+    # gamma^2 term of the carry series, and four cells upstream not at all
+    n = 16
+    g = Grid(-1.0, 1.0, n, "constant_extension")
+    values = np.zeros(n)
+    values[8] = 1e150
+    rho = DensityField(g, values)
+    got = _scan(rho, g.dx / 320.0)
+    want = recursion_lfilter(rho, g.dx / 320.0)
+    assert 1e-300 < want[5] < 1e-250 and want[4] == 0.0
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("h, rows", [(0.01, 1), (2.0, 3), (50.0, 59),
+                                     (300.0, 350)])
+def test_negative_zero_tail_keeps_its_sign(h, rows):
+    # under constant extension the sequential recursion seeds with the
+    # last cell and gives q_i = (1 - beta) rho_i + beta q_{i+1} = -0.0 on
+    # a -0.0 tail; every row of the scan must give the same zeros
+    n, tail = 700, 100
+    values = np.random.default_rng(0).uniform(0.0, 1.0, (1, n))
+    values[0, -tail:] = -0.0
+    assert _scan_plan(n, (h,))[0].rows == rows
+    q = values[0, -1]
+    for rho_i in values[0, -tail:][::-1]:
+        q = -np.expm1(-h) * rho_i + np.exp(-h) * q
+    assert q == 0.0 and np.signbit(q)
+    got = _recursion(values, (h,), False)[0, -tail:]
+    assert np.all(got == 0.0) and np.all(np.signbit(got))
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "constant_extension"])
+@pytest.mark.parametrize("fill", [np.nan, np.finfo(float).max])
+def test_scan_ignores_what_the_work_array_held(boundary, fill):
+    # a work array comes from np.empty and is reused by every step, so
+    # nothing left in it, the rows' padding included, may reach q or
+    # raise; three scan groups of 1, 3 and 59 rows
+    n, hs = 700, (0.01, 2.0, 50.0)
+    periodic = boundary == "periodic"
+    values = np.random.default_rng(1).uniform(0.0, 1.0, (len(hs), n))
+    want = _recursion(values, hs, periodic, np.zeros_like(_scan_work(n, hs)))
+    want = want.copy()
+    work = _scan_work(n, hs)
+    work.fill(fill)
+    got = _recursion(values, hs, periodic, work)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @given(boundary=st.sampled_from(["periodic", "constant_extension"]),

@@ -16,7 +16,12 @@ with rho = 0.5 + 0.3 sin(2 pi x):
 * ``godunov_affine`` and ``godunov_quadratic``: one step of
   ``solve_local`` for v = 1 - rho and v = 1 - rho^2;
 * ``imex_step``: one step of ``solve_relaxation`` (K = 2, eps = 0.05,
-  v = 1 - rho), its Newton source solve included.
+  v = 1 - rho), its Newton source solve included;
+* ``entropy_projection``: one ``EntropyProjector.add`` of a live snapshot
+  of ``MEMBERS`` copies of rho against three bumps (v = 1 - rho);
+* ``picard_sweep``: one sweep ``nonlocal_fv._sweep`` of the Picard
+  oracle over ``PICARD_LEVELS`` levels at every N, 0.35 dx apart in time
+  at speed v(0) as ``picard_oracle`` spaces them (eps = 0.05, v = 1 - rho).
 
 Each (layer, N) runs in ``PROCESSES`` fresh interpreters.  In each, the
 layer's first call and the ``WARM_CALLS`` calls after it are timed with
@@ -24,9 +29,9 @@ layer's first call and the ``WARM_CALLS`` calls after it are timed with
 (``getrusage(RUSAGE_SELF).ru_minflt``) are read before and after each
 call: a call whose cost depends on the allocator's history shows it in
 the faults, and in a first call that differs from the warm ones.  The
-layers are reached by wrapping the ``march`` (and, for the scan,
-``_recursion``) each solver module looks up; nothing in the package
-changes.  Every process sets the OpenMP and BLAS thread variables to 1.
+layers are reached by wrapping the ``march`` (and, for the scan, the
+projection and the sweep, ``_recursion``, ``EntropyProjector.add`` and
+``_sweep``) that the package looks up; nothing in the package changes.  Every process sets the OpenMP and BLAS thread variables to 1.
 """
 
 from __future__ import annotations
@@ -44,9 +49,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SIZES = (1024, 4096, 65536)
 LAYERS = ("kernel_scan", "nonlocal_step", "godunov_affine",
-          "godunov_quadratic", "imex_step")
+          "godunov_quadratic", "imex_step", "entropy_projection",
+          "picard_sweep")
 #: calls timed after the first one
 WARM_CALLS = 40
+#: ensemble members of a projected snapshot
+MEMBERS = 5
+#: time levels of a Picard sweep, the same at every N
+PICARD_LEVELS = 8
 #: fresh interpreters per (layer, N)
 PROCESSES = 3
 THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
@@ -108,10 +118,11 @@ def _measure(layer: str, n: int) -> list[tuple[float, int]]:
     """The first and the warm calls of one layer at N = n."""
     import numpy as np
 
-    from nltraffic import (DensityField, FluxEntropyModel, Grid, KernelScale,
-                           SolverConfig, VelocityModel, local_lwr,
-                           march_nonlocal, nonlocal_fv, relaxation,
-                           solve_local)
+    from nltraffic import (BumpTestFunction, DensityField, FluxEntropyModel,
+                           Grid, KernelScale, SolverConfig, VelocityModel,
+                           local_lwr, march_nonlocal, nonlocal_fv,
+                           relaxation, solve_local)
+    from nltraffic.diagnostics import EntropyProjector
     from nltraffic.kernel import average
 
     grid = Grid(0.0, 1.0, n, "periodic")
@@ -139,11 +150,37 @@ def _measure(layer: str, n: int) -> list[tuple[float, int]]:
             rho_jam=1.0)
         module, name, wrap = local_lwr, "march", calls.step
         run = lambda: solve_local(rho, FluxEntropyModel(model), config)
-    else:
+    elif layer == "imex_step":
         frame = relaxation.RelaxationFrame(2.0, eps, affine)
         uz = relaxation.to_uz(rho, average(rho, eps), frame)
         module, name, wrap = relaxation, "march", calls.step
         run = lambda: relaxation.solve_relaxation(uz, frame, config)
+    elif layer == "entropy_projection":
+        # every snapshot lies inside the bumps' time support, so is live
+        phis = [BumpTestFunction(center_x=x, center_t=0.5, radius_x=0.12,
+                                 radius_t=0.5) for x in (0.44, 0.5, 0.56)]
+        projector = EntropyProjector(grid, np.linspace(0.0, 1.0,
+                                                       1 + WARM_CALLS),
+                                     FluxEntropyModel(affine), phis)
+        snapshot = np.tile(rho.values, (MEMBERS, 1))
+        module, name, wrap = EntropyProjector, "add", calls.call
+
+        def run():
+            while True:
+                projector.add(snapshot)
+    else:
+        history = np.tile(rho.values, (PICARD_LEVELS + 1, 1))
+        new = history.copy()
+        pos, expo = (np.empty((PICARD_LEVELS, n)) for _ in range(2))
+        dt = 0.35 * grid.dx / affine.v_max
+        module, name, wrap = nonlocal_fv, "_sweep", calls.call
+
+        def run():
+            old, cur = history, new
+            while True:
+                nonlocal_fv._sweep(old, cur, pos, expo, affine,
+                                   eps.epsilon, dt, grid)
+                old, cur = cur, old
 
     setattr(module, name, wrap(getattr(module, name)))
     try:
