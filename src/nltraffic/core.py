@@ -69,9 +69,7 @@ class Grid:
     Cell i covers [x_min + i*dx, x_min + (i+1)*dx]; its center is
     x_min + (i + 1/2)*dx.  ``boundary_mode`` selects how fields continue
     past the ends: ``periodic`` wraps, ``constant_extension`` freezes the
-    first/last cell value on each side.  A grid needs a finite length
-    x_max - x_min > 0 and an integer n_cells >= 4 (NumPy integers
-    included), else DomainError.
+    first/last cell value on each side.
     """
 
     x_min: float
@@ -80,16 +78,14 @@ class Grid:
     boundary_mode: str = PERIODIC
 
     def __post_init__(self):
-        if not isinstance(self.n_cells, numbers.Integral):
+        # numbers.Integral admits NumPy integers
+        if not (isinstance(self.n_cells, numbers.Integral)
+                and self.n_cells >= 4):
             raise DomainError(
-                f"n_cells must be an integer, got {self.n_cells!r}")
-        if self.n_cells < 4:
-            raise DomainError(f"need at least 4 cells, got {self.n_cells}")
-        if not self.x_max > self.x_min:
-            raise DomainError(f"empty domain [{self.x_min}, {self.x_max}]")
-        if not np.isfinite(self.x_max - self.x_min):
-            raise DomainError(
-                f"domain [{self.x_min}, {self.x_max}] has no finite length")
+                f"need an integer of at least 4 cells, got {self.n_cells!r}")
+        if not 0.0 < self.x_max - self.x_min < np.inf:
+            raise DomainError(f"domain [{self.x_min}, {self.x_max}] has no "
+                              "finite positive length")
         if self.boundary_mode not in _BOUNDARY_MODES:
             raise DomainError(
                 f"unknown boundary_mode {self.boundary_mode!r}; "

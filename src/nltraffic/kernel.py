@@ -84,27 +84,21 @@ def _scan_weights(width: int, h: float) -> np.ndarray:
 class _ScanGroup:
     """Members of an ensemble that share a scan width, with their weights.
 
-    ``members`` indexes the ensemble rows; ``w_rows`` holds each member's
-    weights once per scan row (m, rows, width), so one multiply and one
-    divide cover every row, and the per-member scalars are (m, 1)
-    columns, each computed exactly as for a lone member so that every row
-    rounds the same way in any ensemble.
+    ``members`` indexes the ensemble rows; ``w`` stacks each member's
+    weights (m, width) and the per-member scalars are (m, 1) columns,
+    each computed exactly as for a lone member so that every row rounds
+    the same way in any ensemble.
     """
 
     members: np.ndarray
     width: int
     rows: int
-    w_rows: np.ndarray
+    w: np.ndarray
     scale: np.ndarray        # 1 - beta = -expm1(-h)
     beta: np.ndarray         # exp(-h)
     closure: np.ndarray      # 1 - beta^N, the periodic closure
     gamma: np.ndarray        # beta^width, the damping per row
     seed_powers: np.ndarray  # gamma^j, j < min(rows, 3)
-
-    @property
-    def w(self) -> np.ndarray:
-        """Each member's weights w_k, k < width: (m, width)."""
-        return self.w_rows[:, 0]
 
 
 def _column(values) -> np.ndarray:
@@ -121,12 +115,12 @@ def _scan_plan(n: int, hs: tuple[float, ...]) -> tuple[_ScanGroup, ...]:
         rows = -(-n // width)
         h = [hs[m] for m in members]
         gamma = [np.exp(-x * width) for x in h]
-        tiled = [np.tile(_scan_weights(width, x), (rows, 1))
-                 for x in (h[:1] if len(set(h)) == 1 else h)]
         groups.append(_ScanGroup(
             members=np.array(members), width=width, rows=rows,
-            # members of one h, as a Picard sweep's levels, share one copy
-            w_rows=np.broadcast_to(np.stack(tiled), (len(h), rows, width)),
+            # members of one h, as a Picard sweep's levels, share one row
+            w=(np.broadcast_to(_scan_weights(width, h[0]), (len(h), width))
+               if len(set(h)) == 1 else
+               np.stack([_scan_weights(width, x) for x in h])),
             scale=_column([-np.expm1(-x) for x in h]),
             beta=_column([np.exp(-x) for x in h]),
             closure=_column([-np.expm1(-x * n) for x in h]),
@@ -154,12 +148,12 @@ def _scan_group(values: np.ndarray, g: _ScanGroup, periodic: bool,
     reversed view of ``work``'s first m * rows * width floats."""
     m, n = values.shape
     padded = work[:m * g.rows * g.width].reshape(m, -1)
-    np.multiply(values[:, ::-1], g.w_rows.reshape(m, -1)[:, :n],
-                out=padded[:, :n])
+    padded[:, :n] = values[:, ::-1]
     # the padding reaches only the last row's end, which no q reads, but
-    # whatever the work array held there could overflow the cumsum
+    # whatever the work array held there could overflow
     padded[:, n:] = 0.0
     num = padded.reshape(m, g.rows, g.width)
+    num *= g.w[:, None, :]
     np.cumsum(num, axis=-1, out=num)
     num *= g.scale[:, :, None]
     # carry into row b, seed aside: the row ends before it, damped by
@@ -167,13 +161,13 @@ def _scan_group(values: np.ndarray, g: _ScanGroup, periodic: bool,
     # the additive identity, so a -0.0 tail keeps its sign
     carry = np.full((m, g.rows), -0.0)
     if g.rows > 1:
-        ends = num[:, :-1, -1] / g.w_rows[:, :-1, -1]
-        carry[:, 1:] = ends
-        carry[:, 2:] += g.gamma * ends[:, :-1]
-        carry[:, 3:] += g.gamma * g.gamma * ends[:, :-2]
+        ends = num[:, :, -1] / g.w[:, -1:]
+        carry[:, 1:] = ends[:, :-1]
+        carry[:, 2:] += g.gamma * ends[:, :-2]
+        carry[:, 3:] += g.gamma * g.gamma * ends[:, :-3]
     k = n - 1 - (g.rows - 1) * g.width
     q_last = (num[:, -1, k:k + 1] + g.beta * carry[:, -1:]) \
-        / g.w_rows[:, -1, k:k + 1]
+        / g.w[:, k:k + 1]
 
     if periodic:
         # one full period later the same edge is seen again, damped by
@@ -187,7 +181,7 @@ def _scan_group(values: np.ndarray, g: _ScanGroup, periodic: bool,
     carry[:, :g.seed_powers.shape[1]] += seed * g.seed_powers
     carry *= g.beta
     num += carry[:, :, None]
-    num /= g.w_rows
+    num /= g.w[:, None, :]
     return num.reshape(m, -1)[:, n - 1::-1]
 
 
@@ -208,19 +202,16 @@ def _recursion(values: np.ndarray, hs, periodic: bool,
     reuses the same weights.
 
     The weights are cached per (width, h) and kept finite by capping a
-    scan row at h * width <= SCAN_EXPONENT_CAP.  Every member scans its
-    reversed density as rows of width min(N, SCAN_EXPONENT_CAP / h),
-    padded with zeros to whole rows: one multiply by the weights, one
-    cumsum along the rows, the carries, the seed and one divide.  A
-    member with h * N <= SCAN_EXPONENT_CAP is the case of one row of
-    width N; the shipped configurations and the benchmark workloads all
-    are.  Each row is seeded with the carry from the rows before it: with
-    two or more rows h * width > 300, so the damping gamma = beta^width
+    scan row at h * width <= SCAN_EXPONENT_CAP: every member scans its
+    reversed density, zero-padded, as rows of width min(N, cap / h), and
+    each row is seeded with the carry from the rows before it.  With two
+    or more rows h * width > 300, so the damping gamma = beta^width
     < exp(-300) per row makes gamma^3 underflow, and the carry series
     end_{b-1} + gamma end_{b-2} + gamma^2 end_{b-3} of the earlier rows'
-    end values is exact in float64.  The carries start at -0.0, so a
-    -0.0 density tail gives -0.0 in q, as the sequential recursion does;
-    a one-row scan has no earlier rows and skips the series.
+    end values is exact in float64.  It starts at -0.0, so a -0.0 density
+    tail gives -0.0 in q, as the sequential recursion does.  One row
+    (h * N <= SCAN_EXPONENT_CAP, as in every shipped configuration and
+    benchmark workload) is the case without carries.
 
     Members that share a scan width share one cumsum over all their rows,
     so one-row and multi-row members can sit in one ensemble.  Every
@@ -231,9 +222,9 @@ def _recursion(values: np.ndarray, hs, periodic: bool,
     The scan writes into ``work`` (from ``_scan_work(N, hs)``, made fresh
     when not given) and q is a view of it, so a solver that passes one
     work array on every step allocates no N-long array per scan; only
-    the per-row carries of a multi-row scan, 1/width of that, are new on
-    each call.  q holds until the next scan into the same work array,
-    and nothing the work array held before the scan reaches q.
+    the per-row carries, 1/width of that, are new on each call.  q holds
+    until the next scan into the same work array; nothing it held before
+    the scan reaches q.
 
     Rounding: each cumulative sum term carries relative error u and the
     terms grow like w, so q is accurate to about u (1 + eps/dx) max|rho|,
@@ -321,10 +312,9 @@ def average(rho: DensityField, eps: KernelScale) -> AveragedField:
     The kernel integral against the piecewise-constant density is
     evaluated in closed form (O(N), right to left; the periodic closure
     sums the infinitely many periods geometrically), as one scaled
-    cumulative sum with cached weights.  The sum runs along rows of at
-    most SCAN_EXPONENT_CAP * eps / dx cells, so the weights stay finite:
-    one row when the kernel is at least a 600th of the domain, and rows
-    joined by a carry when it is shorter.
+    cumulative sum with cached weights, along rows of at most
+    SCAN_EXPONENT_CAP * eps / dx cells joined by a carry, so that the
+    weights stay finite.
     """
     values = _recursion(rho.values[None], (rho.grid.dx / eps.epsilon,),
                         rho.grid.periodic)[0]
@@ -373,8 +363,8 @@ def edge_to_center(rho: DensityField, q: AveragedField) -> np.ndarray:
 
 
 def _q_past_end(rho: np.ndarray, q: np.ndarray, periodic: bool):
-    """q at the edge past the last cell, along the last axis: q_0 again on
-    periodic grids, the last cell's density under constant extension."""
+    """q past the last edge, along the last axis: q_0 again if periodic,
+    else the last cell's density (constant extension)."""
     return q[..., 0] if periodic else rho[..., -1]
 
 

@@ -39,7 +39,7 @@ class TestGrid:
                                               (-1e308, 1e308)])
     def test_length_must_be_finite(self, x_min, x_max):
         # finite or not, the ends must give a finite dx and cell centers
-        with pytest.raises(DomainError, match="finite length"):
+        with pytest.raises(DomainError, match="finite positive length"):
             Grid(x_min, x_max, 8)
 
     def test_cell_count_must_be_integer(self):

@@ -49,7 +49,7 @@ class Mutant(NamedTuple):
 MUTANTS = (
     # the kernel scan
     Mutant("scan: drop the gamma^2 carry term", "kernel.py",
-           "        carry[:, 3:] += g.gamma * g.gamma * ends[:, :-2]\n", "",
+           "        carry[:, 3:] += g.gamma * g.gamma * ends[:, :-3]\n", "",
            ("tests/test_kernel.py::test_scan_carries_reach_three_rows_back",)),
     Mutant("scan: skip re-zeroing the padding", "kernel.py",
            "    padded[:, n:] = 0.0\n", "",
@@ -90,6 +90,36 @@ MUTANTS = (
            "            out += self.a * (1.0 + 2.0 ** -52)\n",
            ("tests/test_step_buffers.py::test_affine_speed_in_place_equals_v",
             )),
+    # the tilted source solve, the slice gatherer and the Picard monitor
+    Mutant("source solve: a shut bracket takes the larger |residual|",
+           "relaxation.py",
+           "np.where(np.abs(ra) < np.abs(rb), a[i], b[i])",
+           "np.where(np.abs(ra) > np.abs(rb), a[i], b[i])",
+           ("tests/test_relaxation.py::TestSourceSolve::"
+            "test_stiff_regime_pinned",)),
+    Mutant("source solve: report the bracket, not the band, residuals",
+           "relaxation.py",
+           "band = tot[j] - np.array([z_hi, z_lo])",
+           "band = np.array([a[j], b[j]])",
+           ("tests/test_relaxation.py::TestSourceSolve::"
+            "test_no_sign_change_reports_band_residuals",)),
+    Mutant("slice gatherer: close a run with (1 - w)", "relaxation.py",
+           "            wr = self._w[a:b]\n",
+           "            wr = 1.0 - self._w[a:b]\n",
+           ("tests/test_relaxation.py::TestPhysicalSlice::"
+            "test_matches_stacked_snapshots",)),
+    Mutant("Picard: divergence on two growths", "nonlocal_fv.py",
+           "len(deltas) >= 4 and deltas[-4] < deltas[-3] < deltas[-2] "
+           "< delta",
+           "len(deltas) >= 3 and deltas[-3] < deltas[-2] < delta",
+           ("tests/test_nonlocal_fv.py::TestPicardOracle::"
+            "test_divergence_streak_resets_on_decrease",)),
+    Mutant("Picard: a growth streak that never resets", "nonlocal_fv.py",
+           "len(deltas) >= 4 and deltas[-4] < deltas[-3] < deltas[-2] "
+           "< delta",
+           "sum(x < y for x, y in zip(deltas, deltas[1:])) >= 3",
+           ("tests/test_nonlocal_fv.py::TestPicardOracle::"
+            "test_divergence_streak_resets_on_decrease",)),
 )
 
 
