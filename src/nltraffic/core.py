@@ -11,7 +11,6 @@ density, speed and length to physical units.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -78,8 +77,7 @@ class Grid:
     boundary_mode: str = PERIODIC
 
     def __post_init__(self):
-        # numbers.Integral admits NumPy integers
-        if not (isinstance(self.n_cells, numbers.Integral)
+        if not (isinstance(self.n_cells, (int, np.integer))
                 and self.n_cells >= 4):
             raise DomainError(
                 f"need an integer of at least 4 cells, got {self.n_cells!r}")

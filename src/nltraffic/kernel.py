@@ -84,21 +84,25 @@ def _scan_weights(width: int, h: float) -> np.ndarray:
 class _ScanGroup:
     """Members of an ensemble that share a scan width, with their weights.
 
-    ``members`` indexes the ensemble rows; ``w`` stacks each member's
-    weights (m, width) and the per-member scalars are (m, 1) columns,
-    each computed exactly as for a lone member so that every row rounds
-    the same way in any ensemble.
+    ``members`` indexes the ensemble rows; ``w_rows`` holds each member's
+    weights once per scan row (m, rows * width) and the per-member scalars
+    are (m, 1) columns, each computed exactly as for a lone member so that
+    every row rounds the same way in any ensemble.
     """
 
     members: np.ndarray
     width: int
     rows: int
-    w: np.ndarray
+    w_rows: np.ndarray
     scale: np.ndarray        # 1 - beta = -expm1(-h)
     beta: np.ndarray         # exp(-h)
     closure: np.ndarray      # 1 - beta^N, the periodic closure
     gamma: np.ndarray        # beta^width, the damping per row
     seed_powers: np.ndarray  # gamma^j, j < min(rows, 3)
+
+    @property
+    def w(self) -> np.ndarray:  # (m, width): one row's weights
+        return self.w_rows[:, :self.width]
 
 
 def _column(values) -> np.ndarray:
@@ -115,12 +119,15 @@ def _scan_plan(n: int, hs: tuple[float, ...]) -> tuple[_ScanGroup, ...]:
         rows = -(-n // width)
         h = [hs[m] for m in members]
         gamma = [np.exp(-x * width) for x in h]
+        # members of one h, as a Picard sweep's levels, share one copy of
+        # the weights per row; one row is the cached weights themselves
+        one_h = len(set(h)) == 1
+        w = [np.broadcast_to(_scan_weights(width, x), (rows, width))
+             .reshape(-1) for x in (h[:1] if one_h else h)]
         groups.append(_ScanGroup(
             members=np.array(members), width=width, rows=rows,
-            # members of one h, as a Picard sweep's levels, share one row
-            w=(np.broadcast_to(_scan_weights(width, h[0]), (len(h), width))
-               if len(set(h)) == 1 else
-               np.stack([_scan_weights(width, x) for x in h])),
+            w_rows=(np.broadcast_to(w[0], (len(h), rows * width)) if one_h
+                    else np.stack(w)),
             scale=_column([-np.expm1(-x) for x in h]),
             beta=_column([np.exp(-x) for x in h]),
             closure=_column([-np.expm1(-x * n) for x in h]),
@@ -148,31 +155,27 @@ def _scan_group(values: np.ndarray, g: _ScanGroup, periodic: bool,
     reversed view of ``work``'s first m * rows * width floats."""
     m, n = values.shape
     padded = work[:m * g.rows * g.width].reshape(m, -1)
-    padded[:, :n] = values[:, ::-1]
+    np.multiply(values[:, ::-1], g.w_rows[:, :n], out=padded[:, :n])
     # the padding reaches only the last row's end, which no q reads, but
-    # whatever the work array held there could overflow
+    # whatever the work array held there could overflow the cumsum
     padded[:, n:] = 0.0
     num = padded.reshape(m, g.rows, g.width)
-    num *= g.w[:, None, :]
     np.cumsum(num, axis=-1, out=num)
-    num *= g.scale[:, :, None]
+    padded *= g.scale
     # carry into row b, seed aside: the row ends before it, damped by
-    # gamma per row; terms beyond gamma^2 underflow.  It starts at -0.0,
-    # the additive identity, so a -0.0 tail keeps its sign
+    # gamma per row (gamma^3 underflows); -0.0 keeps a -0.0 tail's sign
     carry = np.full((m, g.rows), -0.0)
     if g.rows > 1:
-        ends = num[:, :, -1] / g.w[:, -1:]
-        carry[:, 1:] = ends[:, :-1]
-        carry[:, 2:] += g.gamma * ends[:, :-2]
-        carry[:, 3:] += g.gamma * g.gamma * ends[:, :-3]
-    k = n - 1 - (g.rows - 1) * g.width
-    q_last = (num[:, -1, k:k + 1] + g.beta * carry[:, -1:]) \
-        / g.w[:, k:k + 1]
+        ends = num[:, :-1, -1] / g.w[:, -1:]
+        carry[:, 1:] = ends
+        carry[:, 2:] += g.gamma * ends[:, :-1]
+        carry[:, 3:] += g.gamma * g.gamma * ends[:, :-2]
 
     if periodic:
         # one full period later the same edge is seen again, damped by
-        # beta^N; closing the geometric sum gives q_0 exactly
-        seed = q_last / g.closure
+        # beta^N; closing the geometric sum over q_{N-1} gives q_0 exactly
+        seed = (padded[:, n - 1:n] + g.beta * carry[:, -1:]) \
+            / g.w_rows[:, n - 1:n] / g.closure
     else:
         # constant extension: everything beyond the last cell averages to
         # its value
@@ -181,8 +184,8 @@ def _scan_group(values: np.ndarray, g: _ScanGroup, periodic: bool,
     carry[:, :g.seed_powers.shape[1]] += seed * g.seed_powers
     carry *= g.beta
     num += carry[:, :, None]
-    num /= g.w[:, None, :]
-    return num.reshape(m, -1)[:, n - 1::-1]
+    padded /= g.w_rows
+    return padded[:, n - 1::-1]
 
 
 def _recursion(values: np.ndarray, hs, periodic: bool,
@@ -202,16 +205,17 @@ def _recursion(values: np.ndarray, hs, periodic: bool,
     reuses the same weights.
 
     The weights are cached per (width, h) and kept finite by capping a
-    scan row at h * width <= SCAN_EXPONENT_CAP: every member scans its
-    reversed density, zero-padded, as rows of width min(N, cap / h), and
-    each row is seeded with the carry from the rows before it.  With two
-    or more rows h * width > 300, so the damping gamma = beta^width
-    < exp(-300) per row makes gamma^3 underflow, and the carry series
-    end_{b-1} + gamma end_{b-2} + gamma^2 end_{b-3} of the earlier rows'
-    end values is exact in float64.  It starts at -0.0, so a -0.0 density
+    scan row at h * width <= SCAN_EXPONENT_CAP.  Every scan takes one
+    path: the reversed density times the weights fills zero-padded rows
+    of width min(N, cap / h), one cumsum runs along them, each row adds
+    its carry and the seed, and one divide gives q.  With two or more
+    rows h * width > 300, so the damping gamma = beta^width < exp(-300)
+    per row makes gamma^3 underflow, and the carry series end_{b-1} +
+    gamma end_{b-2} + gamma^2 end_{b-3} of the earlier rows' end values
+    is exact in float64.  The carries start at -0.0, so a -0.0 density
     tail gives -0.0 in q, as the sequential recursion does.  One row
-    (h * N <= SCAN_EXPONENT_CAP, as in every shipped configuration and
-    benchmark workload) is the case without carries.
+    (h * N <= cap, as in every shipped configuration and benchmark
+    workload) carries only the seed.
 
     Members that share a scan width share one cumsum over all their rows,
     so one-row and multi-row members can sit in one ensemble.  Every
@@ -223,8 +227,7 @@ def _recursion(values: np.ndarray, hs, periodic: bool,
     when not given) and q is a view of it, so a solver that passes one
     work array on every step allocates no N-long array per scan; only
     the per-row carries, 1/width of that, are new on each call.  q holds
-    until the next scan into the same work array; nothing it held before
-    the scan reaches q.
+    until the next scan into the same work array.
 
     Rounding: each cumulative sum term carries relative error u and the
     terms grow like w, so q is accurate to about u (1 + eps/dx) max|rho|,
@@ -313,8 +316,8 @@ def average(rho: DensityField, eps: KernelScale) -> AveragedField:
     evaluated in closed form (O(N), right to left; the periodic closure
     sums the infinitely many periods geometrically), as one scaled
     cumulative sum with cached weights, along rows of at most
-    SCAN_EXPONENT_CAP * eps / dx cells joined by a carry, so that the
-    weights stay finite.
+    SCAN_EXPONENT_CAP * eps / dx cells joined by a carry so that the
+    weights stay finite; one row when eps >= N dx / 600.
     """
     values = _recursion(rho.values[None], (rho.grid.dx / eps.epsilon,),
                         rho.grid.periodic)[0]
@@ -363,8 +366,7 @@ def edge_to_center(rho: DensityField, q: AveragedField) -> np.ndarray:
 
 
 def _q_past_end(rho: np.ndarray, q: np.ndarray, periodic: bool):
-    """q past the last edge, along the last axis: q_0 again if periodic,
-    else the last cell's density (constant extension)."""
+    """q past the last edge (last axis): q_0 if periodic, else rho_{N-1}."""
     return q[..., 0] if periodic else rho[..., -1]
 
 

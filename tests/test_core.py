@@ -38,7 +38,8 @@ class TestGrid:
     @pytest.mark.parametrize("x_min, x_max", [(0.0, np.inf),
                                               (-1e308, 1e308)])
     def test_length_must_be_finite(self, x_min, x_max):
-        # finite or not, the ends must give a finite dx and cell centers
+        # an infinite end, or finite ends whose difference overflows,
+        # would give an infinite dx and infinite cell centers
         with pytest.raises(DomainError, match="finite positive length"):
             Grid(x_min, x_max, 8)
 

@@ -31,7 +31,8 @@ call: a call whose cost depends on the allocator's history shows it in
 the faults, and in a first call that differs from the warm ones.  The
 layers are reached by wrapping the ``march`` (and, for the scan, the
 projection and the sweep, ``_recursion``, ``EntropyProjector.add`` and
-``_sweep``) that the package looks up; nothing in the package changes.  Every process sets the OpenMP and BLAS thread variables to 1.
+``_sweep``) that the package looks up; nothing in the package changes.
+Every process sets the OpenMP and BLAS thread variables to 1.
 """
 
 from __future__ import annotations

@@ -49,14 +49,15 @@ class Mutant(NamedTuple):
 MUTANTS = (
     # the kernel scan
     Mutant("scan: drop the gamma^2 carry term", "kernel.py",
-           "        carry[:, 3:] += g.gamma * g.gamma * ends[:, :-3]\n", "",
+           "        carry[:, 3:] += g.gamma * g.gamma * ends[:, :-2]\n", "",
            ("tests/test_kernel.py::test_scan_carries_reach_three_rows_back",)),
     Mutant("scan: skip re-zeroing the padding", "kernel.py",
            "    padded[:, n:] = 0.0\n", "",
            ("tests/test_kernel.py::test_scan_ignores_what_the_work_array_held",
             )),
     Mutant("scan: seed periodic rows without the closure", "kernel.py",
-           "        seed = q_last / g.closure\n", "        seed = q_last\n",
+           "            / g.w_rows[:, n - 1:n] / g.closure\n",
+           "            / g.w_rows[:, n - 1:n]\n",
            ("tests/test_kernel.py::test_scan_matches_lfilter_oracle",)),
     Mutant("scan: start the carry at +0.0", "kernel.py",
            "carry = np.full((m, g.rows), -0.0)",
