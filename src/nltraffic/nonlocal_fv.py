@@ -23,7 +23,8 @@ import numpy as np
 from .core import (BlowupError, DensityField, DomainError, KernelScale,
                    NumericsError, PositivityError, ShapeError, SolverConfig,
                    VelocityModel, check_band)
-from .kernel import AveragedField, _q_past_end, _recursion, _scan_work
+from .kernel import (AveragedField, _q_past_end, _recursion, _scan_spare,
+                     _scan_work)
 from .trajectory import RunStats, Snapshot, Trajectory, march
 
 
@@ -46,10 +47,11 @@ def march_nonlocal(initial: Sequence[DensityField], model: VelocityModel,
     The march's record has one row per member.
 
     Every step writes into arrays made once per solve: one interface
-    array that holds q, then v(q), then the flux; the update; the density
-    itself; and the kernel scan's work array, of which q is a view.  Only
-    a custom law's evaluator, whose result is copied into the interface
-    array, and a multi-row scan's per-row carries allocate on each step.
+    array that holds q, then v(q), then the flux; the density itself; and
+    the kernel scan's two buffers: its work array, of which q is a view,
+    and its spare buffer, which holds the update between scans.  Only a
+    custom law's evaluator, whose result is copied into the interface
+    array, and the scan's per-row numbers allocate on each step.
     An observer copies what it keeps, since later steps overwrite both
     arrays it is given.
 
@@ -80,9 +82,11 @@ def march_nonlocal(initial: Sequence[DensityField], model: VelocityModel,
     # the flux; the last one sees q_0 again on periodic grids and the
     # frozen edge value under constant extension
     iface = np.empty((m, n + 1))
-    update = np.empty((m, n))
-    work = _scan_work(n, hs)
-    q = _recursion(rho, hs, periodic, work)
+    work, spare = _scan_work(n, hs), _scan_spare(n, hs)
+    # the scan overwrites the update, which is no longer needed once the
+    # density is stepped
+    update = spare[:m * n].reshape(m, n)
+    q = _recursion(rho, hs, periodic, work, spare)
     v0 = model.v_max
 
     def stable_dt() -> float:
@@ -99,7 +103,7 @@ def march_nonlocal(initial: Sequence[DensityField], model: VelocityModel,
         np.subtract(flux[:, 1:], flux[:, :-1], out=update)
         np.multiply(update, dt / grid.dx, out=update)
         np.subtract(rho, update, out=rho)
-        q = _recursion(rho, hs, periodic, work)
+        q = _recursion(rho, hs, periodic, work, spare)
 
     return march(config.emission_times(), rho, stable_dt, advance,
                  lambda t: observe(t, rho, q))
@@ -192,8 +196,8 @@ TRACE_BLOCK_CELLS = 16384
 
 
 def _sweep(history: np.ndarray, new: np.ndarray, pos: np.ndarray,
-           expo: np.ndarray, model: VelocityModel, eps_val: float,
-           dt: float, grid) -> float:
+           expo: np.ndarray, scan: tuple[np.ndarray, np.ndarray],
+           model: VelocityModel, eps_val: float, dt: float, grid) -> float:
     """One Picard sweep from ``history`` into ``new``; returns the distance.
 
     Row l of the guess (time l dt) is traced back from the cell centers
@@ -203,14 +207,18 @@ def _sweep(history: np.ndarray, new: np.ndarray, pos: np.ndarray,
     cost O(N) each.  Rows are traced in blocks of ``TRACE_BLOCK_CELLS``
     cells.  Row 0 of both buffers holds the data and is not written; rows
     1..m of ``new`` get foot * exp(exponent), and those of ``history`` the
-    distance |new - history|, whose max is returned.
+    distance |new - history|, whose max is returned.  ``scan`` holds the
+    kernel scan's work array and spare buffer for the m + 1 levels
+    (``_scan_work``, ``_scan_spare``); the averaged history is a view of
+    the first, and ``pos`` may sit in the second, which the scan writes
+    before the trace starts.
     """
     m, n = pos.shape
     rows = max(1, TRACE_BLOCK_CELLS // n)
     cells_per_dt = dt / grid.dx
     initial = history[0]
     q_levels = _recursion(history, (grid.dx / eps_val,) * (m + 1),
-                          grid.periodic)
+                          grid.periodic, *scan)
 
     # ensemble backward trace: row l (pos[l - 1]) targets time l*dt
     pos[:] = np.arange(n) + 0.5
@@ -282,9 +290,11 @@ def picard_oracle(initial: DensityField, model: VelocityModel,
     under constant extension.  Row l is traced back
     through l levels, so a sweep over m levels visits m (m + 1) / 2
     row-levels and takes O(levels^2 * N) time (2775 row-levels of N cells
-    at 74 levels).  A sweep holds five (levels + 1) x N tables (two
-    history buffers, the averaged history, the positions and the
-    exponents) plus O(N) tables per level and one block of
+    at 74 levels).  The oracle holds five (levels + 1) x N tables, made
+    once: two history buffers, the exponents, and the kernel scan's work
+    array (and its block sums, an eighth of a table), of which the
+    averaged history is a view, and spare buffer, which holds the
+    positions.  A sweep adds O(N) tables per level and one block of
     ``TRACE_BLOCK_CELLS`` cells of temporaries; every operation is per
     element, so the blocking does not change a bit.
 
@@ -319,16 +329,19 @@ def picard_oracle(initial: DensityField, model: VelocityModel,
     # data in both buffers, which swap roles after every sweep
     history = np.tile(initial.values, (m + 1, 1))
     new = history.copy()
-    # traced positions in cell units and exponents, rows 1..m (index
+    # the kernel scan's buffers, made once; traced positions in cell
+    # units, in the scan's spare buffer, and exponents, rows 1..m (index
     # shifted by one)
-    pos = np.empty((m, n))
+    hs = (grid.dx / eps.epsilon,) * (m + 1)
+    scan = _scan_work(n, hs), _scan_spare(n, hs)
+    pos = scan[1][:m * n].reshape(m, n)
     expo = np.empty((m, n))
     deltas: list[float] = []
 
     for sweep in range(1, MAX_SWEEPS + 1):
         try:
-            delta = _sweep(history, new, pos, expo, model, eps.epsilon,
-                           t0 / m, grid)
+            delta = _sweep(history, new, pos, expo, scan, model,
+                           eps.epsilon, t0 / m, grid)
         except BlowupError as err:
             raise BlowupError(f"{err} at sweep {sweep}") from None
         if not np.isfinite(delta):

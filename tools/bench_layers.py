@@ -124,7 +124,7 @@ def _measure(layer: str, n: int) -> list[tuple[float, int]]:
                            local_lwr, march_nonlocal, nonlocal_fv,
                            relaxation, solve_local)
     from nltraffic.diagnostics import EntropyProjector
-    from nltraffic.kernel import average
+    from nltraffic.kernel import _scan_spare, _scan_work, average
 
     grid = Grid(0.0, 1.0, n, "periodic")
     rho = DensityField(
@@ -170,16 +170,20 @@ def _measure(layer: str, n: int) -> list[tuple[float, int]]:
             while True:
                 projector.add(snapshot)
     else:
+        # the buffers as picard_oracle makes them, once
         history = np.tile(rho.values, (PICARD_LEVELS + 1, 1))
         new = history.copy()
-        pos, expo = (np.empty((PICARD_LEVELS, n)) for _ in range(2))
+        hs = (grid.dx / eps.epsilon,) * (PICARD_LEVELS + 1)
+        scan = _scan_work(n, hs), _scan_spare(n, hs)
+        pos = scan[1][:PICARD_LEVELS * n].reshape(PICARD_LEVELS, n)
+        expo = np.empty((PICARD_LEVELS, n))
         dt = 0.35 * grid.dx / affine.v_max
         module, name, wrap = nonlocal_fv, "_sweep", calls.call
 
         def run():
             old, cur = history, new
             while True:
-                nonlocal_fv._sweep(old, cur, pos, expo, affine,
+                nonlocal_fv._sweep(old, cur, pos, expo, scan, affine,
                                    eps.epsilon, dt, grid)
                 old, cur = cur, old
 

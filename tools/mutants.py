@@ -49,20 +49,40 @@ class Mutant(NamedTuple):
 MUTANTS = (
     # the kernel scan
     Mutant("scan: drop the gamma^2 carry term", "kernel.py",
-           "        carry[:, 3:] += g.gamma * g.gamma * ends[:, :-2]\n", "",
+           "        lift[:, 3:] += g.gamma * g.gamma * ends[:, :-2]\n", "",
            ("tests/test_kernel.py::test_scan_carries_reach_three_rows_back",)),
-    Mutant("scan: skip re-zeroing the padding", "kernel.py",
-           "    padded[:, n:] = 0.0\n", "",
+    Mutant("scan: skip zeroing the rows' block padding", "kernel.py",
+           "        num[:, :full, width:] = 0.0\n", "",
+           ("tests/test_kernel.py::test_scan_ignores_what_the_work_array_held",
+            )),
+    Mutant("scan: skip re-zeroing the last row's end", "kernel.py",
+           "        num[:, full, rest:] = 0.0\n", "",
            ("tests/test_kernel.py::test_scan_ignores_what_the_work_array_held",
             )),
     Mutant("scan: seed periodic rows without the closure", "kernel.py",
-           "            / g.w_rows[:, n - 1:n] / g.closure\n",
-           "            / g.w_rows[:, n - 1:n]\n",
+           "                           / -np.expm1(-x * n) for x in h]),\n",
+           "                           for x in h]),\n",
            ("tests/test_kernel.py::test_scan_matches_lfilter_oracle",)),
-    Mutant("scan: start the carry at +0.0", "kernel.py",
-           "carry = np.full((m, g.rows), -0.0)",
-           "carry = np.zeros((m, g.rows))",
+    Mutant("scan: leave a -0.0 tail at +0.0", "kernel.py",
+           "        _negative_zero_tail(values, q, periodic)\n",
+           "        pass\n",
            ("tests/test_kernel.py::test_negative_zero_tail_keeps_its_sign",)),
+    Mutant("scan: block sums left out of the fold", "kernel.py",
+           "    num[:, :, block::block] += sums[:, :, :-1]\n", "",
+           ("tests/test_kernel.py::test_scan_matches_lfilter_oracle",)),
+    Mutant("scan: an inclusive block prefix for the exclusive one",
+           "kernel.py",
+           "    num[:, :, block::block] += sums[:, :, :-1]\n",
+           "    num[:, :, ::block] += sums\n",
+           ("tests/test_kernel.py::test_scan_matches_lfilter_oracle",)),
+    Mutant("scan: the seed folded without its 1/(1 - beta)", "kernel.py",
+           "seed_lift=np.stack([np.exp(-x) / -np.expm1(-x)",
+           "seed_lift=np.stack([np.exp(-x)",
+           ("tests/test_kernel.py::test_scan_matches_lfilter_oracle",)),
+    Mutant("scan: block sums of every member in one product", "kernel.py",
+           "np.matmul(blocks, g.ones, out=sums.reshape(m, -1))",
+           "np.matmul(num.reshape(-1, block), g.ones, out=sums.reshape(-1))",
+           ("tests/test_kernel.py::test_ensemble_rows_equal_lone_members",)),
     # the buffered march steps
     Mutant("nonlocal step: reorder the dt/dx update", "nonlocal_fv.py",
            "        np.multiply(update, dt / grid.dx, out=update)\n",
