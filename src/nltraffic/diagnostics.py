@@ -148,10 +148,16 @@ class EntropyProjector:
     and projects them at once, so no field is held; ``finish`` returns
     R(phi) for each phi, one list per member.
 
-    eta and psi are evaluated once per snapshot on the whole (M, N) array
-    (for a custom law, one psi quadrature for all members), and each row
-    is projected by its own matrix-vector product, so every member's
-    residuals are bit for bit those of a one-member projector.
+    eta is evaluated once per snapshot on the whole (M, N) array, and psi
+    (for a custom law, one quadrature for all members) only on the cells
+    that some phi's x-support covers; psi is held as zero on the others,
+    where phi_x is zero too.  Each row is projected by its own
+    matrix-vector product, so every member's residuals are bit for bit
+    those of a one-member projector, and those of psi evaluated on every
+    cell: the products off the support are +-0.0 either way, and the sum
+    starts from +0.0, so no such term changes a bit, not even of an exact
+    zero.  A psi that is not finite off the support no longer reaches the
+    residuals.
 
     A snapshot is dead when every time midpoint next to it has zero width
     or lies outside every phi's time support (|theta| >= 1), so that
@@ -196,6 +202,8 @@ class EntropyProjector:
         xi = (grid.cell_centers()[:, None] - center_x) / radius_x
         self._space = BumpTestFunction._s(xi)                 # (N, n_phi)
         self._space_dx = BumpTestFunction._ds(xi) / radius_x
+        # the cells inside some phi's x-support, where psi is evaluated
+        self._support = np.flatnonzero(np.any(np.abs(xi) < 1.0, axis=1))
         t_mid = 0.5 * (times[:-1] + times[1:])
         self._theta = (t_mid[:, None] - center_t) / self._radius_t
         weighted = (dt > 0) & np.any(np.abs(self._theta) < 1.0, axis=1)
@@ -203,6 +211,7 @@ class EntropyProjector:
         self._live[:-1] |= weighted
         self._live[1:] |= weighted
         self._eta = self._psi = None          # (M, n_snap, n_phi)
+        self._psi_cells = None                # (M, N), zero off the support
         self._count = 0
 
     def add(self, rho: np.ndarray):
@@ -217,11 +226,14 @@ class EntropyProjector:
         if self._eta is None:
             shape = (len(rho), self._times.size, self._space.shape[1])
             self._eta, self._psi = np.zeros(shape), np.zeros(shape)
+            self._psi_cells = np.zeros((len(rho), self._space.shape[0]))
         elif len(rho) != len(self._eta):
             raise ShapeError(f"expected {len(self._eta)} members, "
                              f"got {len(rho)}")
         if self._live[n]:
-            eta, psi = self._fe.eta(rho), self._fe.psi(rho)
+            eta, psi = self._fe.eta(rho), self._psi_cells
+            support = self._support
+            psi[:, support] = self._fe.psi(np.asarray(rho)[:, support])
             for m in range(len(rho)):
                 self._eta[m, n] = eta[m] @ self._space
                 self._psi[m, n] = psi[m] @ self._space_dx

@@ -163,100 +163,130 @@ def _scan_plan(n: int, hs: tuple[float, ...]) -> tuple[_ScanGroup, ...]:
     return tuple(groups)
 
 
-def _scan_work(n: int, hs) -> np.ndarray:
-    """A work array for ``_recursion`` on len(hs) rows of n cells: each
-    scan group's rows of cells and their block sums, and when the members
-    form more than one group, room for each group's gathered densities
-    and for q."""
-    groups = _scan_plan(n, tuple(hs))
-    size = sum(g.members.size * (g.cells + g.cells // g.block)
-               for g in groups)
-    if len(groups) > 1:
-        size += 2 * len(hs) * n
-    return np.empty(size)
+class _GroupScan:
+    """The recursion on one scan group's (m, N) rows ``values``, bound to
+    them and to its share of the scan's buffers: every view and temporary
+    of a call is made here, once, so a call costs its array work alone.
+    Its q is a reversed view of the first m * rows * width floats of
+    ``work``; the scaled prefix sums pass through ``spare``."""
 
+    def __init__(self, values: np.ndarray, g: _ScanGroup, periodic: bool,
+                 work: np.ndarray, spare: np.ndarray):
+        m, n = values.shape
+        rows, width, block = g.rows, g.width, g.block
+        cells = m * g.cells
+        num = work[:cells].reshape(m, rows, g.stride)
+        sums = work[cells:cells + cells // block].reshape(m, rows, -1)
+        self.values, self.g, self.periodic = values, g, periodic
 
-def _scan_spare(n: int, hs) -> np.ndarray:
-    """The buffer that ``_recursion``'s scaled prefix sums pass through on
-    len(hs) rows of n cells.  It holds nothing once a scan returns, so a
-    caller may keep in its first len(hs) * n floats an (M, N) buffer that
-    it does not need across a scan."""
-    return np.empty(sum(g.members.size * g.cells
-                        for g in _scan_plan(n, tuple(hs))))
-
-
-def _scan_group(values: np.ndarray, g: _ScanGroup, periodic: bool,
-                work: np.ndarray, spare: np.ndarray) -> np.ndarray:
-    """The recursion on one group's rows; values is (m, N), q is too, a
-    reversed view of ``work``'s first m * rows * width floats."""
-    m, n = values.shape
-    rows, width, block = g.rows, g.width, g.block
-    cells = m * g.cells
-    num = work[:cells].reshape(m, rows, g.stride)
-    sums = work[cells:cells + cells // block].reshape(m, rows, -1)
-    out = spare[:cells]
-
-    # r w along the rows; the rows' padding to whole blocks and the last
-    # row's end are zeroed, since whatever the work array held there
-    # could overflow the sums
-    r = values[:, ::-1]
-    full = n // width
-    np.multiply(r[:, :full * width].reshape(m, full, width), g.w,
-                out=num[:, :full, :width])
-    if g.stride > width:
-        num[:, :full, width:] = 0.0
-    if full < rows:
-        rest = n - full * width
-        np.multiply(r[:, full * width:], g.w[:, 0, :rest],
-                    out=num[:, full, :rest])
-        num[:, full, rest:] = 0.0
-    if not periodic:
+        # r w along the rows; the rows' padding to whole blocks and the
+        # last row's end are zeroed on every call, since whatever the work
+        # array held there could overflow the sums.  The reversed density
+        # r is a view of ``values``, so each call reads the values as they
+        # are then
+        r = values[:, ::-1]
+        full = n // width
+        self._fill = [(r[:, :full * width].reshape(m, full, width,
+                                                   copy=False),
+                       g.w, num[:, :full, :width])]
+        self._zero = []
+        if g.stride > width:
+            self._zero.append(num[:, :full, width:])
+        if full < rows:
+            rest = n - full * width
+            self._fill.append((r[:, full * width:], g.w[:, 0, :rest],
+                               num[:, full, :rest]))
+            self._zero.append(num[:, full, rest:])
+        self._last = values[:, -1]
         # constant extension: everything beyond the last cell averages to
         # its value c, so the sums start from beta c / (1 - beta)
-        num[:, 0, 0] += values[:, -1] * g.seed_lift[:, 0]
+        self._end_seed = None if periodic else (
+            g.seed_lift[:, 0].copy(), np.empty(m), num[:, 0, 0])
+        self._blocks = num.reshape(m, -1, block)
+        self._sums, self._block_sums = sums, sums.reshape(m, -1)
+        # each block past a row's first starts from the blocks before it
+        self._fold = ((num[:, :, block::block], sums[:, :, :-1])
+                      if g.stride > block else None)
 
-    # block sums and their running sums along each row; each block then
-    # starts from the blocks before it, and one product with the scaled
-    # triangle gives every (1 - beta) times prefix sum at once.  The
-    # products run per member, so that BLAS sees the same shapes, and
-    # rounds each row the same way, in any ensemble
-    blocks = num.reshape(m, -1, block)
-    np.matmul(blocks, g.ones, out=sums.reshape(m, -1))
-    np.add.accumulate(sums, axis=-1, out=sums)
-    num[:, :, block::block] += sums[:, :, :-1]
-    if rows > 1 or periodic:
-        num[:, :, ::block] += _row_lifts(sums[:, :, -1], g,
-                                         periodic)[:, :, None]
-    np.matmul(blocks, g.tri, out=out.reshape(m, -1, block))
+        # each row's lift, 1/(1 - beta) times its carry, goes into the
+        # first cell of each of its blocks; gamma times the rows' end
+        # values (the rows' sums) is the lift of the rows after them, and
+        # gamma and gamma^2 times those again reach two and three rows on
+        lift = np.empty((m, rows)) if rows > 1 or periodic else None
+        self._lift = None if lift is None else (
+            lift[:, :1], lift[:, :, None], num[:, :, ::block])
+        totals = sums[:, :, -1]
+        self._carry = None if rows == 1 else (
+            totals[:, :-1], lift[:, 1:], lift[:, 1:-1],
+            np.empty((m, rows - 2)), lift[:, 2:], g.gamma * g.gamma,
+            lift[:, 1:-2], np.empty((m, max(rows - 3, 0))), lift[:, 3:])
+        k = g.seed_lift.shape[1]
+        self._closure = None if not periodic else (
+            totals[:, -1:], lift[:, -1:], np.empty((m, 1)), np.empty((m, k)),
+            lift[:, :k])
 
-    q = work[:m * rows * width].reshape(m, rows, width)
-    np.divide(out.reshape(m, rows, g.stride)[:, :, :width], g.w, out=q)
-    q = q.reshape(m, -1)[:, n - 1::-1]
-    if np.count_nonzero(np.signbit(values[:, -1])):
-        _negative_zero_tail(values, q, periodic)
-    return q
+        self._prefix = spare[:cells].reshape(m, -1, block)
+        self._quotient = (spare[:cells].reshape(m, rows, g.stride)[:, :, :width],
+                          work[:m * rows * width].reshape(m, rows, width))
+        self.q = self._quotient[1].reshape(m, -1)[:, n - 1::-1]
+        self._signs = np.empty(m, dtype=bool)
 
+    def __call__(self) -> np.ndarray:
+        g = self.g
+        for r, w, num in self._fill:
+            np.multiply(r, w, out=num)
+        for pad in self._zero:
+            pad.fill(0.0)
+        if self._end_seed is not None:
+            lift, seed, first = self._end_seed
+            np.multiply(self._last, lift, out=seed)
+            np.add(first, seed, out=first)
 
-def _row_lifts(totals: np.ndarray, g: _ScanGroup,
-               periodic: bool) -> np.ndarray:
-    """What each row adds to its sums, 1/(1 - beta) times its carry, from
-    the rows' sums ``totals`` (m, rows).  The rows before it are damped by
-    gamma per row (gamma^3 underflows); the periodic seed reaches the
-    first three rows.  A constant-extension seed is already in row 0's
-    sums, so the rows after it see it through them."""
-    m, rows = totals.shape
-    lift = np.zeros((m, rows))
-    if rows > 1:
-        ends = g.gamma * totals[:, :-1]
-        lift[:, 1:] = ends
-        lift[:, 2:] += g.gamma * ends[:, :-1]
-        lift[:, 3:] += g.gamma * g.gamma * ends[:, :-2]
-    if periodic:
-        # one full period later the same edge is seen again, damped by
-        # beta^N; closing the geometric sum over q_{N-1} gives q_0 exactly
-        seed = (totals[:, -1:] + lift[:, -1:]) * g.close
-        lift[:, :g.seed_lift.shape[1]] += seed * g.seed_lift
-    return lift
+        # block sums and their running sums along each row; each block then
+        # starts from the blocks before it, and one product with the scaled
+        # triangle gives every (1 - beta) times prefix sum at once.  The
+        # products run per member, so that BLAS sees the same shapes, and
+        # rounds each row the same way, in any ensemble
+        np.matmul(self._blocks, g.ones, out=self._block_sums)
+        np.add.accumulate(self._sums, axis=-1, out=self._sums)
+        if self._fold is not None:
+            starts, before = self._fold
+            np.add(starts, before, out=starts)
+        if self._lift is not None:
+            self._lift_rows()
+        np.matmul(self._blocks, g.tri, out=self._prefix)
+        np.divide(self._quotient[0], g.w, out=self._quotient[1])
+        if np.count_nonzero(np.signbit(self._last, out=self._signs)):
+            _negative_zero_tail(self.values, self.q, self.periodic)
+        return self.q
+
+    def _lift_rows(self):
+        """Add each row's carry and seed to the first cell of its blocks.
+        The rows before it are damped by gamma per row (gamma^3
+        underflows); the periodic seed reaches the first three rows.  A
+        constant-extension seed is already in row 0's sums, so the rows
+        after it see it through them."""
+        g = self.g
+        first, lift, starts = self._lift
+        first.fill(0.0)
+        if self._carry is not None:
+            (totals, ends, ends_two, two, two_on, gamma2, ends_three, three,
+             three_on) = self._carry
+            np.multiply(g.gamma, totals, out=ends)
+            np.multiply(g.gamma, ends_two, out=two)
+            np.multiply(gamma2, ends_three, out=three)
+            np.add(two_on, two, out=two_on)
+            np.add(three_on, three, out=three_on)
+        if self._closure is not None:
+            # one full period later the same edge is seen again, damped by
+            # beta^N; closing the geometric sum over q_{N-1} gives q_0
+            # exactly
+            total, last, seed, lifted, head = self._closure
+            np.add(total, last, out=seed)
+            np.multiply(seed, g.close, out=seed)
+            np.multiply(seed, g.seed_lift, out=lifted)
+            np.add(head, lifted, out=head)
+        np.add(starts, lift, out=starts)
 
 
 def _negative_zero_tail(values: np.ndarray, q: np.ndarray, periodic: bool):
@@ -273,9 +303,70 @@ def _negative_zero_tail(values: np.ndarray, q: np.ndarray, periodic: bool):
             q[i, start:] = -0.0
 
 
-def _recursion(values: np.ndarray, hs, periodic: bool,
-               work: np.ndarray | None = None,
-               spare: np.ndarray | None = None) -> np.ndarray:
+class _BoundScan:
+    """The kernel scan bound to one (M, N) values array, for its rows'
+    hs and one boundary: ``scan()`` returns q for the values as they are
+    when it is called.
+
+    The scan owns its buffers: a work array, of which q is a view (each
+    scan group's rows of cells and their block sums, and when the members
+    form more than one group, room for each group's gathered densities
+    and for q), and a spare buffer that the scaled prefix sums pass
+    through.  The spare holds nothing once a scan returns, so an owner may
+    keep in its first M * N floats an (M, N) array that it does not need
+    across a scan.  A scan built ``like`` another shares that one's
+    buffers, so two value arrays that take turns, as a Picard sweep's two
+    histories do, scan through one set.  Every view and per-row temporary
+    is made when the scan is built, so a call allocates nothing N-long
+    and nothing per row; q holds until the next call on the same buffers.
+    """
+
+    def __init__(self, values: np.ndarray, hs, periodic: bool,
+                 like: "_BoundScan | None" = None):
+        m, n = values.shape
+        groups = _scan_plan(n, tuple(hs))
+        if like is None:
+            size = sum(g.members.size * (g.cells + g.cells // g.block)
+                       for g in groups)
+            if len(groups) > 1:
+                size += 2 * m * n
+            self.work = np.empty(size)
+            self.spare = np.empty(sum(g.members.size * g.cells
+                                      for g in groups))
+        else:
+            self.work, self.spare = like.work, like.spare
+        self.values = values
+        if len(groups) == 1:
+            self._gathers = ()
+            self._single = _GroupScan(values, groups[0], periodic,
+                                      self.work, self.spare)
+            self.q = self._single.q
+            return
+        self._single = None
+        self.q = self.work[:m * n].reshape(m, n)
+        gathers, start, spare_start = [], m * n, 0
+        for g in groups:
+            rows = self.work[start:start + g.members.size * n].reshape(-1, n)
+            start += rows.size
+            cells = g.members.size * g.cells
+            gathers.append((g.members, rows, _GroupScan(
+                rows, g, periodic,
+                self.work[start:start + cells + cells // g.block],
+                self.spare[spare_start:spare_start + cells])))
+            start += cells + cells // g.block
+            spare_start += cells
+        self._gathers = tuple(gathers)
+
+    def __call__(self) -> np.ndarray:
+        if self._single is not None:
+            return self._single()
+        for members, rows, scan in self._gathers:
+            np.take(self.values, members, axis=0, out=rows, mode="clip")
+            self.q[members] = scan()
+        return self.q
+
+
+def _recursion(values: np.ndarray, hs, periodic: bool) -> np.ndarray:
     """Exact recursion q_i = (1 - beta) rho_i + beta q_{i+1}, as a scan.
 
     ``values`` holds one density per row (an ensemble of M members on one
@@ -315,12 +406,10 @@ def _recursion(values: np.ndarray, hs, periodic: bool,
     lone member, and the two products run per member, so each member's q
     is bit for bit the same in any ensemble.
 
-    The scan writes into ``work`` (from ``_scan_work(N, hs)``) and
-    ``spare`` (from ``_scan_spare(N, hs)``), each made fresh when not
-    given, and q is a view of ``work``, so a solver that passes the same
-    two on every step allocates no N-long array per scan; only the
-    per-row carries, 1/width of that, are new on each call.  q holds
-    until the next scan into the same work array.
+    This is the scan bound to ``values`` (``_BoundScan``), built and
+    called once; q is a view of that scan's work array.  A solver that
+    scans the same array on every step builds the bound scan once instead
+    and calls it, so that a step allocates nothing for its scan.
 
     Rounding: a prefix sum is the sum of the blocks before it plus at
     most b terms of its own block; each term carries relative error u
@@ -328,27 +417,7 @@ def _recursion(values: np.ndarray, hs, periodic: bool,
     u (1 + eps/dx) max|rho|, the order of the sequential recursion
     (tests/test_kernel.py holds the two within 8 u (1 + eps/dx) max|rho|).
     """
-    m, n = values.shape
-    groups = _scan_plan(n, tuple(hs))
-    if work is None:
-        work = _scan_work(n, hs)
-    if spare is None:
-        spare = _scan_spare(n, hs)
-    if len(groups) == 1:
-        return _scan_group(values, groups[0], periodic, work, spare)
-    q = work[:m * n].reshape(m, n)
-    start, spare_start = m * n, 0
-    for g in groups:
-        rows = work[start:start + g.members.size * n].reshape(-1, n)
-        np.take(values, g.members, axis=0, out=rows, mode="clip")
-        start += rows.size
-        cells = g.members.size * g.cells
-        q[g.members] = _scan_group(
-            rows, g, periodic, work[start:start + cells + cells // g.block],
-            spare[spare_start:spare_start + cells])
-        start += cells + cells // g.block
-        spare_start += cells
-    return q
+    return _BoundScan(np.ascontiguousarray(values), hs, periodic)()
 
 
 def _gauss_weights(dx: float, eps: float, tol: float) -> np.ndarray:

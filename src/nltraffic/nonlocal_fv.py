@@ -23,8 +23,7 @@ import numpy as np
 from .core import (BlowupError, DensityField, DomainError, KernelScale,
                    NumericsError, PositivityError, ShapeError, SolverConfig,
                    VelocityModel, check_band)
-from .kernel import (AveragedField, _q_past_end, _recursion, _scan_spare,
-                     _scan_work)
+from .kernel import AveragedField, _BoundScan
 from .trajectory import RunStats, Snapshot, Trajectory, march
 
 
@@ -48,10 +47,11 @@ def march_nonlocal(initial: Sequence[DensityField], model: VelocityModel,
 
     Every step writes into arrays made once per solve: one interface
     array that holds q, then v(q), then the flux; the density itself; and
-    the kernel scan's two buffers: its work array, of which q is a view,
-    and its spare buffer, which holds the update between scans.  Only a
-    custom law's evaluator, whose result is copied into the interface
-    array, and the scan's per-row numbers allocate on each step.
+    the kernel scan bound to the density (``kernel._BoundScan``), with its
+    work array, of which q is a view, and its spare buffer, which holds
+    the update between scans.  Every view a step reads is made with them,
+    so only a custom law's evaluator, whose result is copied into the
+    interface array, allocates on each step.
     An observer copies what it keeps, since later steps overwrite both
     arrays it is given.
 
@@ -77,33 +77,34 @@ def march_nonlocal(initial: Sequence[DensityField], model: VelocityModel,
 
     m, n = rho.shape
     hs = tuple(grid.dx / e.epsilon for e in eps)
-    periodic = grid.periodic
     # q at the n + 1 interfaces, turned into v(q) in place and then into
     # the flux; the last one sees q_0 again on periodic grids and the
     # frozen edge value under constant extension
     iface = np.empty((m, n + 1))
-    work, spare = _scan_work(n, hs), _scan_spare(n, hs)
+    scan = _BoundScan(rho, hs, grid.periodic)
+    q = scan()
     # the scan overwrites the update, which is no longer needed once the
     # density is stepped
-    update = spare[:m * n].reshape(m, n)
-    q = _recursion(rho, hs, periodic, work, spare)
-    v0 = model.v_max
+    update = scan.spare[:m * n].reshape(m, n)
+    speeds, inner, past_end = iface.reshape(-1), iface[:, :n], iface[:, n]
+    end = q[:, 0] if grid.periodic else rho[:, -1]
+    upstream, downstream, first = iface[:, :-1], iface[:, 1:], iface[:, 0]
+    ghost = grid.ghosts(rho)[0]
+    v0, cfl_dx = model.v_max, config.cfl * grid.dx
 
     def stable_dt() -> float:
-        iface[:, :n] = q
-        iface[:, n] = _q_past_end(rho, q, periodic)
-        model.v_into(iface.reshape(-1), iface.reshape(-1))
-        return config.cfl * grid.dx / max(v0, float(np.max(iface)))
+        np.copyto(inner, q)
+        np.copyto(past_end, end)
+        model.v_into(speeds, speeds)
+        return cfl_dx / max(v0, float(np.maximum.reduce(speeds)))
 
     def advance(dt: float):
-        nonlocal q
-        flux = iface
-        np.multiply(rho, flux[:, 1:], out=flux[:, 1:])
-        np.multiply(grid.ghosts(rho)[0], flux[:, 0], out=flux[:, 0])
-        np.subtract(flux[:, 1:], flux[:, :-1], out=update)
+        np.multiply(rho, downstream, out=downstream)
+        np.multiply(ghost, first, out=first)
+        np.subtract(downstream, upstream, out=update)
         np.multiply(update, dt / grid.dx, out=update)
         np.subtract(rho, update, out=rho)
-        q = _recursion(rho, hs, periodic, work, spare)
+        scan()
 
     return march(config.emission_times(), rho, stable_dt, advance,
                  lambda t: observe(t, rho, q))
@@ -147,43 +148,69 @@ class PicardResult:
 MAX_SWEEPS = 60
 
 
-def _slopes(values: np.ndarray, grid) -> np.ndarray:
-    """Forward differences of node values along the last axis.
+def _slopes(values: np.ndarray, grid, out: np.ndarray) -> np.ndarray:
+    """Forward differences of node values along the last axis, written
+    into ``out``.
 
     The difference out of the last node reaches the node past it,
     ``grid.ghosts``' right value: the first node on periodic grids, and
     the last node itself under constant extension, where the difference
     is zero and holds the end value past the table as ``np.interp`` does.
     """
-    return np.diff(values, axis=-1,
-                   append=grid.ghosts(values)[1][..., np.newaxis])
+    np.subtract(values[..., 1:], values[..., :-1], out=out[..., :-1])
+    np.subtract(grid.ghosts(values)[1], values[..., -1], out=out[..., -1])
+    return out
+
+
+def _far(lo: float, hi: float, grid) -> bool:
+    """Whether node indices floor(s), for positions s in [lo, hi], must be
+    reduced mod N before "wrap" mode gathers with them: "wrap" moves an
+    index by N per pass, so only [-N, 2N) is taken directly.  Under
+    constant extension s is clamped to the table first, so never.  A NaN
+    position, or on periodic grids an infinite one, raises BlowupError.
+    """
+    n = grid.n_cells
+    if not grid.periodic:
+        if np.isnan(lo) or np.isnan(hi):
+            raise BlowupError("non-finite traced position")
+        return False
+    if lo >= -n and hi < 2 * n:
+        return False
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise BlowupError("non-finite traced position")
+    return True
 
 
 def _lerp(values: np.ndarray, slopes: np.ndarray, s: np.ndarray,
-          grid, out: np.ndarray | None = None) -> np.ndarray:
+          grid, out: np.ndarray, scratch,
+          far: bool | None = None) -> np.ndarray:
     """Linear interpolation at node-unit positions s of node values.
 
     Node k sits at s = k, so node j = floor(s) and weight w = s - j give
-    values[j] + w slopes[j], written into ``out`` when it is given.
-    Periodic grids wrap j; constant extension clamps s to the table.  s
-    itself is not written.  A non-finite s raises BlowupError.
+    values[j] + w slopes[j], written into ``out``.  Periodic grids wrap
+    j; constant extension clamps s to the table.  s itself is not
+    written.  ``scratch`` holds j, w (floats) and the index (intp), each
+    of s's shape.  ``far`` says whether j must be reduced mod N first
+    (``_far``); when it is not given, j's range is checked here.  A
+    non-finite s raises BlowupError, before j is cast to an index.
     """
     n = grid.n_cells
+    j, w, idx = scratch
     if grid.periodic:
-        j = np.floor(s)
-        w = s - j
+        np.floor(s, out=j)
+        np.subtract(s, j, out=w)
     else:
-        w = np.minimum(np.maximum(s, 0.0), n - 1)
-        j = np.floor(w)
+        np.maximum(s, 0.0, out=w)
+        np.minimum(w, n - 1, out=w)
+        np.floor(w, out=j)
         w -= j
-    # "wrap" mode moves an index by n per pass, so far indices are reduced
-    # first, while still floats; a NaN fails the test and is caught here
-    if not (j.min() >= -n and j.max() < 2 * n):
-        if not np.isfinite(j).all():
-            raise BlowupError("non-finite traced position")
+    if far is None:
+        far = _far(float(np.minimum.reduce(j, axis=None)),
+                   float(np.maximum.reduce(j, axis=None)), grid)
+    if far:
         np.mod(j, n, out=j)
-    idx = j.astype(np.intp)
-    out = np.take(slopes, idx, mode="wrap", out=out)
+    np.copyto(idx, j, casting="unsafe")
+    np.take(slopes, idx, mode="wrap", out=out)
     out *= w
     out += np.take(values, idx, mode="wrap", out=w)
     return out
@@ -195,9 +222,30 @@ def _lerp(values: np.ndarray, slopes: np.ndarray, s: np.ndarray,
 TRACE_BLOCK_CELLS = 16384
 
 
+class _Trace:
+    """A Picard sweep's temporaries for m levels of N cells, made once per
+    oracle: the ``rows`` of one trace block, a speed, a midpoint
+    position, the midpoint q, the gain and ``_lerp``'s scratch; and one
+    level's interpolation tables, N each."""
+
+    def __init__(self, m: int, n: int):
+        self.rows = max(1, TRACE_BLOCK_CELLS // n)
+        block = (min(self.rows, m), n)
+        self.centers = np.arange(n) + 0.5
+        self._block = tuple(np.empty(block) for _ in range(6)) + (
+            np.empty(block, dtype=np.intp),)
+        self.tables = tuple(np.empty(n) for _ in range(5))
+
+    def block(self, k: int):
+        """(speed, s_half, q_mid, gain, (j, w, index)) for k rows."""
+        speed, s_half, q_mid, gain, j, w, idx = (
+            a[:k] for a in self._block)
+        return speed, s_half, q_mid, gain, (j, w, idx)
+
+
 def _sweep(history: np.ndarray, new: np.ndarray, pos: np.ndarray,
-           expo: np.ndarray, scan: tuple[np.ndarray, np.ndarray],
-           model: VelocityModel, eps_val: float, dt: float, grid) -> float:
+           expo: np.ndarray, scan, trace: _Trace, model: VelocityModel,
+           eps_val: float, dt: float, grid) -> float:
     """One Picard sweep from ``history`` into ``new``; returns the distance.
 
     Row l of the guess (time l dt) is traced back from the cell centers
@@ -207,60 +255,70 @@ def _sweep(history: np.ndarray, new: np.ndarray, pos: np.ndarray,
     cost O(N) each.  Rows are traced in blocks of ``TRACE_BLOCK_CELLS``
     cells.  Row 0 of both buffers holds the data and is not written; rows
     1..m of ``new`` get foot * exp(exponent), and those of ``history`` the
-    distance |new - history|, whose max is returned.  ``scan`` holds the
-    kernel scan's work array and spare buffer for the m + 1 levels
-    (``_scan_work``, ``_scan_spare``); the averaged history is a view of
-    the first, and ``pos`` may sit in the second, which the scan writes
-    before the trace starts.
+    distance |new - history|, whose max is returned.  ``scan`` is the
+    kernel scan bound to ``history`` for its m + 1 levels
+    (``kernel._BoundScan``); the averaged history is a view of its work
+    array, and ``pos`` may sit in its spare buffer, which the scan writes
+    before the trace starts.  Every temporary is one of ``trace``'s.
     """
     m, n = pos.shape
-    rows = max(1, TRACE_BLOCK_CELLS // n)
+    rows = trace.rows
     cells_per_dt = dt / grid.dx
+    half_step, gain_scale = -0.5 * cells_per_dt, dt / eps_val
     initial = history[0]
-    q_levels = _recursion(history, (grid.dx / eps_val,) * (m + 1),
-                          grid.periodic, *scan)
+    q_levels = scan()
+    q_slopes, q_mid_row, qm_slopes, rho_mid_row, rm_slopes = trace.tables
 
     # ensemble backward trace: row l (pos[l - 1]) targets time l*dt
-    pos[:] = np.arange(n) + 0.5
+    np.copyto(pos, trace.centers)
     expo.fill(0.0)
     for level in range(m, 0, -1):
         q_row = q_levels[level]
-        q_slopes = _slopes(q_row, grid)
+        _slopes(q_row, grid, q_slopes)
         # the midpoint in time between levels level - 1 and level
-        q_mid_row = 0.5 * (q_row + q_levels[level - 1])
-        qm_slopes = _slopes(q_mid_row, grid)
-        rho_mid_row = 0.5 * (history[level] + history[level - 1])
-        rm_slopes = _slopes(rho_mid_row, grid)
+        np.add(q_row, q_levels[level - 1], out=q_mid_row)
+        q_mid_row *= 0.5
+        _slopes(q_mid_row, grid, qm_slopes)
+        np.add(history[level], history[level - 1], out=rho_mid_row)
+        rho_mid_row *= 0.5
+        _slopes(rho_mid_row, grid, rm_slopes)
         # rows with target >= current level, a block at a time
         for lo in range(level - 1, m, rows):
             s = pos[lo:lo + rows]
-            k1 = model.v(_lerp(q_row, q_slopes, s, grid))
-            s_half = np.multiply(k1, -0.5 * cells_per_dt)
+            speed, s_half, q_mid, gain, scratch = trace.block(len(s))
+            _lerp(q_row, q_slopes, s, grid, speed, scratch)
+            model.v_into(speed, speed)
+            np.multiply(speed, half_step, out=s_half)
             s_half += s
-            q_mid = _lerp(q_mid_row, qm_slopes, s_half, grid)
+            # one range check serves both midpoint lerps: q at s_half, rho
+            # half a cell left of it
+            far = _far(float(np.minimum.reduce(s_half, axis=None)) - 0.5,
+                       float(np.maximum.reduce(s_half, axis=None)), grid)
+            _lerp(q_mid_row, qm_slopes, s_half, grid, q_mid, scratch, far)
             s_half -= 0.5  # center (rho) nodes
-            gain = _lerp(rho_mid_row, rm_slopes, s_half, grid)
+            _lerp(rho_mid_row, rm_slopes, s_half, grid, gain, scratch, far)
             # -v'(q) q_x dt with q_x = (q - rho)/eps
             gain -= q_mid
             gain *= model.dv(q_mid)
-            gain *= dt / eps_val
+            gain *= gain_scale
             expo[lo:lo + rows] += gain
-            drift = np.multiply(model.v(q_mid), cells_per_dt)
-            s -= drift  # s is a view: this moves pos[lo:lo + rows]
+            model.v_into(q_mid, speed)
+            speed *= cells_per_dt
+            s -= speed  # s is a view: this moves pos[lo:lo + rows]
 
-    init_slopes = _slopes(initial, grid)
+    init_slopes = _slopes(initial, grid, q_slopes)
     for lo in range(0, m, rows):
         s = pos[lo:lo + rows]
         s -= 0.5
-        foot = _lerp(initial, init_slopes, s, grid,
-                     out=new[lo + 1:lo + rows + 1])
+        foot = _lerp(initial, init_slopes, s, grid, new[lo + 1:lo + rows + 1],
+                     trace.block(len(s))[-1])
         e = expo[lo:lo + rows]
         foot *= np.exp(e, out=e)
 
     retired = history[1:]
     np.subtract(new[1:], retired, out=retired)
     np.abs(retired, out=retired)
-    return float(np.max(retired))
+    return float(np.maximum.reduce(retired, axis=None))
 
 
 def picard_oracle(initial: DensityField, model: VelocityModel,
@@ -291,12 +349,15 @@ def picard_oracle(initial: DensityField, model: VelocityModel,
     through l levels, so a sweep over m levels visits m (m + 1) / 2
     row-levels and takes O(levels^2 * N) time (2775 row-levels of N cells
     at 74 levels).  The oracle holds five (levels + 1) x N tables, made
-    once: two history buffers, the exponents, and the kernel scan's work
-    array (and its block sums, an eighth of a table), of which the
-    averaged history is a view, and spare buffer, which holds the
-    positions.  A sweep adds O(N) tables per level and one block of
-    ``TRACE_BLOCK_CELLS`` cells of temporaries; every operation is per
-    element, so the blocking does not change a bit.
+    once: two history buffers, the exponents, and the work array (and its
+    block sums, an eighth of a table) of the kernel scan bound to each
+    history buffer, of which the averaged history is a view, and its
+    spare buffer, which holds the positions.  Its temporaries are made
+    once too (``_Trace``): five N-long interpolation tables, rewritten at
+    each level, and one block of ``TRACE_BLOCK_CELLS`` cells for each
+    per-block array; every operation is per element, so the blocking does
+    not change a bit.  One range check per block serves both midpoint
+    gathers, q at s_half and rho at s_half - 1/2.
 
     The transform contracts only for short horizons on Lipschitz,
     uniformly positive data; that is the intended regime: divergence (the
@@ -329,18 +390,20 @@ def picard_oracle(initial: DensityField, model: VelocityModel,
     # data in both buffers, which swap roles after every sweep
     history = np.tile(initial.values, (m + 1, 1))
     new = history.copy()
-    # the kernel scan's buffers, made once; traced positions in cell
-    # units, in the scan's spare buffer, and exponents, rows 1..m (index
-    # shifted by one)
+    # the kernel scan bound to each history buffer, both scanning through
+    # one set of buffers; traced positions in cell units, in the scan's
+    # spare buffer, and exponents, rows 1..m (index shifted by one)
     hs = (grid.dx / eps.epsilon,) * (m + 1)
-    scan = _scan_work(n, hs), _scan_spare(n, hs)
-    pos = scan[1][:m * n].reshape(m, n)
+    scan = _BoundScan(history, hs, grid.periodic)
+    scans = (scan, _BoundScan(new, hs, grid.periodic, like=scan))
+    pos = scan.spare[:m * n].reshape(m, n)
     expo = np.empty((m, n))
+    trace = _Trace(m, n)
     deltas: list[float] = []
 
     for sweep in range(1, MAX_SWEEPS + 1):
         try:
-            delta = _sweep(history, new, pos, expo, scan, model,
+            delta = _sweep(history, new, pos, expo, scans[0], trace, model,
                            eps.epsilon, t0 / m, grid)
         except BlowupError as err:
             raise BlowupError(f"{err} at sweep {sweep}") from None
@@ -352,6 +415,7 @@ def picard_oracle(initial: DensityField, model: VelocityModel,
                 f"iterate distance grew 3 sweeps in a row (latest ratio "
                 f"{delta / deltas[-2]:.3g})")
         history, new = new, history
+        scans = scans[::-1]
         if delta < iteration_tolerance:
             return PicardResult(DensityField(grid, history[m]), sweep,
                                 delta, tuple(deltas))

@@ -581,23 +581,35 @@ def solve_relaxation(initial: UZFields, frame: RelaxationFrame,
     midpoints = 0
     K = frame.K
     ratio_eps = K / frame.eps.epsilon
-    speed_u = None
+    # the transport's per-solve buffers: u's speed, the upwind
+    # differences of u and z, the transported u* and z*, and their sum
+    n = grid.n_cells
+    speed_u, du, dz, u_star, z_star, total = np.empty((6, n))
+    left, right = grid.ghosts(state)
+    cfl_dx = config.cfl * grid.dx
 
     def stable_dt() -> float:
-        nonlocal speed_u
-        speed_u = K * (K * np.exp(-z) - 1.0)
-        return config.cfl * grid.dx / max(K, float(np.max(speed_u)))
+        np.negative(z, out=speed_u)
+        np.exp(speed_u, out=speed_u)
+        np.multiply(speed_u, K, out=speed_u)
+        np.subtract(speed_u, 1.0, out=speed_u)
+        np.multiply(speed_u, K, out=speed_u)
+        return cfl_dx / max(K, float(np.maximum.reduce(speed_u)))
 
     def advance(dtau: float):
         nonlocal passes_max, midpoints
         # u is fed from its left neighbour, z from its right one
-        left, right = grid.ghosts(state)
-        u_left = np.concatenate([left[:1], u[:-1]])
-        z_right = np.concatenate([z[1:], right[1:]])
-        u_star = u - (dtau / grid.dx) * speed_u * (u - u_left)
-        z_star = z + (dtau / grid.dx) * K * (z_right - z)
+        np.subtract(u[1:], u[:-1], out=du[1:])
+        np.subtract(u[:1], left[:1], out=du[:1])
+        np.multiply(speed_u, dtau / grid.dx, out=u_star)
+        np.multiply(u_star, du, out=u_star)
+        np.subtract(u, u_star, out=u_star)
+        np.subtract(z[1:], z[:-1], out=dz[:-1])
+        np.subtract(right[1:], z[-1:], out=dz[-1:])
+        np.multiply(dz, (dtau / grid.dx) * K, out=dz)
+        np.add(z, dz, out=z_star)
 
-        total = u_star + z_star
+        np.add(u_star, z_star, out=total)
         u[:], passes, n_midpoints = _implicit_source(
             u_star, total, dtau * ratio_eps, frame)
         np.subtract(total, u, out=z)

@@ -47,6 +47,10 @@ def march(emit: Sequence[float], state: np.ndarray,
     runs at t = 0 and at each emission time, never after a raise.
     """
     low, high = state.min(axis=1), state.max(axis=1)
+    # each step's row extrema and their finiteness, reduced in place
+    extrema = np.empty((2, len(state)))
+    row_min, row_max = extrema
+    finite = np.empty(extrema.shape, dtype=bool)
     observe(0.0)
     t, steps = 0.0, 0
     dt_min, dt_max, dt_sum = float("inf"), 0.0, 0.0
@@ -57,8 +61,10 @@ def march(emit: Sequence[float], state: np.ndarray,
                 raise TimeStepCollapse(
                     f"time step {dt:.3e} at t = {t:.6g} (step {steps})")
             advance(dt)
-            row_min, row_max = state.min(axis=1), state.max(axis=1)
-            if not (np.isfinite(row_min).all() and np.isfinite(row_max).all()):
+            np.minimum.reduce(state, axis=1, out=row_min)
+            np.maximum.reduce(state, axis=1, out=row_max)
+            if not np.logical_and.reduce(np.isfinite(extrema, out=finite),
+                                         axis=None):
                 raise BlowupError(f"non-finite state at step {steps}")
             np.minimum(low, row_min, out=low)
             np.maximum(high, row_max, out=high)

@@ -373,6 +373,43 @@ class TestEnsembleProjector:
         assert projector.finish() == [projector_loop(grid, times, fe, phis, rho[:, m])
                              for m in range(3)]
 
+    @pytest.mark.parametrize("law", ["affine", "quadratic"])
+    def test_psi_off_the_support_keeps_every_projection(self, law):
+        # psi is evaluated only inside the bumps' x-support and held at
+        # +0.0 elsewhere; evaluated everywhere it is negative off the
+        # support (rho = 0.9 > 3/4), so there every product psi * phi_x is
+        # -0.0.  Member 1 is 0 on the support, so its projection is an
+        # exact zero; every projection must keep its bits
+        model = (quadratic_model() if law == "quadratic"
+                 else VelocityModel.affine(1.0, 1.0))
+        fe = FluxEntropyModel(model)
+        grid = Grid(-1.0, 1.0, 64, "constant_extension")
+        times = np.linspace(0.0, 1.0, 33)
+        phis = [BumpTestFunction(-0.2, 0.5, 0.25, 0.5),
+                BumpTestFunction(0.3, 0.5, 0.2, 0.5)]
+        projector = EntropyProjector(grid, times, fe, phis)
+        support = np.zeros(grid.n_cells, dtype=bool)
+        support[projector._support] = True
+        assert 0 < support.sum() < grid.n_cells
+        rng = np.random.default_rng(5)
+        rho = np.full((times.size, 3, grid.n_cells), 0.9)
+        rho[:, 1, support] = 0.0
+        rho[:, 2] = rng.uniform(0.0, 1.0, (times.size, grid.n_cells))
+        for snap in rho:
+            projector.add(snap)
+        for n, snap in enumerate(rho):
+            psi = fe.psi(snap)
+            assert np.all(psi[:2, ~support] < 0.0)
+            products = psi[0, ~support, None] * projector._space_dx[~support]
+            assert np.all(products == 0.0) and np.all(np.signbit(products))
+            want = np.stack([row @ projector._space_dx for row in psi])
+            assert np.array_equal(projector._psi[:, n].view(np.int64),
+                                  want.view(np.int64))
+            assert np.all(projector._psi[1, n] == 0.0)
+        assert projector.finish() == [
+            projector_loop(grid, times, fe, phis, rho[:, m])
+            for m in range(3)]
+
     def test_rows_must_keep_their_shape(self):
         grid = Grid(-1.0, 1.0, 16, "periodic")
         projector = EntropyProjector(grid, [0.0, 0.1],

@@ -6,8 +6,8 @@ from scipy.signal import lfilter
 from nltraffic import (AveragedField, DensityField, DomainError, Grid,
                        KernelScale, Riemann, ShapeError, average,
                        edge_to_center, make_initial, ode_residual)
-from nltraffic.kernel import (_quadrature, _recursion, _scan_plan,
-                              _scan_spare, _scan_weights, _scan_work)
+from nltraffic.kernel import (_BoundScan, _quadrature, _recursion,
+                              _scan_plan, _scan_weights)
 
 from conftest import random_bv_field
 
@@ -144,6 +144,10 @@ def test_negative_zero_tail_keeps_its_sign(h, rows):
     assert np.all(got == 0.0) and np.all(np.signbit(got))
 
 
+def _bits(values: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(values).view(np.int64)
+
+
 @pytest.mark.parametrize("boundary", ["periodic", "constant_extension"])
 @pytest.mark.parametrize("fill", [np.nan, np.finfo(float).max])
 def test_scan_ignores_what_the_work_array_held(boundary, fill):
@@ -153,11 +157,13 @@ def test_scan_ignores_what_the_work_array_held(boundary, fill):
     n, hs = 700, (0.01, 2.0, 50.0)
     periodic = boundary == "periodic"
     values = np.random.default_rng(1).uniform(0.0, 1.0, (len(hs), n))
-    want = _recursion(values, hs, periodic, np.zeros_like(_scan_work(n, hs)))
-    work = _scan_work(n, hs)
-    work.fill(fill)
-    got = _recursion(values, hs, periodic, work)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    clean = _BoundScan(values, hs, periodic)
+    clean.work.fill(0.0)
+    want = clean().copy()
+    scan = _BoundScan(values, hs, periodic)
+    scan.work.fill(fill)
+    got = scan()
+    assert np.array_equal(_bits(got), _bits(want))
 
 
 @pytest.mark.parametrize("boundary", ["periodic", "constant_extension"])
@@ -170,10 +176,50 @@ def test_scan_ignores_what_the_spare_buffer_held(boundary, fill):
     periodic = boundary == "periodic"
     values = np.random.default_rng(2).uniform(0.0, 1.0, (len(hs), n))
     want = _recursion(values, hs, periodic)
-    spare = _scan_spare(n, hs)
-    spare.fill(fill)
-    got = _recursion(values, hs, periodic, _scan_work(n, hs), spare)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    scan = _BoundScan(values, hs, periodic)
+    scan.spare.fill(fill)
+    got = scan()
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+@given(boundary=st.sampled_from(["periodic", "constant_extension"]),
+       n=st.integers(4, 1024),
+       log_ratios=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4),
+       tails=st.lists(st.integers(0, 12), min_size=4, max_size=4),
+       steps=st.integers(2, 4),
+       seed=st.integers(0, 2**16))
+# one row (601 cells), rows of 8 and of 60 padded to 64, and rows of 1:
+# four scan groups, each member with a -0.0 tail
+@example(boundary="constant_extension", n=601,
+         log_ratios=[1.0, -1.8745, -1.0, -2.5], tails=[3, 5, 12, 1],
+         steps=3, seed=0)
+@example(boundary="periodic", n=601, log_ratios=[1.0, -1.0, 1.0, -1.0],
+         tails=[0, 7, 12, 2], steps=3, seed=1)
+# one member, one row: the march's case
+@example(boundary="constant_extension", n=16, log_ratios=[0.0],
+         tails=[4, 0, 0, 0], steps=4, seed=2)
+@settings(max_examples=40, deadline=None)
+def test_bound_scan_follows_its_values(boundary, n, log_ratios, tails,
+                                      steps, seed):
+    # a solver binds the scan to its density once and steps the density in
+    # place; each call must then equal a fresh scan of the values as they
+    # are, never of the values the scan was bound to
+    periodic = boundary == "periodic"
+    rng = np.random.default_rng(seed)
+    hs = tuple(10.0 ** -r for r in log_ratios)
+    values = rng.uniform(0.0, 1.0, (len(hs), n))
+    scan = _BoundScan(values, hs, periodic)
+    for step in range(steps):
+        values[:] = rng.uniform(0.0, 1.0, values.shape)
+        # every other step, -0.0 tails (the whole row when a tail is at
+        # least N) change the sign rule's verdict between calls
+        for m, tail in enumerate(tails[:len(hs)]):
+            if step % 2 == 0 and tail:
+                values[m, -tail:] = -0.0
+        got = scan()
+        assert got is scan.q
+        want = _recursion(values.copy(), hs, periodic)
+        assert np.array_equal(_bits(got), _bits(want))
 
 
 @given(boundary=st.sampled_from(["periodic", "constant_extension"]),

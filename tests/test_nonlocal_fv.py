@@ -344,10 +344,12 @@ def test_lerp_matches_np_interp(boundary, n, x_min, length, centered, seed):
         x_min - rng.uniform(0.0, reach, 64),
         grid.x_max + rng.uniform(0.0, reach, 64),
     ])
-    slopes = _slopes(fp, grid)
+    slopes = _slopes(fp, grid, np.empty(n))
     # node-unit positions of x; node k sits at x_min + (k + shift) dx
     s = (x - x_min) / dx - (0.5 if centered else 0.0)
-    got = _lerp(fp, slopes, s, grid)
+    got = _lerp(fp, slopes, s, grid, np.empty(s.shape),
+                (np.empty(s.shape), np.empty(s.shape),
+                 np.empty(s.shape, dtype=np.intp)))
     want = _interp(x, xp, fp, grid)
 
     # this interpolant rounds within ~u (|x - x0|/dx + 1) max|dfp|;
@@ -460,6 +462,30 @@ class TestPicardOracle:
         # positions, the exponents) and one trace block measured ~7 tables;
         # whole-history interpolation tables held ~19
         assert peak <= 9 * table
+
+    def test_sweep_gathers_within_one_period(self, monkeypatch):
+        # "wrap" mode moves an index by N per pass, so the sweep reduces
+        # node indices outside [-N, 2N) before it gathers.  One range check
+        # serves both midpoint lerps, q at s_half and rho half a cell left
+        # of it.  On 4 cells at v = 0.5 a trace moves 0.175 cells per level
+        # and reaches s_half = 0.4125 - 0.175 * 23 = -3.6125, less than
+        # half a cell inside -N, where rho's node index is -N - 1
+        g = Grid(0.0, 1.0, 4, "periodic")
+        model = VelocityModel.affine(1.0, 1.0)
+        ic = DensityField(g, np.full(4, 0.5))
+        take, ranges = np.take, []
+
+        def spy(a, indices, *args, **kwargs):
+            if kwargs.get("mode") == "wrap":
+                ranges.append((int(np.min(indices)), int(np.max(indices))))
+            return take(a, indices, *args, **kwargs)
+
+        monkeypatch.setattr(np, "take", spy)
+        t0 = 40 * 0.35 * g.dx
+        assert _picard_levels(g, model, t0) >= 40
+        picard_oracle(ic, model, KernelScale(0.2), t0)
+        lows, highs = zip(*ranges)
+        assert min(lows) >= -4 and max(highs) < 8
 
     @pytest.mark.parametrize("boundary", ["periodic", "constant_extension"])
     @pytest.mark.filterwarnings("error")

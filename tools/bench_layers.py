@@ -9,8 +9,9 @@ Run from the root of a checkout (the package is imported from ./src):
 Layers, timed at N = 1024, 4096 and 65536 on a periodic grid of [0, 1]
 with rho = 0.5 + 0.3 sin(2 pi x):
 
-* ``kernel_scan``: one call of the kernel scan ``kernel._recursion`` as
-  the nonlocal march makes it (eps = 0.05, one scan row);
+* ``kernel_scan``: one call of the kernel scan that the nonlocal march
+  binds to its density, ``kernel._BoundScan``, as the march makes it
+  (eps = 0.05, one scan row);
 * ``nonlocal_step``: one step of ``march_nonlocal``, its stable_dt() and
   advance(dt), the scan included (affine law v = 1 - rho);
 * ``godunov_affine`` and ``godunov_quadratic``: one step of
@@ -30,8 +31,8 @@ layer's first call and the ``WARM_CALLS`` calls after it are timed with
 call: a call whose cost depends on the allocator's history shows it in
 the faults, and in a first call that differs from the warm ones.  The
 layers are reached by wrapping the ``march`` (and, for the scan, the
-projection and the sweep, ``_recursion``, ``EntropyProjector.add`` and
-``_sweep``) that the package looks up; nothing in the package changes.
+projection and the sweep, ``_BoundScan.__call__``, ``EntropyProjector.add``
+and ``_sweep``) that the package looks up; nothing in the package changes.
 Every process sets the OpenMP and BLAS thread variables to 1.
 """
 
@@ -124,7 +125,7 @@ def _measure(layer: str, n: int) -> list[tuple[float, int]]:
                            local_lwr, march_nonlocal, nonlocal_fv,
                            relaxation, solve_local)
     from nltraffic.diagnostics import EntropyProjector
-    from nltraffic.kernel import _scan_spare, _scan_work, average
+    from nltraffic.kernel import _BoundScan, average
 
     grid = Grid(0.0, 1.0, n, "periodic")
     rho = DensityField(
@@ -136,7 +137,7 @@ def _measure(layer: str, n: int) -> list[tuple[float, int]]:
     calls = Calls(1 + WARM_CALLS)
 
     if layer in ("kernel_scan", "nonlocal_step"):
-        module, name = ((nonlocal_fv, "_recursion") if layer == "kernel_scan"
+        module, name = ((_BoundScan, "__call__") if layer == "kernel_scan"
                         else (nonlocal_fv, "march"))
         wrap = calls.call if layer == "kernel_scan" else calls.step
         run = lambda: march_nonlocal((rho,), affine, (eps,), config,
@@ -174,18 +175,20 @@ def _measure(layer: str, n: int) -> list[tuple[float, int]]:
         history = np.tile(rho.values, (PICARD_LEVELS + 1, 1))
         new = history.copy()
         hs = (grid.dx / eps.epsilon,) * (PICARD_LEVELS + 1)
-        scan = _scan_work(n, hs), _scan_spare(n, hs)
-        pos = scan[1][:PICARD_LEVELS * n].reshape(PICARD_LEVELS, n)
+        scan = _BoundScan(history, hs, grid.periodic)
+        scans = (scan, _BoundScan(new, hs, grid.periodic, like=scan))
+        pos = scan.spare[:PICARD_LEVELS * n].reshape(PICARD_LEVELS, n)
         expo = np.empty((PICARD_LEVELS, n))
+        trace = nonlocal_fv._Trace(PICARD_LEVELS, n)
         dt = 0.35 * grid.dx / affine.v_max
         module, name, wrap = nonlocal_fv, "_sweep", calls.call
 
         def run():
-            old, cur = history, new
+            old, cur, bound = history, new, scans
             while True:
-                nonlocal_fv._sweep(old, cur, pos, expo, scan, affine,
-                                   eps.epsilon, dt, grid)
-                old, cur = cur, old
+                nonlocal_fv._sweep(old, cur, pos, expo, bound[0], trace,
+                                   affine, eps.epsilon, dt, grid)
+                old, cur, bound = cur, old, bound[::-1]
 
     setattr(module, name, wrap(getattr(module, name)))
     try:

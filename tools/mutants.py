@@ -15,7 +15,9 @@ copy (pytest's ``pythonpath`` is pointed at it).  A mutant is
 * ``killed`` when its tests fail,
 * ``SURVIVED`` when they pass: the tests miss the defect, a finding,
 * ``STALE`` when its old text no longer occurs exactly once: the code
-  moved on and the entry must be rewritten.
+  moved on and the entry must be rewritten,
+* ``INVALID`` when the edited file does not compile: a syntax error
+  would fail every test without testing the defect.
 
 The tests of every mutant first run once on an unmutated copy; a failure
 there would make every verdict meaningless, so the tool stops.  Pytest
@@ -49,14 +51,15 @@ class Mutant(NamedTuple):
 MUTANTS = (
     # the kernel scan
     Mutant("scan: drop the gamma^2 carry term", "kernel.py",
-           "        lift[:, 3:] += g.gamma * g.gamma * ends[:, :-2]\n", "",
+           "            np.add(three_on, three, out=three_on)\n", "",
            ("tests/test_kernel.py::test_scan_carries_reach_three_rows_back",)),
     Mutant("scan: skip zeroing the rows' block padding", "kernel.py",
-           "        num[:, :full, width:] = 0.0\n", "",
+           "            self._zero.append(num[:, :full, width:])\n",
+           "            pass\n",
            ("tests/test_kernel.py::test_scan_ignores_what_the_work_array_held",
             )),
     Mutant("scan: skip re-zeroing the last row's end", "kernel.py",
-           "        num[:, full, rest:] = 0.0\n", "",
+           "            self._zero.append(num[:, full, rest:])\n", "",
            ("tests/test_kernel.py::test_scan_ignores_what_the_work_array_held",
             )),
     Mutant("scan: seed periodic rows without the closure", "kernel.py",
@@ -64,25 +67,37 @@ MUTANTS = (
            "                           for x in h]),\n",
            ("tests/test_kernel.py::test_scan_matches_lfilter_oracle",)),
     Mutant("scan: leave a -0.0 tail at +0.0", "kernel.py",
-           "        _negative_zero_tail(values, q, periodic)\n",
-           "        pass\n",
+           "            _negative_zero_tail(self.values, self.q, self.periodic)\n",
+           "            pass\n",
            ("tests/test_kernel.py::test_negative_zero_tail_keeps_its_sign",)),
     Mutant("scan: block sums left out of the fold", "kernel.py",
-           "    num[:, :, block::block] += sums[:, :, :-1]\n", "",
+           "            np.add(starts, before, out=starts)\n",
+           "            pass\n",
            ("tests/test_kernel.py::test_scan_matches_lfilter_oracle",)),
     Mutant("scan: an inclusive block prefix for the exclusive one",
            "kernel.py",
-           "    num[:, :, block::block] += sums[:, :, :-1]\n",
-           "    num[:, :, ::block] += sums\n",
+           "self._fold = ((num[:, :, block::block], sums[:, :, :-1])",
+           "self._fold = ((num[:, :, ::block], sums)",
            ("tests/test_kernel.py::test_scan_matches_lfilter_oracle",)),
     Mutant("scan: the seed folded without its 1/(1 - beta)", "kernel.py",
            "seed_lift=np.stack([np.exp(-x) / -np.expm1(-x)",
            "seed_lift=np.stack([np.exp(-x)",
            ("tests/test_kernel.py::test_scan_matches_lfilter_oracle",)),
     Mutant("scan: block sums of every member in one product", "kernel.py",
-           "np.matmul(blocks, g.ones, out=sums.reshape(m, -1))",
-           "np.matmul(num.reshape(-1, block), g.ones, out=sums.reshape(-1))",
+           "np.matmul(self._blocks, g.ones, out=self._block_sums)",
+           "np.matmul(self._blocks.reshape(-1, g.block), g.ones,\n"
+           "                  out=self._block_sums.reshape(-1))",
            ("tests/test_kernel.py::test_ensemble_rows_equal_lone_members",)),
+    Mutant("bound scan: reads the values it was bound to, copied",
+           "kernel.py",
+           "        r = values[:, ::-1]\n",
+           "        r = values[:, ::-1].copy()\n",
+           ("tests/test_kernel.py::test_bound_scan_follows_its_values",)),
+    Mutant("bound scan: a constant-extension seed from bind time",
+           "kernel.py",
+           "        self._last = values[:, -1]\n",
+           "        self._last = values[:, -1].copy()\n",
+           ("tests/test_kernel.py::test_bound_scan_follows_its_values",)),
     # the buffered march steps
     Mutant("nonlocal step: reorder the dt/dx update", "nonlocal_fv.py",
            "        np.multiply(update, dt / grid.dx, out=update)\n",
@@ -96,8 +111,8 @@ MUTANTS = (
            ("tests/test_step_buffers.py::"
             "test_solve_local_allocates_buffers_once",)),
     Mutant("nonlocal step: speeds by model.v", "nonlocal_fv.py",
-           "        model.v_into(iface.reshape(-1), iface.reshape(-1))\n",
-           "        iface[:] = model.v(iface)\n",
+           "        model.v_into(speeds, speeds)\n",
+           "        speeds[:] = model.v(speeds)\n",
            ("tests/test_step_buffers.py::"
             "test_march_nonlocal_allocates_buffers_once",)),
     Mutant("Godunov step: one scratch buffer for every clipped state",
@@ -129,6 +144,23 @@ MUTANTS = (
            "            wr = 1.0 - self._w[a:b]\n",
            ("tests/test_relaxation.py::TestPhysicalSlice::"
             "test_matches_stacked_snapshots",)),
+    Mutant("march: only the row minima checked for finiteness",
+           "trajectory.py",
+           "np.logical_and.reduce(np.isfinite(extrema, out=finite),",
+           "np.logical_and.reduce(np.isfinite(row_min, out=finite[0]),",
+           ("tests/test_trajectory.py::TestMarch::"
+            "test_blowup_names_step_and_stops_observing",)),
+    Mutant("IMEX step: u fed from z's left ghost", "relaxation.py",
+           "        np.subtract(u[:1], left[:1], out=du[:1])\n",
+           "        np.subtract(u[:1], left[1:], out=du[:1])\n",
+           ("tests/test_relaxation.py::TestSolveRelaxation::"
+            "test_equilibrium_is_stationary",)),
+    Mutant("Picard: the s_half range check without its half-cell shift",
+           "nonlocal_fv.py",
+           "            far = _far(float(np.minimum.reduce(s_half, axis=None)) - 0.5,\n",
+           "            far = _far(float(np.minimum.reduce(s_half, axis=None)),\n",
+           ("tests/test_nonlocal_fv.py::TestPicardOracle::"
+            "test_sweep_gathers_within_one_period",)),
     Mutant("Picard: divergence on two growths", "nonlocal_fv.py",
            "len(deltas) >= 4 and deltas[-4] < deltas[-3] < deltas[-2] "
            "< delta",
@@ -151,6 +183,14 @@ def _pytest(src: Path, tests, workdir: Path) -> subprocess.CompletedProcess:
          "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(ROOT),
          "-o", f"pythonpath={src}", *(str(ROOT / t) for t in tests)],
         cwd=workdir, capture_output=True, text=True, timeout=1800)
+
+
+def _compiles(source: str, path: Path) -> bool:
+    try:
+        compile(source, str(path), "exec")
+    except SyntaxError:
+        return False
+    return True
 
 
 def _summary(done: subprocess.CompletedProcess, workdir: Path) -> str:
@@ -181,10 +221,13 @@ def main() -> int:
         for mutant in MUTANTS:
             path = src.parent / PACKAGE / mutant.file
             text = (ROOT / PACKAGE / mutant.file).read_text()
+            mutated = text.replace(mutant.old, mutant.new)
             if text.count(mutant.old) != 1:
                 verdict, detail = "STALE", "old text not found exactly once"
+            elif not _compiles(mutated, path):
+                verdict, detail = "INVALID", "the mutated file does not compile"
             else:
-                path.write_text(text.replace(mutant.old, mutant.new))
+                path.write_text(mutated)
                 done = _pytest(src, mutant.tests, tmp)
                 path.write_text(text)
                 verdict = "killed" if done.returncode != 0 else "SURVIVED"
