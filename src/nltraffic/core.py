@@ -233,6 +233,18 @@ class VelocityModel:
             np.copyto(out, self.v(rho))
         return out
 
+    def dv_into(self, rho: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """v'(rho) written into ``out``, bit for bit ``dv(rho)``; returns
+        out.  An affine law fills ``out`` with -b; a custom law's
+        evaluator gets ``rho`` as it is and its result is copied into
+        ``out``.  ``out`` may be ``rho`` itself.
+        """
+        if self.is_affine:
+            out.fill(-self.b)
+        else:
+            np.copyto(out, self.dv(rho))
+        return out
+
     def f_into(self, rho: np.ndarray, out: np.ndarray) -> np.ndarray:
         """f(rho) = rho v(rho) written into ``out``, bit for bit ``f(rho)``;
         returns out.  An affine law evaluates v in ``out`` first; a custom

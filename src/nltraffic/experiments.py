@@ -353,7 +353,10 @@ def _sweep_rows(config: ExperimentConfig, eps_values, initial: DensityField,
 def run_sweep(config: ExperimentConfig) -> SweepReport:
     """One row per epsilon, decreasing; failures fill their row, never abort.
 
-    Rows are computed against a single local reference solve.  All widths
+    Rows are computed against a single local reference solve, which keeps
+    only its first and final densities (``solve_local(history=False)``):
+    the march still lands on every emission time, so the final density
+    keeps its bits, and the reference costs O(N) memory.  All widths
     step together as one ensemble (``march_nonlocal``): for an admissible
     law they share one step sequence, and every row is bit for bit that of
     a lone run.  If the ensemble raises a numerical or domain error, the
@@ -371,7 +374,7 @@ def run_sweep(config: ExperimentConfig) -> SweepReport:
     solver = SolverConfig(t_final=config.solver.t_final,
                           cfl=config.solver.cfl,
                           snapshot_times=snapshot_times)
-    reference = solve_local(initial, fe, solver).final.rho
+    reference = solve_local(initial, fe, solver, history=False).final.rho
 
     try:
         rows = _sweep_rows(config, config.epsilons, initial, reference, phis,
@@ -627,7 +630,7 @@ def _compare_kind(config: ExperimentConfig, out: Path) -> tuple[str, dict]:
     eps = KernelScale(config.epsilon)
     fe = FluxEntropyModel(config.model)
     traj_nl = solve_nonlocal(initial, config.model, eps, config.solver)
-    traj_loc = solve_local(initial, fe, config.solver)
+    traj_loc = solve_local(initial, fe, config.solver, history=False)
     x = config.grid.cell_centers()
     columns = {"x": x,
                "rho_nonlocal": traj_nl.final.rho.values,

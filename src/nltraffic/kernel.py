@@ -314,27 +314,20 @@ class _BoundScan:
     and for q), and a spare buffer that the scaled prefix sums pass
     through.  The spare holds nothing once a scan returns, so an owner may
     keep in its first M * N floats an (M, N) array that it does not need
-    across a scan.  A scan built ``like`` another shares that one's
-    buffers, so two value arrays that take turns, as a Picard sweep's two
-    histories do, scan through one set.  Every view and per-row temporary
-    is made when the scan is built, so a call allocates nothing N-long
-    and nothing per row; q holds until the next call on the same buffers.
+    across a scan.  Every view and per-row temporary is made when the
+    scan is built, so a call allocates nothing N-long and nothing per
+    row; q holds until the next call.
     """
 
-    def __init__(self, values: np.ndarray, hs, periodic: bool,
-                 like: "_BoundScan | None" = None):
+    def __init__(self, values: np.ndarray, hs, periodic: bool):
         m, n = values.shape
         groups = _scan_plan(n, tuple(hs))
-        if like is None:
-            size = sum(g.members.size * (g.cells + g.cells // g.block)
-                       for g in groups)
-            if len(groups) > 1:
-                size += 2 * m * n
-            self.work = np.empty(size)
-            self.spare = np.empty(sum(g.members.size * g.cells
-                                      for g in groups))
-        else:
-            self.work, self.spare = like.work, like.spare
+        size = sum(g.members.size * (g.cells + g.cells // g.block)
+                   for g in groups)
+        if len(groups) > 1:
+            size += 2 * m * n
+        self.work = np.empty(size)
+        self.spare = np.empty(sum(g.members.size * g.cells for g in groups))
         self.values = values
         if len(groups) == 1:
             self._gathers = ()

@@ -239,7 +239,7 @@ def _interface_flux(fe: FluxEntropyModel, cells: np.ndarray, states,
 
 
 def solve_local(initial: DensityField, fe: FluxEntropyModel,
-                config: SolverConfig) -> Trajectory:
+                config: SolverConfig, *, history: bool = True) -> Trajectory:
     """March the Godunov scheme to t_final, recording snapshots.
 
     Conservative update with the exact-Riemann interface flux; dt satisfies
@@ -253,6 +253,11 @@ def solve_local(initial: DensityField, fe: FluxEntropyModel,
     f per cell, the two flux branches with their scratch and mask, and
     the update); only a custom law's evaluator allocates on each step.
     Each snapshot copies the density.
+
+    With ``history=False`` the march still lands on every emission time,
+    so the final density keeps its bits, but only the snapshots at t = 0
+    and t_final are recorded: a caller that reads only ``.final`` holds
+    two densities instead of one per emission time.
     """
     grid = initial.grid
     model = fe.model
@@ -277,11 +282,14 @@ def solve_local(initial: DensityField, fe: FluxEntropyModel,
         np.multiply(update, dt / grid.dx, out=update)
         np.subtract(rho, update, out=rho)
 
-    def record(t: float):
-        snapshots.append(Snapshot(t=t, rho=DensityField(grid, rho), q=None))
+    emit = config.emission_times()
 
-    stats = march(config.emission_times(), rho[np.newaxis],
-                  lambda: dt_cfl, advance, record)
+    def record(t: float):
+        if history or t == 0.0 or t == emit[-1]:
+            snapshots.append(Snapshot(t=t, rho=DensityField(grid, rho),
+                                      q=None))
+
+    stats = march(emit, rho[np.newaxis], lambda: dt_cfl, advance, record)
     return Trajectory(snapshots=tuple(snapshots), stats=stats)
 
 

@@ -188,11 +188,13 @@ def _lerp(values: np.ndarray, slopes: np.ndarray, s: np.ndarray,
 
     Node k sits at s = k, so node j = floor(s) and weight w = s - j give
     values[j] + w slopes[j], written into ``out``.  Periodic grids wrap
-    j; constant extension clamps s to the table.  s itself is not
-    written.  ``scratch`` holds j, w (floats) and the index (intp), each
-    of s's shape.  ``far`` says whether j must be reduced mod N first
-    (``_far``); when it is not given, j's range is checked here.  A
-    non-finite s raises BlowupError, before j is cast to an index.
+    j; constant extension clamps s to the table.  s is read only before
+    the first gather writes ``out``, so ``out`` may be s itself; s is not
+    written otherwise.  ``scratch`` holds j, w (floats) and the index
+    (intp), each of s's shape.  ``far`` says whether j must be reduced
+    mod N first (``_far``); when it is not given, j's range is checked
+    here.  A non-finite s raises BlowupError, before j is cast to an
+    index.
     """
     n = grid.n_cells
     j, w, idx = scratch
@@ -226,7 +228,10 @@ class _Trace:
     """A Picard sweep's temporaries for m levels of N cells, made once per
     oracle: the ``rows`` of one trace block, a speed, a midpoint
     position, the midpoint q, the gain and ``_lerp``'s scratch; and one
-    level's interpolation tables, N each."""
+    level's interpolation tables, N each: q (a contiguous copy of the
+    scan's reversed row, which ``np.take`` would copy on every gather),
+    the time-midpoint q and rho, and the forward differences of those
+    three."""
 
     def __init__(self, m: int, n: int):
         self.rows = max(1, TRACE_BLOCK_CELLS // n)
@@ -234,7 +239,7 @@ class _Trace:
         self.centers = np.arange(n) + 0.5
         self._block = tuple(np.empty(block) for _ in range(6)) + (
             np.empty(block, dtype=np.intp),)
-        self.tables = tuple(np.empty(n) for _ in range(5))
+        self.tables = tuple(np.empty(n) for _ in range(6))
 
     def block(self, k: int):
         """(speed, s_half, q_mid, gain, (j, w, index)) for k rows."""
@@ -243,23 +248,26 @@ class _Trace:
         return speed, s_half, q_mid, gain, (j, w, idx)
 
 
-def _sweep(history: np.ndarray, new: np.ndarray, pos: np.ndarray,
-           expo: np.ndarray, scan, trace: _Trace, model: VelocityModel,
-           eps_val: float, dt: float, grid) -> float:
-    """One Picard sweep from ``history`` into ``new``; returns the distance.
+def _sweep(history: np.ndarray, pos: np.ndarray, expo: np.ndarray, scan,
+           trace: _Trace, model: VelocityModel, eps_val: float, dt: float,
+           grid) -> float:
+    """One Picard sweep of ``history`` in place; returns the distance.
 
     Row l of the guess (time l dt) is traced back from the cell centers
     through levels l, l - 1, ..., 1 to its foot at t = 0, and level l's
     interpolation tables (q, the time-midpoint q and rho, and their
     forward differences) are built when the trace reaches it, so they
     cost O(N) each.  Rows are traced in blocks of ``TRACE_BLOCK_CELLS``
-    cells.  Row 0 of both buffers holds the data and is not written; rows
-    1..m of ``new`` get foot * exp(exponent), and those of ``history`` the
-    distance |new - history|, whose max is returned.  ``scan`` is the
-    kernel scan bound to ``history`` for its m + 1 levels
+    cells.  Each row's foot lerp writes the new iterate, foot *
+    exp(exponent), over the row's traced positions in ``pos``; the
+    distance |new - history| then goes into ``expo``, the new rows are
+    copied into rows 1..m of ``history``, and the distance's max is
+    returned.  Row 0 of ``history`` holds the data and is not written.
+    ``scan`` is the kernel scan bound to ``history`` for its m + 1 levels
     (``kernel._BoundScan``); the averaged history is a view of its work
     array, and ``pos`` may sit in its spare buffer, which the scan writes
-    before the trace starts.  Every temporary is one of ``trace``'s.
+    before the trace starts and not again until the next sweep.  Every
+    temporary is one of ``trace``'s.
     """
     m, n = pos.shape
     rows = trace.rows
@@ -267,13 +275,14 @@ def _sweep(history: np.ndarray, new: np.ndarray, pos: np.ndarray,
     half_step, gain_scale = -0.5 * cells_per_dt, dt / eps_val
     initial = history[0]
     q_levels = scan()
-    q_slopes, q_mid_row, qm_slopes, rho_mid_row, rm_slopes = trace.tables
+    q_row, q_slopes, q_mid_row, qm_slopes, rho_mid_row, rm_slopes = (
+        trace.tables)
 
     # ensemble backward trace: row l (pos[l - 1]) targets time l*dt
     np.copyto(pos, trace.centers)
     expo.fill(0.0)
     for level in range(m, 0, -1):
-        q_row = q_levels[level]
+        np.copyto(q_row, q_levels[level])
         _slopes(q_row, grid, q_slopes)
         # the midpoint in time between levels level - 1 and level
         np.add(q_row, q_levels[level - 1], out=q_mid_row)
@@ -299,26 +308,27 @@ def _sweep(history: np.ndarray, new: np.ndarray, pos: np.ndarray,
             _lerp(rho_mid_row, rm_slopes, s_half, grid, gain, scratch, far)
             # -v'(q) q_x dt with q_x = (q - rho)/eps
             gain -= q_mid
-            gain *= model.dv(q_mid)
+            gain *= model.dv_into(q_mid, speed)
             gain *= gain_scale
             expo[lo:lo + rows] += gain
             model.v_into(q_mid, speed)
             speed *= cells_per_dt
             s -= speed  # s is a view: this moves pos[lo:lo + rows]
 
+    # the new iterate, foot * exp(exponent), over the traced positions
     init_slopes = _slopes(initial, grid, q_slopes)
     for lo in range(0, m, rows):
         s = pos[lo:lo + rows]
         s -= 0.5
-        foot = _lerp(initial, init_slopes, s, grid, new[lo + 1:lo + rows + 1],
+        foot = _lerp(initial, init_slopes, s, grid, s,
                      trace.block(len(s))[-1])
         e = expo[lo:lo + rows]
         foot *= np.exp(e, out=e)
 
-    retired = history[1:]
-    np.subtract(new[1:], retired, out=retired)
-    np.abs(retired, out=retired)
-    return float(np.maximum.reduce(retired, axis=None))
+    np.subtract(pos, history[1:], out=expo)
+    np.abs(expo, out=expo)
+    np.copyto(history[1:], pos)
+    return float(np.maximum.reduce(expo, axis=None))
 
 
 def picard_oracle(initial: DensityField, model: VelocityModel,
@@ -348,16 +358,19 @@ def picard_oracle(initial: DensityField, model: VelocityModel,
     under constant extension.  Row l is traced back
     through l levels, so a sweep over m levels visits m (m + 1) / 2
     row-levels and takes O(levels^2 * N) time (2775 row-levels of N cells
-    at 74 levels).  The oracle holds five (levels + 1) x N tables, made
-    once: two history buffers, the exponents, and the work array (and its
-    block sums, an eighth of a table) of the kernel scan bound to each
-    history buffer, of which the averaged history is a view, and its
-    spare buffer, which holds the positions.  Its temporaries are made
-    once too (``_Trace``): five N-long interpolation tables, rewritten at
-    each level, and one block of ``TRACE_BLOCK_CELLS`` cells for each
-    per-block array; every operation is per element, so the blocking does
-    not change a bit.  One range check per block serves both midpoint
-    gathers, q at s_half and rho at s_half - 1/2.
+    at 74 levels).  The oracle holds four (levels + 1) x N tables, made
+    once: the history, the exponents, which take the iterate distance at
+    the end of a sweep, and the work array (and its block sums, an eighth
+    of a table) of the kernel scan bound to the history, of which the
+    averaged history is a view, and its spare buffer, which holds the
+    positions and then the new iterate until it is copied into the
+    history.  Its temporaries are made once too (``_Trace``): six N-long
+    interpolation tables, rewritten at each level, and one block of
+    ``TRACE_BLOCK_CELLS`` cells for each per-block array; every operation
+    is per element, so the blocking does not change a bit.  One range
+    check per block serves both midpoint gathers, q at s_half and rho at
+    s_half - 1/2, and v'(q) goes into the block's speed buffer
+    (``VelocityModel.dv_into``).
 
     The transform contracts only for short horizons on Lipschitz,
     uniformly positive data; that is the intended regime: divergence (the
@@ -387,15 +400,13 @@ def picard_oracle(initial: DensityField, model: VelocityModel,
     n = grid.n_cells
 
     # history[l] holds the guess at time l*dt; level 0 is pinned to the
-    # data in both buffers, which swap roles after every sweep
+    # data, and each sweep rewrites levels 1..m in place
     history = np.tile(initial.values, (m + 1, 1))
-    new = history.copy()
-    # the kernel scan bound to each history buffer, both scanning through
-    # one set of buffers; traced positions in cell units, in the scan's
-    # spare buffer, and exponents, rows 1..m (index shifted by one)
+    # the kernel scan bound to the history; traced positions in cell
+    # units, in the scan's spare buffer, and exponents, rows 1..m (index
+    # shifted by one)
     hs = (grid.dx / eps.epsilon,) * (m + 1)
     scan = _BoundScan(history, hs, grid.periodic)
-    scans = (scan, _BoundScan(new, hs, grid.periodic, like=scan))
     pos = scan.spare[:m * n].reshape(m, n)
     expo = np.empty((m, n))
     trace = _Trace(m, n)
@@ -403,7 +414,7 @@ def picard_oracle(initial: DensityField, model: VelocityModel,
 
     for sweep in range(1, MAX_SWEEPS + 1):
         try:
-            delta = _sweep(history, new, pos, expo, scans[0], trace, model,
+            delta = _sweep(history, pos, expo, scan, trace, model,
                            eps.epsilon, t0 / m, grid)
         except BlowupError as err:
             raise BlowupError(f"{err} at sweep {sweep}") from None
@@ -414,8 +425,6 @@ def picard_oracle(initial: DensityField, model: VelocityModel,
             raise ContractionFailure(
                 f"iterate distance grew 3 sweeps in a row (latest ratio "
                 f"{delta / deltas[-2]:.3g})")
-        history, new = new, history
-        scans = scans[::-1]
         if delta < iteration_tolerance:
             return PicardResult(DensityField(grid, history[m]), sweep,
                                 delta, tuple(deltas))

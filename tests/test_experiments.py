@@ -21,6 +21,8 @@ from nltraffic.experiments import (ConfigError, SWEEP_CSV_COLUMNS, SweepReport,
                                    run_sweep, sweep_csv, sweep_json)
 import nltraffic.experiments as experiments
 
+from conftest import traced_peak
+
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 MINIMAL = """
@@ -224,6 +226,20 @@ class TestSweep:
         assert good.error is None
         assert "synthetic failure" in bad.error
         assert np.isnan(bad.l1_to_reference)
+
+    def test_reference_memory_bounded(self):
+        # the Godunov reference keeps only its first and final densities;
+        # a table is one (widths x N) float array
+        config = parse_config(_shipped_config("sweep_rarefaction", 1024))
+        assert len(config.epsilons) == 3
+        table = len(config.epsilons) * config.grid.n_cells * 8
+        # one untraced run first fills the caches a first solve builds
+        # (the scan plan's weights); 18.2 tables were measured cold
+        run_sweep(config)
+        peak = traced_peak(lambda: run_sweep(config))
+        # measured 15.4 tables; 61.5 when the reference kept a snapshot at
+        # each of its 168 emission times
+        assert peak <= 20 * table
 
     def test_requires_positive_data(self):
         config = parse_config(SWEEP.replace("initial.rho_right = 0.2",

@@ -511,6 +511,35 @@ class TestSolveLocal:
         assert float(np.sum(decay)) <= 1e-10
         assert float(np.max(decay)) <= 1e-10
 
+    @pytest.mark.parametrize("boundary", ["periodic", "constant_extension"])
+    @pytest.mark.parametrize("name", sorted(CONCAVE_LAWS) + ["non_concave"])
+    def test_without_history_keeps_the_final_bits(self, name, boundary):
+        # the march still lands on every emission time, so the steps and
+        # the final density are those of the full record; only the
+        # snapshots at t = 0 and t_final are kept
+        model = (non_concave_model() if name == "non_concave"
+                 else CONCAVE_LAWS[name])
+        fe = FluxEntropyModel(model)
+        g = Grid(-1.0, 1.0, 200, boundary)
+        ic = DensityField(g, np.random.default_rng(6).uniform(0.05, 0.95,
+                                                              200))
+        config = SolverConfig(t_final=0.3, snapshot_times=(0.05, 0.1234,
+                                                           0.2))
+        full = solve_local(ic, fe, config)
+        final = solve_local(ic, fe, config, history=False)
+        assert full.times == [0.0, 0.05, 0.1234, 0.2, 0.3]
+        assert final.times == [0.0, 0.3]
+        # the snapshot times clip steps: a march to t_final alone differs
+        plain = solve_local(ic, fe, SolverConfig(t_final=0.3))
+        assert plain.stats.steps != full.stats.steps
+        assert final.stats.steps == full.stats.steps
+        for kept, want in zip(final.snapshots, (full.snapshots[0],
+                                                full.final)):
+            assert np.array_equal(kept.rho.values.view(np.int64),
+                                  want.rho.values.view(np.int64))
+        assert np.array_equal(final.stats.low, full.stats.low)
+        assert np.array_equal(final.stats.high, full.stats.high)
+
     def test_initial_range_checked(self, fe):
         g = Grid(-1.0, 1.0, 16)
         bad = DensityField(g, np.full(16, 1.4))

@@ -173,10 +173,8 @@ def _measure(layer: str, n: int) -> list[tuple[float, int]]:
     else:
         # the buffers as picard_oracle makes them, once
         history = np.tile(rho.values, (PICARD_LEVELS + 1, 1))
-        new = history.copy()
         hs = (grid.dx / eps.epsilon,) * (PICARD_LEVELS + 1)
         scan = _BoundScan(history, hs, grid.periodic)
-        scans = (scan, _BoundScan(new, hs, grid.periodic, like=scan))
         pos = scan.spare[:PICARD_LEVELS * n].reshape(PICARD_LEVELS, n)
         expo = np.empty((PICARD_LEVELS, n))
         trace = nonlocal_fv._Trace(PICARD_LEVELS, n)
@@ -184,11 +182,9 @@ def _measure(layer: str, n: int) -> list[tuple[float, int]]:
         module, name, wrap = nonlocal_fv, "_sweep", calls.call
 
         def run():
-            old, cur, bound = history, new, scans
             while True:
-                nonlocal_fv._sweep(old, cur, pos, expo, bound[0], trace,
-                                   affine, eps.epsilon, dt, grid)
-                old, cur, bound = cur, old, bound[::-1]
+                nonlocal_fv._sweep(history, pos, expo, scan, trace, affine,
+                                   eps.epsilon, dt, grid)
 
     setattr(module, name, wrap(getattr(module, name)))
     try:

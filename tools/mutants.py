@@ -121,11 +121,30 @@ MUTANTS = (
            "f_s = fe.model.f_into(clipped, f_clipped)",
            ("tests/test_step_buffers.py::"
             "test_godunov_steps_equal_allocating_step",)),
+    Mutant("custom dv_into: skips the copy into out", "core.py",
+           "            np.copyto(out, self.dv(rho))\n",
+           "            self.dv(rho)\n",
+           ("tests/test_step_buffers.py::test_custom_speed_in_place_equals_v",
+            )),
     Mutant("affine v_into: perturb the intercept", "core.py",
            "            out += self.a\n",
            "            out += self.a * (1.0 + 2.0 ** -52)\n",
            ("tests/test_step_buffers.py::test_affine_speed_in_place_equals_v",
             )),
+    # the Godunov reference without its history
+    Mutant("solve_local: history=False keeps every snapshot", "local_lwr.py",
+           "        if history or t == 0.0 or t == emit[-1]:\n",
+           "        if True:\n",
+           ("tests/test_local_lwr.py::TestSolveLocal::"
+            "test_without_history_keeps_the_final_bits",
+            "tests/test_experiments.py::TestSweep::"
+            "test_reference_memory_bounded")),
+    Mutant("solve_local: history=False drops the final snapshot",
+           "local_lwr.py",
+           "        if history or t == 0.0 or t == emit[-1]:\n",
+           "        if history or t == 0.0:\n",
+           ("tests/test_local_lwr.py::TestSolveLocal::"
+            "test_without_history_keeps_the_final_bits",)),
     # the tilted source solve, the slice gatherer and the Picard monitor
     Mutant("source solve: a shut bracket takes the larger |residual|",
            "relaxation.py",
@@ -161,6 +180,27 @@ MUTANTS = (
            "            far = _far(float(np.minimum.reduce(s_half, axis=None)),\n",
            ("tests/test_nonlocal_fv.py::TestPicardOracle::"
             "test_sweep_gathers_within_one_period",)),
+    Mutant("Picard: the distance taken after the copy into the history",
+           "nonlocal_fv.py",
+           "    np.subtract(pos, history[1:], out=expo)\n"
+           "    np.abs(expo, out=expo)\n"
+           "    np.copyto(history[1:], pos)\n",
+           "    np.copyto(history[1:], pos)\n"
+           "    np.subtract(pos, history[1:], out=expo)\n"
+           "    np.abs(expo, out=expo)\n",
+           ("tests/test_nonlocal_fv.py::TestPicardOracle::"
+            "test_keeps_pinned_bits",)),
+    Mutant("Picard: v'(q) a fresh block per trace block", "nonlocal_fv.py",
+           "            gain *= model.dv_into(q_mid, speed)\n",
+           "            gain *= model.dv(q_mid)\n",
+           ("tests/test_step_buffers.py::test_picard_sweep_allocates_nothing",
+            )),
+    Mutant("Picard: the q lerp gathers from the scan's reversed view",
+           "nonlocal_fv.py",
+           "        np.copyto(q_row, q_levels[level])\n",
+           "        q_row = q_levels[level]\n",
+           ("tests/test_step_buffers.py::test_picard_sweep_allocates_nothing",
+            )),
     Mutant("Picard: divergence on two growths", "nonlocal_fv.py",
            "len(deltas) >= 4 and deltas[-4] < deltas[-3] < deltas[-2] "
            "< delta",
